@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import json
 import logging
 import math
@@ -484,19 +485,7 @@ def _build_parser():
 def _cmd_run(args):
     config, input_path, out_dir = read_manifest(args.manifest)
     if args.seed is not None:
-        config = PipelineConfig(
-            n_subsamples=config.n_subsamples,
-            subsample_size=config.subsample_size,
-            dimred=config.dimred,
-            seed=args.seed,
-            cluster_link_fraction=config.cluster_link_fraction,
-            min_cluster_size=config.min_cluster_size,
-            dense_median_fraction=config.dense_median_fraction,
-            ph_representatives=config.ph_representatives,
-            ph_bar_fraction=config.ph_bar_fraction,
-            essdim_rel_tol=config.essdim_rel_tol,
-            als=config.als,
-        )
+        config = dataclasses.replace(config, seed=args.seed)
     if args.out:
         out_dir = args.out
     threads = args.threads

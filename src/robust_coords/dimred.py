@@ -19,7 +19,7 @@ from scipy.spatial.distance import pdist, squareform
 
 from .core_types import Configuration
 from .errors import DegenerateGraph, NotSymmetric, TooFewPoints
-from .procrustes_pair import _SIGN_EPS
+from .procrustes_pair import _column_signs
 
 __all__ = [
     "EmbeddingParams",
@@ -188,16 +188,6 @@ def _top_eigpairs(b, d):
     return vals, vecs
 
 
-def _fix_vector_signs(vecs):
-    vecs = vecs.copy()
-    for j in range(vecs.shape[1]):
-        col = vecs[:, j]
-        big = np.flatnonzero(np.abs(col) > _SIGN_EPS * max(1.0, np.abs(col).max()))
-        if big.size and col[big[0]] < 0:
-            vecs[:, j] = -col
-    return vecs
-
-
 def classical_mds(dmat, d):
     """Embed a distance matrix by double centering and top eigenpairs.
 
@@ -222,7 +212,7 @@ def classical_mds(dmat, d):
     b = 0.5 * (b + b.T)
 
     vals, vecs = _top_eigpairs(b, d)
-    vecs = _fix_vector_signs(vecs)
+    vecs = vecs * _column_signs(vecs)
     vals = np.clip(vals, 0.0, None)
     # numerically-zero tail of the spectrum yields exactly-zero coordinates
     if vals.size and vals[0] > 0:
@@ -241,7 +231,7 @@ def pca_embed(x, d, params=None):
     m = x.present_matrix()
     m = m - m.mean(axis=1, keepdims=True)
     u, _, _ = np.linalg.svd(m, full_matrices=False)
-    u = _fix_vector_signs(u[:, :d])
+    u = u[:, :d] * _column_signs(u[:, :d])
     coords = np.zeros((d, x.n_global))
     coords[:, x.present_indices()] = u.T @ m
     if params is None:

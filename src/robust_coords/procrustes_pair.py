@@ -29,6 +29,18 @@ __all__ = [
 _SIGN_EPS = 1e-12
 
 
+def _column_signs(vecs):
+    """+1 or -1 per column: the sign that makes its first entry of
+    non-negligible magnitude positive."""
+    signs = np.ones(vecs.shape[1])
+    for j in range(vecs.shape[1]):
+        col = vecs[:, j]
+        big = np.flatnonzero(np.abs(col) > _SIGN_EPS * max(1.0, np.abs(col).max()))
+        if big.size and col[big[0]] < 0:
+            signs[j] = -1.0
+    return signs
+
+
 def deterministic_svd(m):
     """SVD with a fixed sign convention.
 
@@ -40,16 +52,10 @@ def deterministic_svd(m):
     embeddings are reproducible.
     """
     u, s, vt = np.linalg.svd(np.asarray(m, dtype=float))
-    u = u.copy()
-    vt = vt.copy()
-    for j in range(u.shape[1]):
-        col = u[:, j]
-        big = np.flatnonzero(np.abs(col) > _SIGN_EPS * max(1.0, np.abs(col).max()))
-        if big.size and col[big[0]] < 0:
-            u[:, j] = -col
-            if j < vt.shape[0]:
-                vt[j, :] = -vt[j, :]
-    return u, s, vt
+    signs = _column_signs(u)
+    k = min(len(signs), vt.shape[0])
+    vt[:k] *= signs[:k, None]
+    return u * signs, s, vt
 
 
 def _as_matrix_pair(x, y):

@@ -1,11 +1,19 @@
 """Vietoris-Rips persistent homology over prime fields, dimensions 0..2.
 
 The filtration assigns each simplex the largest pairwise distance among its
-vertices; simplices beyond the radius cap are never built, so features
-surviving the cap come out as infinite bars.  Persistence pairs are read off
-a column reduction of the boundary matrix over F_p, processed one dimension
-block at a time from the top dimension down so the clearing shortcut can
-skip columns that are already known to vanish.
+vertices and orders the simplices of one dimension by that value, then
+lexicographically by vertices; simplices beyond the radius cap are never
+built, so features surviving the cap come out as infinite bars.
+
+Dimension 0 comes from a union-find over the edges in filtration order.
+Dimensions 1..max_dim come from persistent cohomology over F_p: the
+coboundary columns of the q-simplices are reduced in reverse filtration
+order, each column's pivot being its earliest cofacet, and the q-simplices
+already paired one dimension down are skipped (clearing).  Cohomology reads
+off the same persistence pairs as homology (de Silva, Morozov &
+Vejdemo-Johansson, "Dualities in persistent (co)homology", 2011), and on
+Rips filtrations most columns need no addition at all (Bauer, "Ripser",
+J. Appl. Comput. Topol. 2021).
 
 Point sets larger than the landmark budget are first thinned by farthest-
 point (maxmin) sampling, which is deterministic: it starts from the most
@@ -33,6 +41,7 @@ __all__ = [
 
 DEFAULT_LANDMARK_BUDGET = 150
 DEFAULT_MAX_SIMPLICES = 10_000_000
+_CHUNK = 1 << 16  # entries of one (simplices x vertices) neighbour mask
 
 
 @dataclass(frozen=True)
@@ -76,195 +85,156 @@ def maxmin_landmarks(dmat, count):
     return np.sort(np.asarray(chosen))
 
 
-def _lex_sorted(verts, filts):
-    keys = tuple(verts[:, c] for c in range(verts.shape[1] - 1, -1, -1))
-    order = np.lexsort(keys + (filts,))
-    return verts[order], filts[order]
+def _common_neighbours(adj, verts):
+    """Mask (simplices x vertices): vertex w is adjacent to every vertex of the row."""
+    common = adj[verts[:, 0]]
+    for c in range(1, verts.shape[1]):
+        common = common & adj[verts[:, c]]
+    return common
+
+
+def _chunks(n, m):
+    """Slices of range(n) whose (slice x m) neighbour masks hold about _CHUNK entries."""
+    step = max(1, _CHUNK // max(m, 1))
+    return (slice(lo, lo + step) for lo in range(0, n, step))
 
 
 def _build_simplices(dmat, max_dim, max_radius, max_simplices):
-    """Per-dimension sorted vertex arrays and filtration values.
+    """Rips simplices of dimension 0 .. max_dim+1 up to max_radius, per dimension.
 
-    Enumerates simplices of dimension 0 .. max_dim+1 whose filtration value
-    (largest pairwise vertex distance) is at most max_radius.
+    A simplex's filtration value is its largest pairwise vertex distance.
+    Each dimension is ``(verts, filts, ranks)``: vertex rows and values in
+    filtration order (value, then lexicographic vertices), and for the i-th
+    simplex in lexicographic order its filtration rank.  A q-simplex is a
+    (q-1)-simplex extended by a common neighbour above its last vertex;
+    extending in lexicographic order keeps that order.  Also returns the
+    adjacency matrix at max_radius.
     """
     m = dmat.shape[0]
     adj = dmat <= max_radius
     np.fill_diagonal(adj, False)
-    out = {0: (np.arange(m, dtype=np.int64)[:, None], np.zeros(m))}
+    above = np.arange(m)
+    lex_v, lex_f = np.arange(m, dtype=np.int64)[:, None], np.zeros(m)
+    out = {0: (lex_v, lex_f, np.arange(m))}
     total = m
-
-    iu, ju = np.nonzero(np.triu(adj, 1))
-    ew = dmat[iu, ju]
-    edges = np.column_stack([iu, ju]).astype(np.int64)
-    total += len(edges)
-    if total > max_simplices:
-        raise TooManySimplices(f"{total} simplices exceed budget {max_simplices}")
-    out[1] = _lex_sorted(edges, ew)
-
-    if max_dim + 1 >= 2:
-        tri_v, tri_f = [], []
-        cols = np.arange(m)
-        e_v, e_f = out[1]
-        for (i, j), wij in zip(e_v, e_f):
-            common = adj[i] & adj[j]
-            ks = cols[j + 1 :][common[j + 1 :]]
-            if ks.size:
-                tri_v.append(
-                    np.column_stack([np.full(ks.size, i), np.full(ks.size, j), ks])
-                )
-                tri_f.append(np.maximum(wij, np.maximum(dmat[i, ks], dmat[j, ks])))
-        if tri_v:
-            tv = np.concatenate(tri_v).astype(np.int64)
-            tf = np.concatenate(tri_f)
-        else:
-            tv = np.empty((0, 3), dtype=np.int64)
-            tf = np.empty(0)
-        total += len(tv)
+    for q in range(1, max_dim + 2):
+        new_v, new_f = [np.empty((0, q + 1), dtype=np.int64)], [np.empty(0)]
+        for part in _chunks(len(lex_v), m):
+            v = lex_v[part]
+            rows, ws = np.nonzero(_common_neighbours(adj, v) & (above > v[:, -1:]))
+            new_v.append(np.column_stack([v[rows], ws]))
+            new_f.append(np.maximum(lex_f[part][rows], dmat[v[rows], ws[:, None]].max(axis=1)))
+        lex_v, lex_f = np.concatenate(new_v), np.concatenate(new_f)
+        total += len(lex_f)
         if total > max_simplices:
             raise TooManySimplices(f"{total} simplices exceed budget {max_simplices}")
-        out[2] = _lex_sorted(tv, tf)
-
-    if max_dim + 1 >= 3:
-        tet_v, tet_f = [], []
-        tv, tf = out[2]
-        for (i, j, k), wijk in zip(tv, tf):
-            common = adj[i] & adj[j] & adj[k]
-            ls = cols[k + 1 :][common[k + 1 :]]
-            if ls.size:
-                tet_v.append(
-                    np.column_stack(
-                        [
-                            np.full(ls.size, i),
-                            np.full(ls.size, j),
-                            np.full(ls.size, k),
-                            ls,
-                        ]
-                    )
-                )
-                wl = np.maximum(
-                    dmat[i, ls], np.maximum(dmat[j, ls], dmat[k, ls])
-                )
-                tet_f.append(np.maximum(wijk, wl))
-        if tet_v:
-            qv = np.concatenate(tet_v).astype(np.int64)
-            qf = np.concatenate(tet_f)
-        else:
-            qv = np.empty((0, 4), dtype=np.int64)
-            qf = np.empty(0)
-        total += len(qv)
-        if total > max_simplices:
-            raise TooManySimplices(f"{total} simplices exceed budget {max_simplices}")
-        out[3] = _lex_sorted(qv, qf)
-
-    return out
+        order = np.argsort(lex_f, kind="stable")
+        ranks = np.empty_like(order)
+        ranks[order] = np.arange(len(order))
+        out[q] = (lex_v[order], lex_f[order], ranks)
+    return out, adj
 
 
-def _reduce_block(col_verts, row_verts, m, p, skip_cols):
-    """Column-reduce one boundary block over F_p.
+def _h0_death_edges(edges, m):
+    """Edges, by filtration rank, that merge two components (union-find)."""
+    parent = list(range(m))
 
-    Columns are dim-q simplices in filtration order; rows index the sorted
-    dim-(q-1) simplices.  ``skip_cols`` marks columns cleared by the block
-    above.  Returns (pairs: row -> column, zero_columns: list).
+    def find(v):
+        while parent[v] != v:
+            parent[v] = parent[parent[v]]
+            v = parent[v]
+        return v
+
+    deaths = []
+    for e, (u, v) in enumerate(zip(edges[:, 0].tolist(), edges[:, 1].tolist())):
+        ru, rv = find(u), find(v)
+        if ru != rv:
+            parent[max(ru, rv)] = min(ru, rv)
+            deaths.append(e)
+            if len(deaths) == m - 1:
+                break
+    return deaths
+
+
+def _heap_pivot(column, p):
+    """Pivot (row, coefficient) of a heap column, popping entries that cancel."""
+    while column:
+        row, val = heapq.heappop(column)
+        while column and column[0][0] == row:
+            val += heapq.heappop(column)[1]
+        if val % p:
+            heapq.heappush(column, (row, val % p))
+            return row, val % p
+    return None, 0
+
+
+def _summed(rows, vals, p):
+    """Sorted column with the coefficients of repeated rows summed mod p, zeros dropped."""
+    order = np.argsort(rows, kind="stable")
+    rows, vals = rows[order], vals[order]
+    first = np.flatnonzero(np.r_[True, rows[1:] != rows[:-1]])
+    rows, vals = rows[first], np.add.reduceat(vals, first) % p
+    return rows[vals != 0], vals[vals != 0]
+
+
+def _coboundary_reduce(simplices, adj, q, p, cleared):
+    """Reduce the coboundary columns of the q-simplices over F_p.
+
+    Columns run in reverse filtration order and skip ``cleared`` (the
+    q-simplices paired one dimension down).  A column's pivot is its
+    earliest cofacet.  Returns (pairs: list of (column, pivot), columns
+    that reduce to zero).  A pivot's reduced column is kept only when it
+    needed an addition; otherwise its coboundary is recomputed on demand.
     """
-    row_of = {}
-    for t, verts in enumerate(row_verts.tolist()):
-        code = 0
-        for v in verts:
-            code = code * m + v
-        row_of[code] = t
+    verts = simplices[q][0]
+    m = adj.shape[0]
+    powers = m ** np.arange(q + 1, -1, -1, dtype=np.int64)
+    cofacet_verts, _, by_code = simplices[q + 1]
+    codes = cofacet_verts[by_code] @ powers  # ascending: lexicographic order
 
-    pivots = {}
-    pairs = {}
-    zeros = []
-    width = col_verts.shape[1]
-    col_list = col_verts.tolist()
-    push = heapq.heappush
-    pop = heapq.heappop
-    if p == 2:
-        # F2 columns are plain row sets; addition is symmetric difference.
-        for c in range(len(col_list)):
-            if c in skip_cols:
-                continue
-            verts = col_list[c]
-            rows_in = set()
-            heap = []
-            for t in range(width):
-                code = 0
-                for s in range(width):
-                    if s != t:
-                        code = code * m + verts[s]
-                r = row_of[code]
-                rows_in.add(r)
-                push(heap, -r)
-            while True:
-                low = None
-                while heap:
-                    cand = -heap[0]
-                    if cand in rows_in:
-                        low = cand
-                        break
-                    pop(heap)
-                if low is None:
-                    zeros.append(c)
-                    break
-                hit = pivots.get(low)
-                if hit is None:
-                    pivots[low] = list(rows_in)
-                    pairs[low] = c
-                    break
-                for r in hit:
-                    if r in rows_in:
-                        rows_in.discard(r)
-                    else:
-                        rows_in.add(r)
-                        push(heap, -r)
-        return pairs, zeros
+    def coboundaries(js):
+        """Entries (cofacet rank, coefficient) of the columns js, grouped by column."""
+        v = verts[js]
+        col, ws = np.nonzero(_common_neighbours(adj, v))
+        # w enters the cofacet at position t: vertices before it keep their
+        # place value in the code, vertices after it drop one place
+        t = (v[:, :, None] < np.arange(m)).sum(axis=1)[col, ws]
+        zero = np.zeros((len(v), 1), dtype=np.int64)
+        before = np.cumsum(np.hstack([zero, v * powers[:-1]]), axis=1)
+        after = np.cumsum(np.hstack([v * powers[1:], zero])[:, ::-1], axis=1)[:, ::-1]
+        rows = by_code[np.searchsorted(codes, (before + after)[col, t] + ws * powers[t])]
+        # [cofacet : simplex] = (-1)^t
+        return rows, np.where(t % 2, p - 1, 1), np.searchsorted(col, np.arange(len(js) + 1))
 
-    for c in range(len(col_list)):
-        if c in skip_cols:
-            continue
-        verts = col_list[c]
-        coeffs = {}
-        heap = []
-        for t in range(width):
-            code = 0
-            for s in range(width):
-                if s != t:
-                    code = code * m + verts[s]
-            r = row_of[code]
-            coeffs[r] = 1 if t % 2 == 0 else p - 1
-            push(heap, -r)
-        while True:
-            low = None
-            while heap:
-                cand = -heap[0]
-                if cand in coeffs:
-                    low = cand
-                    break
-                pop(heap)
-            if low is None:
-                zeros.append(c)
-                break
-            hit = pivots.get(low)
-            if hit is None:
-                pivots[low] = (
-                    list(coeffs.keys()),
-                    list(coeffs.values()),
-                    pow(int(coeffs[low]), p - 2, p),
-                )
-                pairs[low] = c
-                break
-            rows, vals, inv_piv = hit
-            factor = (coeffs[low] * inv_piv) % p
-            for r, v in zip(rows, vals):
-                nv = (coeffs.get(r, 0) - factor * v) % p
-                if nv:
-                    if r not in coeffs:
-                        push(heap, -r)
-                    coeffs[r] = nv
-                elif r in coeffs:
-                    del coeffs[r]
+    owners = {}
+    pairs, zeros = [], []
+    todo = np.ones(len(verts), dtype=bool)
+    todo[cleared] = False
+    todo = np.flatnonzero(todo)[::-1]
+    for part in _chunks(len(todo), m):
+        rows, vals, bounds = coboundaries(todo[part])
+        for j, lo, hi in zip(todo[part].tolist(), bounds[:-1].tolist(), bounds[1:].tolist()):
+            pivot, val, reduced = None, 0, None
+            if hi > lo:
+                k = lo + int(rows[lo:hi].argmin())
+                pivot, val = int(rows[k]), int(vals[k])
+            if pivot in owners:
+                # entries of one row are summed lazily as they reach the top
+                column = list(zip(rows[lo:hi].tolist(), vals[lo:hi].tolist()))
+                heapq.heapify(column)
+                while pivot in owners:
+                    other, stored, inv = owners[pivot]
+                    orows, ovals = stored if stored is not None else coboundaries([other])[:2]
+                    for entry in zip(orows.tolist(), (ovals * (p - val * inv % p) % p).tolist()):
+                        heapq.heappush(column, entry)
+                    pivot, val = _heap_pivot(column, p)
+                if pivot is not None:
+                    reduced = _summed(*np.array(column, dtype=np.int64).T, p)
+            if pivot is None:
+                zeros.append(j)
+            else:
+                owners[pivot] = (j, reduced, pow(val, p - 2, p))
+                pairs.append((j, pivot))
     return pairs, zeros
 
 
@@ -294,29 +264,18 @@ def rips_from_distances(
     if not max_radius > 0:
         raise ValueError("max_radius must be positive")
 
-    simplices = _build_simplices(dmat, max_dim, max_radius, max_simplices)
+    simplices, adj = _build_simplices(dmat, max_dim, max_radius, max_simplices)
     m = dmat.shape[0]
-    top = max(q for q in simplices)
-
-    bars = {q: [] for q in range(max_dim + 1)}
-    prev_pairs = {}
-    for q in range(top, 0, -1):
-        col_verts, col_filts = simplices[q]
-        row_verts, row_filts = simplices[q - 1]
-        pairs, zero_cols = _reduce_block(col_verts, row_verts, m, p, prev_pairs)
-        for r, c in pairs.items():
-            birth, death = row_filts[r], col_filts[c]
-            if death > birth:
-                bars[q - 1].append((birth, death))
-        if q <= max_dim:
-            qf = col_filts
-            for c in zero_cols:
-                if c not in prev_pairs:
-                    bars[q].append((qf[c], np.inf))
-        prev_pairs = pairs
-    for v in range(m):
-        if v not in prev_pairs:
-            bars[0].append((0.0, np.inf))
+    edge_f = simplices[1][1]
+    cleared = _h0_death_edges(simplices[1][0], m)
+    bars = {0: [(0.0, edge_f[e]) for e in cleared if edge_f[e] > 0]}
+    bars[0] += [(0.0, np.inf)] * (m - len(cleared))
+    for q in range(1, max_dim + 1):
+        pairs, zeros = _coboundary_reduce(simplices, adj, q, p, cleared)
+        births, deaths = simplices[q][1], simplices[q + 1][1]
+        bars[q] = [(births[j], deaths[t]) for j, t in pairs if deaths[t] > births[j]]
+        bars[q] += [(births[j], np.inf) for j in zeros]
+        cleared = [t for _, t in pairs]
 
     packed = {}
     for q, entries in bars.items():

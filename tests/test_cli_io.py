@@ -242,6 +242,17 @@ def test_cli_run_deterministic(tmp_path, rng):
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
 
 
+
+def test_cli_run_seed_flag_overrides_manifest_seed(tmp_path, rng):
+    data = plane_cloud_csv(tmp_path, rng)
+    flag, manifest = tmp_path / "flag", tmp_path / "manifest"
+    m3 = write_manifest(tmp_path, manifest_doc(data, flag, seed=3), "m3.json")
+    m5 = write_manifest(tmp_path, manifest_doc(data, manifest, seed=5), "m5.json")
+    assert run_command(["run", "--manifest", str(m3), "--seed", "5"]) == 0
+    assert run_command(["run", "--manifest", str(m5)]) == 0
+    for name in ("report.json", "embedding.csv", "mds_view.csv", "outliers.csv"):
+        assert (flag / name).read_bytes() == (manifest / name).read_bytes()
+
 def test_write_report_embedding_round_trip(tmp_path, rng):
     from robust_coords.ensemble import PipelineConfig, run_pipeline
     from robust_coords.dimred import EmbeddingParams

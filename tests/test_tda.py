@@ -1,3 +1,4 @@
+import heapq
 import itertools
 
 import numpy as np
@@ -6,6 +7,8 @@ from scipy.spatial.distance import pdist, squareform
 
 from robust_coords.errors import NotSymmetric, TooManySimplices
 from robust_coords.tda import (
+    DEFAULT_MAX_SIMPLICES,
+    _build_simplices,
     max_bar_length,
     maxmin_landmarks,
     rips_from_distances,
@@ -67,6 +70,148 @@ def oracle_rips(dmat, max_dim, p, max_radius):
         q = len(simplices[j][0]) - 1
         if q <= max_dim:
             bars[q].append((simplices[j][1], np.inf))
+    return {q: np.asarray(sorted(v), dtype=float).reshape(-1, 2) for q, v in bars.items()}
+
+
+# ------------------------------------------------------ block reducer oracle
+# The boundary-matrix reducer that rips_from_distances used before its
+# cohomology reducer: one dimension block at a time from the top down, each
+# block clearing the columns paired in the block above.  Both read the same
+# persistence pairs, so their bars must agree exactly.
+
+
+def _reduce_block(col_verts, row_verts, m, p, skip_cols):
+    """Column-reduce one boundary block over F_p.
+
+    Columns are dim-q simplices in filtration order; rows index the sorted
+    dim-(q-1) simplices.  ``skip_cols`` marks columns cleared by the block
+    above.  Returns (pairs: row -> column, zero_columns: list).
+    """
+    row_of = {}
+    for t, verts in enumerate(row_verts.tolist()):
+        code = 0
+        for v in verts:
+            code = code * m + v
+        row_of[code] = t
+
+    pivots = {}
+    pairs = {}
+    zeros = []
+    width = col_verts.shape[1]
+    col_list = col_verts.tolist()
+    push = heapq.heappush
+    pop = heapq.heappop
+    if p == 2:
+        # F2 columns are plain row sets; addition is symmetric difference.
+        for c in range(len(col_list)):
+            if c in skip_cols:
+                continue
+            verts = col_list[c]
+            rows_in = set()
+            heap = []
+            for t in range(width):
+                code = 0
+                for s in range(width):
+                    if s != t:
+                        code = code * m + verts[s]
+                r = row_of[code]
+                rows_in.add(r)
+                push(heap, -r)
+            while True:
+                low = None
+                while heap:
+                    cand = -heap[0]
+                    if cand in rows_in:
+                        low = cand
+                        break
+                    pop(heap)
+                if low is None:
+                    zeros.append(c)
+                    break
+                hit = pivots.get(low)
+                if hit is None:
+                    pivots[low] = list(rows_in)
+                    pairs[low] = c
+                    break
+                for r in hit:
+                    if r in rows_in:
+                        rows_in.discard(r)
+                    else:
+                        rows_in.add(r)
+                        push(heap, -r)
+        return pairs, zeros
+
+    for c in range(len(col_list)):
+        if c in skip_cols:
+            continue
+        verts = col_list[c]
+        coeffs = {}
+        heap = []
+        for t in range(width):
+            code = 0
+            for s in range(width):
+                if s != t:
+                    code = code * m + verts[s]
+            r = row_of[code]
+            coeffs[r] = 1 if t % 2 == 0 else p - 1
+            push(heap, -r)
+        while True:
+            low = None
+            while heap:
+                cand = -heap[0]
+                if cand in coeffs:
+                    low = cand
+                    break
+                pop(heap)
+            if low is None:
+                zeros.append(c)
+                break
+            hit = pivots.get(low)
+            if hit is None:
+                pivots[low] = (
+                    list(coeffs.keys()),
+                    list(coeffs.values()),
+                    pow(int(coeffs[low]), p - 2, p),
+                )
+                pairs[low] = c
+                break
+            rows, vals, inv_piv = hit
+            factor = (coeffs[low] * inv_piv) % p
+            for r, v in zip(rows, vals):
+                nv = (coeffs.get(r, 0) - factor * v) % p
+                if nv:
+                    if r not in coeffs:
+                        push(heap, -r)
+                    coeffs[r] = nv
+                elif r in coeffs:
+                    del coeffs[r]
+    return pairs, zeros
+
+
+def block_reducer_bars(dmat, max_dim, p, max_radius):
+    simplices, _ = _build_simplices(dmat, max_dim, max_radius, DEFAULT_MAX_SIMPLICES)
+    m = dmat.shape[0]
+    top = max(q for q in simplices)
+
+    bars = {q: [] for q in range(max_dim + 1)}
+    prev_pairs = {}
+    for q in range(top, 0, -1):
+        col_verts, col_filts, _ = simplices[q]
+        row_verts, row_filts, _ = simplices[q - 1]
+        pairs, zero_cols = _reduce_block(col_verts, row_verts, m, p, prev_pairs)
+        for r, c in pairs.items():
+            birth, death = row_filts[r], col_filts[c]
+            if death > birth:
+                bars[q - 1].append((birth, death))
+        if q <= max_dim:
+            qf = col_filts
+            for c in zero_cols:
+                if c not in prev_pairs:
+                    bars[q].append((qf[c], np.inf))
+        prev_pairs = pairs
+    for v in range(m):
+        if v not in prev_pairs:
+            bars[0].append((0.0, np.inf))
     return {q: np.asarray(sorted(v), dtype=float).reshape(-1, 2) for q, v in bars.items()}
 
 
@@ -194,6 +339,70 @@ def test_matches_bruteforce_oracle_dim2(rng):
         for q in (0, 1, 2):
             assert_bars_equal(ours.bars[q], ref[q])
 
+
+
+def thick_annulus(seed, n):
+    rng = np.random.default_rng(seed)
+    ang = rng.uniform(0.0, 2.0 * np.pi, n)
+    rad = rng.uniform(0.8, 1.2, n)
+    return np.column_stack([rad * np.cos(ang), rad * np.sin(ang), rng.uniform(-0.3, 0.3, n)])
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_matches_block_reducer_oracle(seed):
+    # seeds cycle through F2/F3 x max_dim 1/2 x full/capped radius; the
+    # full complex is the block reducer's slowest input, so it gets the
+    # smaller clouds
+    p = (2, 3)[seed % 2]
+    max_dim = (1, 2)[seed // 2 % 2]
+    capped = seed // 4 % 2 == 1
+    if capped:
+        n = 30 + 7 * seed % 31
+    else:
+        n = 40 + seed % 6 if max_dim == 1 else 30 + seed % 3
+    dmat = squareform(pdist(thick_annulus(seed, n)))
+    # the cap closes the ring but stays below the hole's filling scale
+    radius = 1.0 if capped else float(dmat.max())
+    ours = rips_from_distances(dmat, max_dim=max_dim, p=p, max_radius=radius)
+    ref = block_reducer_bars(dmat, max_dim, p, radius)
+    assert sorted(ours.bars) == sorted(ref)
+    for q in ref:
+        assert np.array_equal(ours.bars[q], ref[q])
+    assert np.isinf(ref[1][:, 1]).any() == capped
+
+
+@pytest.mark.parametrize("p", [2, 3])
+@pytest.mark.parametrize("radius", [1.5, 2.0, None])
+def test_matches_block_reducer_oracle_on_ties(p, radius):
+    # an integer lattice: many equal distances, so the lexicographic
+    # tie-break decides most pivots
+    pts = np.indices((3, 3, 3)).reshape(3, -1).T.astype(float)
+    dmat = squareform(pdist(pts))
+    radius = radius or float(dmat.max())
+    ours = rips_from_distances(dmat, max_dim=2, p=p, max_radius=radius)
+    ref = block_reducer_bars(dmat, 2, p, radius)
+    for q in ref:
+        assert np.array_equal(ours.bars[q], ref[q])
+
+
+def test_build_simplices_enumerates_every_clique_in_filtration_order():
+    dmat = squareform(pdist(thick_annulus(7, 24)))
+    dmat = np.round(dmat, 1)  # ties, so the lexicographic order matters
+    radius = 1.2
+    simplices, adj = _build_simplices(dmat, 2, radius, DEFAULT_MAX_SIMPLICES)
+    assert np.array_equal(adj, (dmat <= radius) & ~np.eye(24, dtype=bool))
+    for q in range(4):
+        expected = []
+        for verts in itertools.combinations(range(24), q + 1):
+            filt = max((dmat[a, b] for a, b in itertools.combinations(verts, 2)), default=0.0)
+            if filt <= radius:
+                expected.append((filt, verts))
+        expected.sort()
+        verts, filts, ranks = simplices[q]
+        assert np.array_equal(verts, np.array([v for _, v in expected]).reshape(-1, q + 1))
+        assert np.array_equal(filts, [f for f, _ in expected])
+        lex = verts[ranks]
+        assert [tuple(v) for v in lex.tolist()] == sorted(tuple(v) for v in lex.tolist())
 
 # ------------------------------------------------------------- guard rails
 
