@@ -7,8 +7,11 @@ written with 17 significant digits so a write/read round trip is exact.
 
 Manifest JSON: ``{"format_version": "1", "input_path": ..., "output_dir":
 ..., "config": {...}}`` where ``config`` mirrors PipelineConfig field for
-field (``dimred`` is a list of parameter objects, ``als`` an options
-object).  Unknown keys anywhere are rejected.
+field, each ``dimred`` entry mirrors EmbeddingParams and ``als`` mirrors
+AlsOptions.  Keys are read off the dataclass fields and absent keys take
+the dataclass defaults; unknown keys anywhere are rejected.  The report's
+``config`` section is written from the same fields, so it parses back to
+an equal PipelineConfig.
 
 Exit codes: 0 success, 1 usage or input errors, 2 when the pipeline
 terminates because no good cluster exists (diagnostics are still written).
@@ -24,6 +27,7 @@ import logging
 import math
 import os
 import sys
+import typing
 
 import numpy as np
 
@@ -123,81 +127,52 @@ def write_points_csv(config, path):
 # ------------------------------------------------------------------ manifest
 
 
-def _take(obj, allowed, context):
-    unknown = set(obj) - set(allowed)
+@dataclasses.dataclass(frozen=True)
+class _Manifest:
+    """The top level of a run manifest."""
+
+    format_version: str
+    input_path: str
+    output_dir: str
+    config: PipelineConfig
+
+
+def _from_json(cls, obj, context):
+    """Build dataclass ``cls`` from a JSON object keyed by its field names.
+
+    Absent keys take the field's default.  Values are coerced by the
+    field's type hint: ``int``, ``float``, ``str``, ``T | None``, a nested
+    dataclass, or ``tuple[X, ...]`` from a list.  Unknown keys, missing
+    required keys and values that the hint or the dataclass rejects raise
+    ParseError naming the path, e.g. ``manifest.config.dimred[0]``.
+    """
+    if not isinstance(obj, dict):
+        raise ParseError(f"{context} must be an object")
+    hints = typing.get_type_hints(cls)
+    unknown = set(obj) - {f.name for f in dataclasses.fields(cls)}
     if unknown:
         raise ParseError(f"unknown keys in {context}: {sorted(unknown)}")
-
-
-def _params_from_json(obj, pos):
-    _take(obj, {"method", "target_dim", "epsilon", "knn", "seed", "source"},
-          f"dimred[{pos}]")
+    kwargs = {k: _coerce(hints[k], v, f"{context}.{k}") for k, v in obj.items()}
     try:
-        return EmbeddingParams(
-            method=obj.get("method", "isomap"),
-            target_dim=int(obj["target_dim"]),
-            epsilon=None if obj.get("epsilon") is None else float(obj["epsilon"]),
-            knn=None if obj.get("knn") is None else int(obj["knn"]),
-            seed=int(obj.get("seed", 0)),
-            source=obj.get("source"),
-        )
-    except (KeyError, ValueError) as exc:
-        raise ParseError(f"dimred[{pos}]: {exc}") from None
+        return cls(**kwargs)
+    except (TypeError, ValueError) as exc:
+        raise ParseError(f"{context}: {exc}") from None
 
 
-def _als_from_json(obj):
-    _take(obj, {"variant", "tol", "max_iter", "min_iter", "literal_missing_update"},
-          "als")
+def _coerce(hint, value, context):
+    if dataclasses.is_dataclass(hint):
+        return _from_json(hint, value, context)
+    args = typing.get_args(hint)
+    if type(None) in args:  # T | None
+        return None if value is None else _coerce(args[0], value, context)
     try:
-        return AlsOptions(
-            variant=obj.get("variant", "missing_points"),
-            tol=float(obj.get("tol", 1e-10)),
-            max_iter=int(obj.get("max_iter", 500)),
-            min_iter=int(obj.get("min_iter", 3)),
-            literal_missing_update=bool(obj.get("literal_missing_update", False)),
-        )
-    except ValueError as exc:
-        raise ParseError(f"als: {exc}") from None
-
-
-_CONFIG_KEYS = {
-    "n_subsamples",
-    "subsample_size",
-    "dimred",
-    "seed",
-    "cluster_link_fraction",
-    "min_cluster_size",
-    "dense_median_fraction",
-    "ph_representatives",
-    "ph_bar_fraction",
-    "essdim_rel_tol",
-    "als",
-}
-
-
-def _config_from_json(obj):
-    _take(obj, _CONFIG_KEYS, "config")
-    if "dimred" not in obj or not isinstance(obj["dimred"], list):
-        raise ParseError("config.dimred must be a list")
-    params = tuple(_params_from_json(p, i) for i, p in enumerate(obj["dimred"]))
-    kwargs = {}
-    for key in ("cluster_link_fraction", "dense_median_fraction",
-                "ph_bar_fraction", "essdim_rel_tol"):
-        if key in obj:
-            kwargs[key] = float(obj[key])
-    for key in ("min_cluster_size", "ph_representatives", "seed"):
-        if key in obj:
-            kwargs[key] = int(obj[key])
-    try:
-        return PipelineConfig(
-            n_subsamples=int(obj["n_subsamples"]),
-            subsample_size=int(obj["subsample_size"]),
-            dimred=params,
-            als=_als_from_json(obj.get("als", {})),
-            **kwargs,
-        )
-    except (KeyError, ValueError) as exc:
-        raise ParseError(f"config: {exc}") from None
+        if typing.get_origin(hint) is tuple:  # tuple[X, ...]
+            if not isinstance(value, list):
+                raise TypeError(f"expected a list, got {type(value).__name__}")
+            return tuple(_coerce(args[0], v, f"{context}[{i}]") for i, v in enumerate(value))
+        return hint(value)
+    except (TypeError, ValueError) as exc:
+        raise ParseError(f"{context}: {exc}") from None
 
 
 def read_manifest(path):
@@ -207,74 +182,45 @@ def read_manifest(path):
             doc = json.load(fh)
         except json.JSONDecodeError as exc:
             raise ParseError(f"manifest is not valid JSON: {exc}") from None
-    _take(doc, {"format_version", "input_path", "output_dir", "config"}, "manifest")
-    if str(doc.get("format_version")) != FORMAT_VERSION:
-        raise ParseError(
-            f"unsupported format_version {doc.get('format_version')!r}"
-        )
-    for key in ("input_path", "output_dir", "config"):
-        if key not in doc:
-            raise ParseError(f"manifest is missing {key!r}")
-    config = _config_from_json(doc["config"])
+    manifest = _from_json(_Manifest, doc, "manifest")
+    if manifest.format_version != FORMAT_VERSION:
+        raise ParseError(f"unsupported format_version {manifest.format_version!r}")
     base = os.path.dirname(os.path.abspath(path))
 
     def resolve(p):
         return p if os.path.isabs(p) else os.path.join(base, p)
 
-    return config, resolve(doc["input_path"]), resolve(doc["output_dir"])
+    return manifest.config, resolve(manifest.input_path), resolve(manifest.output_dir)
 
 
 # -------------------------------------------------------------------- report
 
 
-def _config_to_json(config):
-    out = {
-        "n_subsamples": config.n_subsamples,
-        "subsample_size": config.subsample_size,
-        "seed": config.seed,
-        "cluster_link_fraction": config.cluster_link_fraction,
-        "min_cluster_size": config.min_cluster_size,
-        "dense_median_fraction": config.dense_median_fraction,
-        "ph_representatives": config.ph_representatives,
-        "ph_bar_fraction": config.ph_bar_fraction,
-        "essdim_rel_tol": config.essdim_rel_tol,
-        "dimred": [
-            {
-                "method": p.method,
-                "target_dim": p.target_dim,
-                "epsilon": p.epsilon,
-                "knn": p.knn,
-                "seed": p.seed,
-                "source": p.source,
-            }
-            for p in config.dimred
-        ],
-        "als": {
-            "variant": config.als.variant,
-            "tol": config.als.tol,
-            "max_iter": config.als.max_iter,
-            "min_iter": config.als.min_iter,
-            "literal_missing_update": config.als.literal_missing_update,
-        },
-    }
-    return out
+def _jsonable(value):
+    """JSON-ready copy of a dataclass, dict, sequence or numpy value.
+
+    A dataclass becomes an object keyed by its field names; non-finite
+    floats (undefined diagnostics, infinite bars) become null.
+    """
+    if dataclasses.is_dataclass(value):
+        return {f.name: _jsonable(getattr(value, f.name)) for f in dataclasses.fields(value)}
+    if isinstance(value, dict):
+        return {str(k): _jsonable(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple, np.ndarray)):
+        return [_jsonable(v) for v in value]
+    if isinstance(value, np.generic):
+        value = value.item()
+    if isinstance(value, float) and not math.isfinite(value):
+        return None
+    return value
 
 
-def _cluster_to_json(cluster):
-    return {
-        "members": [int(i) for i in cluster.members],
-        "size": cluster.size,
-        "median_intra_distance": float(cluster.median_intra_distance),
-        "dense": bool(cluster.dense),
-        "representatives": [int(i) for i in cluster.representatives],
-        "ph1_max_bars": [float(b) for b in cluster.ph1_max_bars],
-        "essential_dims": [int(e) for e in cluster.essential_dims],
-        "rep_diameter": None if math.isnan(cluster.rep_diameter) else float(cluster.rep_diameter),
-        "ph_bar_threshold": None
-        if math.isnan(cluster.ph_bar_threshold)
-        else float(cluster.ph_bar_threshold),
-        "verdict": cluster.verdict,
-    }
+# AlignmentResult fields written to JSON; motions and mean go to the CSVs.
+_ALIGNMENT_KEYS = ("loss", "iterations", "converged", "variant", "loss_trace", "symmetry_residuals")
+
+
+def _alignment_to_json(result):
+    return _jsonable({key: getattr(result, key) for key in _ALIGNMENT_KEYS})
 
 
 def write_report(report, out_dir, plots=True):
@@ -287,18 +233,13 @@ def write_report(report, out_dir, plots=True):
     os.makedirs(out_dir, exist_ok=True)
     written = []
 
-    doc = {
+    doc = _jsonable({
         "format_version": FORMAT_VERSION,
         "seed": report.config.seed,
-        "config": _config_to_json(report.config),
+        "config": report.config,
         "n_members": len(report.members),
         "members": [
-            {
-                "subsample": a,
-                "params": b,
-                "n_points": int(n),
-                "n_dropped": int(dr),
-            }
+            {"subsample": a, "params": b, "n_points": n, "n_dropped": dr}
             for a, b, n, dr in report.members
         ],
         "thresholds": {
@@ -306,25 +247,16 @@ def write_report(report, out_dir, plots=True):
             "link_cutoff": report.link_cutoff,
             "dense_cutoff": report.dense_cutoff,
         },
-        "clusters": [_cluster_to_json(c) for c in report.clusters],
+        "clusters": [{**_jsonable(c), "size": c.size} for c in report.clusters],
         "good_cluster": report.good_cluster,
-        "outliers": [int(i) for i in report.outliers],
+        "outliers": report.outliers,
         "alignment": None
         if report.alignment is None
-        else {
-            "loss": float(report.alignment.loss),
-            "iterations": int(report.alignment.iterations),
-            "converged": bool(report.alignment.converged),
-            "variant": report.alignment.variant,
-            "loss_trace": [float(v) for v in report.alignment.loss_trace],
-            "symmetry_residuals": [
-                float(v) for v in report.alignment.symmetry_residuals
-            ],
-        },
+        else _alignment_to_json(report.alignment),
         "embedding_points": None
         if report.embedding is None
-        else int(report.embedding.n_present),
-    }
+        else report.embedding.n_present,
+    })
     path = os.path.join(out_dir, "report.json")
     with open(path, "w") as fh:
         json.dump(doc, fh, indent=1, sort_keys=True)
@@ -396,20 +328,6 @@ def _write_plots(report, out_dir):
     return written
 
 
-def _diagram_to_json(diagram):
-    return {
-        "prime": diagram.prime,
-        "max_radius": diagram.max_radius,
-        "bars": {
-            str(q): [
-                [float(b), None if math.isinf(d) else float(d)]
-                for b, d in diagram.bars[q]
-            ]
-            for q in diagram.dims()
-        },
-    }
-
-
 # ---------------------------------------------------------------------- CLI
 
 
@@ -450,10 +368,10 @@ def _build_parser():
     p_gpa = sub.add_parser("gpa", help="align k point CSVs and write the average")
     p_gpa.add_argument("inputs", nargs="+")
     p_gpa.add_argument("--out", required=True)
-    p_gpa.add_argument("--variant", default="missing_points")
-    p_gpa.add_argument("--tol", type=float, default=1e-10)
-    p_gpa.add_argument("--max-iter", type=int, default=500)
-    p_gpa.add_argument("--min-iter", type=int, default=3)
+    p_gpa.add_argument("--variant", default=AlsOptions.variant)
+    p_gpa.add_argument("--tol", type=float, default=AlsOptions.tol)
+    p_gpa.add_argument("--max-iter", type=int, default=AlsOptions.max_iter)
+    p_gpa.add_argument("--min-iter", type=int, default=AlsOptions.min_iter)
 
     p_ph = sub.add_parser("ph", help="persistence diagram of a point CSV")
     p_ph.add_argument("input")
@@ -473,7 +391,9 @@ def _build_parser():
 
     p_embed = sub.add_parser("embed", help="run one embedding on a point CSV")
     p_embed.add_argument("input")
-    p_embed.add_argument("--method", default="isomap", choices=["isomap", "pca", "external"])
+    p_embed.add_argument(
+        "--method", default=EmbeddingParams.method, choices=["isomap", "pca", "external"]
+    )
     p_embed.add_argument("--dim", type=int, default=2)
     p_embed.add_argument("--epsilon", type=float)
     p_embed.add_argument("--knn", type=int)
@@ -531,15 +451,8 @@ def _cmd_gpa(args):
         write_points_csv(
             cfg.transformed(motion), os.path.join(args.out, f"aligned_{i}.csv")
         )
-    summary = {
-        "loss": result.loss,
-        "iterations": result.iterations,
-        "converged": result.converged,
-        "loss_trace": [float(v) for v in result.loss_trace],
-        "symmetry_residuals": [float(v) for v in result.symmetry_residuals],
-    }
     with open(os.path.join(args.out, "alignment.json"), "w") as fh:
-        json.dump(summary, fh, indent=1, sort_keys=True)
+        json.dump(_alignment_to_json(result), fh, indent=1, sort_keys=True)
         fh.write("\n")
     print(f"aligned {len(configs)} configurations; loss {result.loss:.6g}")
     return 0
@@ -550,7 +463,7 @@ def _cmd_ph(args):
     diagram = rips_persistence(
         points, max_dim=args.max_dim, p=args.prime, max_radius=args.max_radius
     )
-    doc = _diagram_to_json(diagram)
+    doc = _jsonable(diagram)
     doc["max_bar_lengths"] = {
         str(q): max_bar_length(diagram, q) for q in diagram.dims()
     }

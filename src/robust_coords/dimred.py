@@ -47,8 +47,8 @@ class EmbeddingParams:
     coordinates.
     """
 
-    method: str
     target_dim: int
+    method: str = "isomap"
     epsilon: float | None = None
     knn: int | None = None
     seed: int = 0

@@ -99,7 +99,7 @@ class PipelineConfig:
 
     n_subsamples: int
     subsample_size: int
-    dimred: tuple
+    dimred: tuple[EmbeddingParams, ...]
     seed: int = 0
     cluster_link_fraction: float = 0.5
     min_cluster_size: int = 5

@@ -63,17 +63,13 @@ class AlsOptions:
     ``tol`` is in loss-change units: a sweep that changes the loss by less
     than ``tol`` terminates the iteration, but only after ``min_iter``
     sweeps have run (guards against stopping at unstable critical points).
-    ``literal_missing_update`` switches the missing-points rotation update
-    to a compatibility form that applies the current rotation inside the
-    second SVD factor instead of the first; the default form reduces
-    exactly to the ``refined`` sweep on full domains.
+    ``variant`` is one of ``basic``, ``refined`` or ``missing_points``.
     """
 
     variant: str = "missing_points"
     tol: float = 1e-10
     max_iter: int = 500
     min_iter: int = 3
-    literal_missing_update: bool = False
 
     def __post_init__(self):
         if self.variant not in _VARIANTS:
@@ -138,24 +134,28 @@ class AlignmentResult:
     variant: str
 
 
-def _masked_mean(problem, transformed):
-    """Mean of per-config (d, n_i) blocks over the union domain.
+def _inverse_counts(idx, n):
+    """1 / (number of index sets holding j) for each of n indices, 0 where none does.
 
-    Returns (mean matrix (d, n), union mask, per-index counts).
+    The masked mean is ``_index_totals(...) * _inverse_counts(...)``.
     """
-    d, n = problem.dim, problem.n_global
     counts = np.zeros(n)
-    total = np.zeros((d, n))
-    for cfg, block in zip(problem.configs, transformed):
-        idx = cfg.present_indices()
-        total[:, idx] += block
-        counts[idx] += 1.0
+    for ix in idx:
+        counts[ix] += 1.0
     active = counts > 0
     if not active.any():
         raise DroppedAllIndices("no index is present in any configuration")
-    mean = np.zeros((d, n))
-    mean[:, active] = total[:, active] / counts[active]
-    return mean, active, counts
+    inv_counts = np.zeros(n)
+    inv_counts[active] = 1.0 / counts[active]
+    return inv_counts
+
+
+def _index_totals(idx, blocks, d, n):
+    """Per-index sums (d, n) of the (d, n_i) blocks placed at their index sets."""
+    total = np.zeros((d, n))
+    for ix, block in zip(idx, blocks):
+        total[:, ix] += block
+    return total
 
 
 def gpa_loss(problem, motions):
@@ -167,10 +167,12 @@ def gpa_loss(problem, motions):
         if g.dim != problem.dim:
             raise DimensionMismatch("motion dimension mismatch")
         transformed.append(g.apply(cfg.present_matrix()))
-    mean, _, _ = _masked_mean(problem, transformed)
+    d, n = problem.dim, problem.n_global
+    idx = [cfg.present_indices() for cfg in problem.configs]
+    mean = _index_totals(idx, transformed, d, n) * _inverse_counts(idx, n)
     total = 0.0
-    for cfg, block in zip(problem.configs, transformed):
-        total += float(np.sum((block - mean[:, cfg.present_indices()]) ** 2))
+    for ix, block in zip(idx, transformed):
+        total += float(np.sum((block - mean[:, ix]) ** 2))
     return total / problem.k
 
 
@@ -270,14 +272,7 @@ def _als_missing(problem):
     k, d, n = problem.k, problem.dim, problem.n_global
 
     idx = [c.present_indices() for c in problem.configs]
-    counts = np.zeros(n)
-    for ix in idx:
-        counts[ix] += 1.0
-    active = counts > 0
-    if not active.any():
-        raise DroppedAllIndices("no index is present in any configuration")
-    inv_counts = np.zeros(n)
-    inv_counts[active] = 1.0 / counts[active]
+    inv_counts = _inverse_counts(idx, n)
 
     # Pre-center each configuration (the translations are re-estimated every
     # sweep, so this only changes the starting point); with full masks the
@@ -289,9 +284,7 @@ def _als_missing(problem):
     shifts = [np.zeros(d) for _ in range(k)]
     blocks = [block.copy() for block in xc]
 
-    total = np.zeros((d, n))
-    for ix, block in zip(idx, blocks):
-        total[:, ix] += block
+    total = _index_totals(idx, blocks, d, n)
     mean = total * inv_counts
 
     def current_loss():
@@ -311,20 +304,14 @@ def _als_missing(problem):
             gap = mean[:, ix] - shifts[i][:, None]
             w = inv_counts[ix]
             rotated = rotations[i] @ xc[i]
-            if opts.literal_missing_update:
-                cross = (gap - xc[i] * w) @ rotated.T
-            else:
-                cross = (gap - rotated * w) @ xc[i].T
-            u, _, vt = deterministic_svd(cross)
+            u, _, vt = deterministic_svd((gap - rotated * w) @ xc[i].T)
             rotations[i] = u @ vt
             new_block = rotations[i] @ xc[i] + shifts[i][:, None]
             total[:, ix] += new_block - blocks[i]
             blocks[i] = new_block
             mean[:, ix] = total[:, ix] * w
         # Exact recompute once per sweep to shed incremental round-off.
-        total[:] = 0.0
-        for ix, block in zip(idx, blocks):
-            total[:, ix] += block
+        total = _index_totals(idx, blocks, d, n)
         mean = total * inv_counts
         iterations = sweep + 1
         trace.append(current_loss())
@@ -337,7 +324,7 @@ def _als_missing(problem):
         RigidMotion(rotations[i], shifts[i] - rotations[i] @ offsets[i])
         for i in range(k)
     )
-    mean_cfg = Configuration(mean, active)
+    mean_cfg = Configuration(mean, inv_counts > 0)
     residuals = np.array(
         [
             _symmetry_residual_matrices(mean[:, idx[i]], blocks[i])

@@ -124,10 +124,13 @@ def _build_simplices(dmat, max_dim, max_radius, max_simplices):
             rows, ws = np.nonzero(_common_neighbours(adj, v) & (above > v[:, -1:]))
             new_v.append(np.column_stack([v[rows], ws]))
             new_f.append(np.maximum(lex_f[part][rows], dmat[v[rows], ws[:, None]].max(axis=1)))
+            # checked per chunk, so the budget also bounds the memory spent
+            total += len(ws)
+            if total > max_simplices:
+                raise TooManySimplices(
+                    f"at least {total} simplices exceed budget {max_simplices}"
+                )
         lex_v, lex_f = np.concatenate(new_v), np.concatenate(new_f)
-        total += len(lex_f)
-        if total > max_simplices:
-            raise TooManySimplices(f"{total} simplices exceed budget {max_simplices}")
         order = np.argsort(lex_f, kind="stable")
         ranks = np.empty_like(order)
         ranks[order] = np.arange(len(order))

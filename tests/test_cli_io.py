@@ -1,5 +1,7 @@
+import dataclasses
 import json
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,7 +14,10 @@ from robust_coords.cli_io import (
     write_report,
 )
 from robust_coords.core_types import Configuration
+from robust_coords.dimred import EmbeddingParams
+from robust_coords.ensemble import PipelineConfig, PipelineReport
 from robust_coords.errors import DuplicateId, ParseError
+from robust_coords.gpa_als import AlsOptions
 
 from conftest import random_config
 
@@ -130,6 +135,90 @@ def test_manifest_rejects_unknown_keys(tmp_path, rng):
         read_manifest(write_manifest(tmp_path, doc, "m3.json"))
 
 
+_ABSENT = object()
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [
+        ("n_subsamples", None),
+        ("n_subsamples", _ABSENT),
+        ("als", []),
+        ("als", {"tol": 1e-10, "literal_missing_update": False}),
+        ("dimred", [3]),
+        ("dimred", {}),
+        ("dimred", [{"method": "pca", "target_dim": 2, "knnn": 5}]),
+    ],
+    ids=["null", "missing", "als-list", "als-unknown", "dimred-int", "dimred-object",
+         "dimred-unknown"],
+)
+def test_cli_run_rejects_malformed_manifest(tmp_path, rng, capsys, key, value):
+    doc = manifest_doc(plane_cloud_csv(tmp_path, rng), tmp_path / "out")
+    if value is _ABSENT:
+        del doc["config"][key]
+    else:
+        doc["config"][key] = value
+    manifest = write_manifest(tmp_path, doc)
+    assert run_command(["run", "--manifest", str(manifest)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and key in err
+
+
+def test_manifest_dimred_method_defaults_to_isomap(tmp_path, rng):
+    doc = manifest_doc(tmp_path / "cloud.csv", tmp_path / "out",
+                       dimred=[{"target_dim": 2, "knn": 6}])
+    config, _, _ = read_manifest(write_manifest(tmp_path, doc))
+    assert config.dimred == (EmbeddingParams(target_dim=2, method="isomap", knn=6),)
+
+
+def test_report_config_reads_back_as_manifest_config(tmp_path):
+    config = PipelineConfig(
+        n_subsamples=7,
+        subsample_size=60,
+        dimred=(
+            EmbeddingParams(target_dim=3, knn=9),
+            EmbeddingParams(target_dim=3, epsilon=0.75, seed=4),
+        ),
+        seed=11,
+        cluster_link_fraction=0.9,
+        min_cluster_size=3,
+        dense_median_fraction=0.8,
+        ph_representatives=2,
+        ph_bar_fraction=0.6,
+        essdim_rel_tol=0.07,
+        als=AlsOptions(variant="refined", tol=1e-9, max_iter=40, min_iter=2),
+    )
+    defaults = PipelineConfig(n_subsamples=1, subsample_size=5, dimred=config.dimred[:1])
+    for obj, base in ((config, defaults), (config.als, AlsOptions())):
+        for f in dataclasses.fields(obj):
+            assert getattr(obj, f.name) != getattr(base, f.name), f.name
+    nan = float("nan")
+    report = PipelineReport(
+        embedding=None, outliers=np.empty(0, dtype=int), clusters=[], good_cluster=None,
+        alignment=None, mds_view=None, dissimilarity=np.zeros((0, 0)), members=[],
+        link_cutoff=nan, dense_cutoff=nan, median_dissimilarity=nan, config=config,
+    )
+    write_report(report, tmp_path / "rep", plots=False)
+    written = json.loads((tmp_path / "rep" / "report.json").read_text())
+    doc = manifest_doc("in.csv", "out")
+    doc["config"] = written["config"]
+    parsed, _, _ = read_manifest(write_manifest(tmp_path, doc))
+    assert parsed == config
+
+
+def test_readme_manifest_example_parses(tmp_path):
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    example = readme.split("### Manifest", 1)[1].split("```json\n", 1)[1].split("```", 1)[0]
+    config, _, _ = read_manifest(write_manifest(tmp_path, json.loads(example)))
+    # the example spells out every default, so they must be the dataclasses'
+    assert config == PipelineConfig(
+        n_subsamples=200,
+        subsample_size=600,
+        dimred=(EmbeddingParams(target_dim=2, epsilon=4.0),),
+        seed=7,
+    )
+
+
 # --------------------------------------------------------------------- CLI
 
 
@@ -187,6 +276,7 @@ def test_cli_gpa(tmp_path, rng, capsys):
     assert run_command(["gpa", *paths, "--out", str(out), "--tol", "1e-14"]) == 0
     summary = json.loads((out / "alignment.json").read_text())
     assert summary["loss"] <= 1e-12
+    assert summary["variant"] == "missing_points"
     mean = read_points_csv(out / "mean.csv")
     assert mean.n_present == 20
 

@@ -1,5 +1,6 @@
 import heapq
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -428,6 +429,25 @@ def test_simplex_budget_enforced(rng):
     pts = rng.normal(size=(30, 2))
     with pytest.raises(TooManySimplices):
         rips_persistence(pts, max_dim=2, p=2, max_radius=100.0, max_simplices=200)
+
+
+def test_simplex_budget_raises_before_the_memory_is_spent():
+    # 80 points at full radius hold C(80, 4) = 1,581,580 tetrahedra (about
+    # 130 MB built); the budget is passed within the first chunk of them
+    pts = np.random.default_rng(0).uniform(size=(80, 3))
+    tracemalloc.start()
+    try:
+        with pytest.raises(TooManySimplices):
+            rips_persistence(pts, max_dim=2, max_radius=100.0, max_simplices=100_000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
+    # the budget counts every simplex built: 30 + 435 + 4060 at max_dim=1
+    pts = pts[:30]
+    rips_persistence(pts, max_dim=1, max_radius=100.0, max_simplices=4525)
+    with pytest.raises(TooManySimplices):
+        rips_persistence(pts, max_dim=1, max_radius=100.0, max_simplices=4524)
 
 
 def test_invalid_inputs(rng):
