@@ -31,6 +31,7 @@ from .errors import (
     DimensionMismatch,
     DroppedAllIndices,
     DuplicateId,
+    EigensolverFailed,
     EmptyOverlap,
     NoGoodCluster,
     NonFinite,

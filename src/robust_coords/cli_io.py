@@ -14,7 +14,8 @@ the dataclass defaults; unknown keys anywhere are rejected.  The report's
 an equal PipelineConfig.
 
 Exit codes: 0 success, 1 usage or input errors, 2 when the pipeline
-terminates because no good cluster exists (diagnostics are still written).
+terminates because no good cluster exists (diagnostics are still written,
+unless fewer than two embeddings succeeded).
 """
 
 from __future__ import annotations
@@ -140,9 +141,10 @@ class _Manifest:
 def _from_json(cls, obj, context):
     """Build dataclass ``cls`` from a JSON object keyed by its field names.
 
-    Absent keys take the field's default.  Values are coerced by the
-    field's type hint: ``int``, ``float``, ``str``, ``T | None``, a nested
-    dataclass, or ``tuple[X, ...]`` from a list.  Unknown keys, missing
+    Absent keys take the field's default.  Values are checked against the
+    field's type hint: ``int`` (JSON integers only), ``float`` (any JSON
+    number), ``str``, ``T | None``, a nested dataclass, or ``tuple[X, ...]``
+    from a list; no scalar field takes a boolean.  Unknown keys, missing
     required keys and values that the hint or the dataclass rejects raise
     ParseError naming the path, e.g. ``manifest.config.dimred[0]``.
     """
@@ -159,19 +161,27 @@ def _from_json(cls, obj, context):
         raise ParseError(f"{context}: {exc}") from None
 
 
+# The JSON values each scalar field type accepts: an int field takes no
+# float, and no field takes a string for a number or a number for a string.
+_JSON_TYPES = {int: int, float: (int, float), str: str}
+
+
 def _coerce(hint, value, context):
     if dataclasses.is_dataclass(hint):
         return _from_json(hint, value, context)
     args = typing.get_args(hint)
     if type(None) in args:  # T | None
         return None if value is None else _coerce(args[0], value, context)
+    if typing.get_origin(hint) is tuple:  # tuple[X, ...]
+        if not isinstance(value, list):
+            raise ParseError(f"{context}: expected a list, got {type(value).__name__}")
+        return tuple(_coerce(args[0], v, f"{context}[{i}]") for i, v in enumerate(value))
+    # JSON booleans are Python ints, so they are ruled out by name
+    if isinstance(value, bool) or not isinstance(value, _JSON_TYPES[hint]):
+        raise ParseError(f"{context}: expected {hint.__name__}, got {json.dumps(value)}")
     try:
-        if typing.get_origin(hint) is tuple:  # tuple[X, ...]
-            if not isinstance(value, list):
-                raise TypeError(f"expected a list, got {type(value).__name__}")
-            return tuple(_coerce(args[0], v, f"{context}[{i}]") for i, v in enumerate(value))
         return hint(value)
-    except (TypeError, ValueError) as exc:
+    except OverflowError as exc:  # an integer literal too large for a float
         raise ParseError(f"{context}: {exc}") from None
 
 
@@ -415,7 +425,7 @@ def _cmd_run(args):
         logger.info("thread budget %d noted; computation runs single-threaded", threads)
     points = read_points_csv(input_path)
     try:
-        report = run_pipeline(points, config, loader=read_points_csv)
+        report = run_pipeline(points, config)
     except NoGoodCluster as exc:
         if exc.report is not None:
             write_report(exc.report, out_dir, plots=not args.no_plots)
@@ -503,7 +513,7 @@ def _cmd_embed(args):
         knn=args.knn,
         source=args.file,
     )
-    out = embed(points, params, loader=read_points_csv)
+    out = embed(points, params)
     write_points_csv(out.config, args.out)
     print(
         f"embedded {out.config.n_present} points "

@@ -14,11 +14,11 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components, shortest_path
-from scipy.sparse.linalg import eigsh
+from scipy.sparse.linalg import ArpackError, eigsh
 from scipy.spatial.distance import pdist, squareform
 
 from .core_types import Configuration
-from .errors import DegenerateGraph, NotSymmetric, TooFewPoints
+from .errors import DegenerateGraph, EigensolverFailed, NotSymmetric, TooFewPoints
 from .procrustes_pair import _column_signs
 
 __all__ = [
@@ -31,10 +31,6 @@ __all__ = [
 ]
 
 _METHODS = ("isomap", "pca", "external")
-
-# Above this size the double-centered Gram matrix is diagonalized by a
-# Lanczos solver for the top eigenpairs instead of a full eigh.
-_DENSE_EIG_LIMIT = 700
 
 
 @dataclass(frozen=True)
@@ -88,19 +84,17 @@ class EmbeddingOutput:
         self.dropped = np.asarray(self.dropped, dtype=int)
 
 
-def embed(x, params, loader=None):
+def embed(x, params):
     """Dispatch on ``params.method``.
 
-    ``loader`` supplies the reader used for external embeddings (a callable
-    path -> Configuration); the CLI passes the CSV reader.
+    External embeddings are read from the points CSV at ``params.source``.
     """
     if params.method == "isomap":
         return isomap(x, params)
     if params.method == "pca":
         return pca_embed(x, params.target_dim, params=params)
-    if loader is None:
-        from .cli_io import read_points_csv as loader  # lazy: avoids cycle
-    full = loader(params.source)
+    from .cli_io import read_points_csv  # lazy: avoids cycle
+    full = read_points_csv(params.source)
     if full.n_global < x.n_global:
         pad = np.zeros((full.dim, x.n_global))
         pad[:, : full.n_global] = full.coords
@@ -173,27 +167,31 @@ def isomap(x, params):
 
 
 def _top_eigpairs(b, d):
-    m = b.shape[0]
-    if m <= _DENSE_EIG_LIMIT:
-        vals, vecs = np.linalg.eigh(b)
-        vals = vals[::-1][:d]
-        vecs = vecs[:, ::-1][:, :d]
-    else:
-        # fixed start vector keeps the Lanczos iteration reproducible
-        v0 = np.full(m, 1.0 / np.sqrt(m))
+    """Top d eigenpairs of a double-centred Gram matrix, largest first, by
+    one Lanczos solve (ARPACK) at every size; needs d < b.shape[0].
+
+    The start vector is fixed, for reproducibility, and centred: the
+    constant vector lies in the kernel of a double-centred matrix, so it
+    would leave Lanczos only rounding noise (exactly zero on exact inputs).
+    """
+    v0 = np.random.default_rng(0).standard_normal(b.shape[0])
+    v0 -= v0.mean()
+    try:
         vals, vecs = eigsh(b, k=d, which="LA", v0=v0)
-        order = np.argsort(vals)[::-1]
-        vals = vals[order]
-        vecs = vecs[:, order]
-    return vals, vecs
+    except ArpackError as exc:
+        raise EigensolverFailed(f"MDS eigensolver failed: {exc}") from None
+    order = np.argsort(vals)[::-1]
+    return vals[order], vecs[:, order]
 
 
 def classical_mds(dmat, d):
     """Embed a distance matrix by double centering and top eigenpairs.
 
-    Negative eigenvalues are clamped to zero, so coordinates past the rank
-    of the Gram matrix are identically zero.  The output configuration is
-    centered at the origin and indexed 0..m-1.
+    The top d eigenpairs come from one Lanczos solve from a fixed, centred
+    start vector (``_top_eigpairs``), which raises EigensolverFailed if it
+    fails.  Negative eigenvalues are clamped to zero, so coordinates past
+    the rank of the Gram matrix are identically zero.  The output
+    configuration is centered at the origin and indexed 0..m-1.
     """
     dmat = np.asarray(dmat, dtype=float)
     if dmat.ndim != 2 or dmat.shape[0] != dmat.shape[1]:

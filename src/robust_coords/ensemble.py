@@ -219,7 +219,7 @@ def off_manifold_points(x, target_dim):
     return present[score > threshold]
 
 
-def build_ensemble(x, config, loader=None):
+def build_ensemble(x, config):
     """Embed every (subsample, parameter) pair.
 
     Off-manifold points (see ``off_manifold_points``) are scored once on
@@ -250,7 +250,7 @@ def build_ensemble(x, config, loader=None):
         sub_cfg = x.restrict(keep)
         for b, params in enumerate(config.dimred):
             try:
-                out = embed(sub_cfg, params, loader=loader)
+                out = embed(sub_cfg, params)
             except RobustCoordsError as exc:
                 logger.warning(
                     "embedding failed for subsample %d, params %d: %s", a, b, exc
@@ -431,14 +431,14 @@ def average_cluster(ensemble, cluster, config):
     return mean, outliers, result
 
 
-def run_pipeline(x, config, loader=None):
+def run_pipeline(x, config):
     """Execute the whole pipeline and assemble the report.
 
     Raises NoGoodCluster when selection fails; the exception carries the
     partial report (clusters, verdicts, dissimilarity view) for writing
     diagnostics.
     """
-    ensemble = build_ensemble(x, config, loader=loader)
+    ensemble = build_ensemble(x, config)
     members = [
         (out.subsample_index, out.params_index, out.config.n_present, len(out.dropped))
         for out in ensemble

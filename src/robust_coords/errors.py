@@ -33,6 +33,10 @@ class DegenerateGraph(RobustCoordsError):
     """The neighborhood graph's largest component is too small to embed."""
 
 
+class EigensolverFailed(RobustCoordsError):
+    """The Lanczos eigensolver of classical MDS failed or did not converge."""
+
+
 class NotSymmetric(RobustCoordsError):
     """A matrix required to be symmetric is not."""
 

@@ -192,7 +192,7 @@ def als_align(problem):
 def _full_domain_stack(problem):
     masks = problem.masks()
     if not masks.all():
-        raise ValueError(
+        raise DimensionMismatch(
             f"variant {problem.options.variant!r} requires full-domain configurations"
         )
     return np.stack([c.coords for c in problem.configs])

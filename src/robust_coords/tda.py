@@ -3,7 +3,9 @@
 The filtration assigns each simplex the largest pairwise distance among its
 vertices and orders the simplices of one dimension by that value, then
 lexicographically by vertices; simplices beyond the radius cap are never
-built, so features surviving the cap come out as infinite bars.
+built, so features surviving the cap come out as infinite bars.  Nor is
+anything built beyond the enclosing radius (the smallest row maximum of
+the distance matrix), where the complex is a cone and the bars are final.
 
 Dimension 0 comes from a union-find over the edges in filtration order.
 Dimensions 1..max_dim come from persistent cohomology over F_p: the
@@ -267,7 +269,11 @@ def rips_from_distances(
     if not max_radius > 0:
         raise ValueError("max_radius must be positive")
 
-    simplices, adj = _build_simplices(dmat, max_dim, max_radius, max_simplices)
+    # Above the enclosing radius, the smallest row maximum, every Rips
+    # complex is a cone on that row's point: no bar is born or dies there,
+    # so the build stops at it.  The diagram keeps the requested radius.
+    build_radius = dmat.max(axis=1, initial=0.0).min(initial=max_radius)
+    simplices, adj = _build_simplices(dmat, max_dim, build_radius, max_simplices)
     m = dmat.shape[0]
     edge_f = simplices[1][1]
     cleared = _h0_death_edges(simplices[1][0], m)

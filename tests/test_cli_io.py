@@ -1,11 +1,14 @@
 import dataclasses
 import json
+import logging
 import os
 from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.sparse.linalg import ArpackNoConvergence
 
+from robust_coords import dimred
 from robust_coords.cli_io import (
     read_manifest,
     read_points_csv,
@@ -16,7 +19,7 @@ from robust_coords.cli_io import (
 from robust_coords.core_types import Configuration
 from robust_coords.dimred import EmbeddingParams
 from robust_coords.ensemble import PipelineConfig, PipelineReport
-from robust_coords.errors import DuplicateId, ParseError
+from robust_coords.errors import DegenerateGraph, DuplicateId, EigensolverFailed, ParseError
 from robust_coords.gpa_als import AlsOptions
 
 from conftest import random_config
@@ -148,14 +151,25 @@ _ABSENT = object()
         ("dimred", [3]),
         ("dimred", {}),
         ("dimred", [{"method": "pca", "target_dim": 2, "knnn": 5}]),
+        ("n_subsamples", 2.7),
+        ("n_subsamples", 8.0),
+        ("n_subsamples", True),
+        ("n_subsamples", "8"),
+        ("ph_bar_fraction", True),
+        ("als", {"tol": "1e-10"}),
+        ("dimred", [{"method": "isomap", "target_dim": 2, "epsilon": "7"}]),
+        ("input_path", 5),
     ],
     ids=["null", "missing", "als-list", "als-unknown", "dimred-int", "dimred-object",
-         "dimred-unknown"],
+         "dimred-unknown", "int-float", "int-integral-float", "int-bool", "int-string",
+         "float-bool", "float-string", "nested-float-string", "str-int"],
 )
 def test_cli_run_rejects_malformed_manifest(tmp_path, rng, capsys, key, value):
     doc = manifest_doc(plane_cloud_csv(tmp_path, rng), tmp_path / "out")
     if value is _ABSENT:
         del doc["config"][key]
+    elif key in doc:
+        doc[key] = value
     else:
         doc["config"][key] = value
     manifest = write_manifest(tmp_path, doc)
@@ -319,6 +333,49 @@ def test_cli_run_no_good_cluster_exit_2(tmp_path, rng, capsys):
     assert report["good_cluster"] is None
     assert all(c["verdict"] is not None for c in report["clusters"])
     assert not (out_dir / "embedding.csv").exists()
+
+
+@pytest.mark.parametrize("variant", ["basic", "refined"])
+def test_cli_full_domain_variants_reject_partial_domains(tmp_path, rng, capsys, variant):
+    # 50-point subsamples of 120 points: the members' domains differ
+    data = plane_cloud_csv(tmp_path, rng)
+    doc = manifest_doc(data, tmp_path / "out", als={"variant": variant})
+    assert run_command(["run", "--manifest", str(write_manifest(tmp_path, doc))]) == 1
+    assert capsys.readouterr().err.startswith(f"error: variant '{variant}' requires")
+    cloud = read_points_csv(data)
+    paths = []
+    for i, ids in enumerate((np.arange(0, 40), np.arange(10, 40))):
+        paths.append(str(tmp_path / f"part{i}.csv"))
+        write_points_csv(cloud.restrict(np.isin(np.arange(cloud.n_global), ids)), paths[-1])
+    code = run_command(["gpa", *paths, "--variant", variant, "--out", str(tmp_path / "gpa")])
+    assert code == 1
+    assert capsys.readouterr().err.startswith(f"error: variant '{variant}' requires")
+
+
+def _eigensolver_never_converges(*args, **kwargs):
+    raise ArpackNoConvergence("no convergence", np.empty(0), np.empty((0, 0)))
+
+
+@pytest.mark.parametrize(
+    "epsilon, error",
+    [(0.5, EigensolverFailed), (0.01, DegenerateGraph)],
+    ids=["eigensolver", "degenerate-graph"],
+)
+def test_cli_run_all_embeddings_failed_exit_2(
+    tmp_path, rng, capsys, caplog, monkeypatch, epsilon, error
+):
+    if error is EigensolverFailed:
+        monkeypatch.setattr(dimred, "eigsh", _eigensolver_never_converges)
+    out_dir = tmp_path / "out"
+    doc = manifest_doc(plane_cloud_csv(tmp_path, rng), out_dir,
+                       dimred=[{"method": "isomap", "target_dim": 2, "epsilon": epsilon}])
+    with caplog.at_level(logging.WARNING, logger="robust_coords.ensemble"):
+        assert run_command(["run", "--manifest", str(write_manifest(tmp_path, doc))]) == 2
+    assert "only 0 embeddings succeeded" in capsys.readouterr().err
+    assert not out_dir.exists()
+    failures = [r for r in caplog.records if r.getMessage().startswith("embedding failed")]
+    assert len(failures) == 8  # every subsample, one parameter setting
+    assert all(isinstance(r.args[-1], error) for r in failures)
 
 
 def test_cli_run_deterministic(tmp_path, rng):

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from scipy.spatial.distance import pdist, squareform
 
+from robust_coords import dimred
 from robust_coords.core_types import Configuration
 from robust_coords.dimred import (
     EmbeddingParams,
@@ -12,7 +13,7 @@ from robust_coords.dimred import (
 )
 from robust_coords.errors import DegenerateGraph, NotSymmetric, TooFewPoints
 from robust_coords.procrustes_pair import procrustes_distance
-from robust_coords.synth import swiss_roll
+from robust_coords.synth import buckyball, swiss_roll
 
 from conftest import random_config, random_motion
 
@@ -128,6 +129,62 @@ def test_mds_centered_output(rng):
     assert np.abs(cfg.present_matrix().mean(axis=1)).max() <= 1e-9
 
 
+# -------------------------------------------------------- MDS oracle
+# A full dense eigendecomposition: the Lanczos solve must reproduce it.
+
+
+def dense_top_eigpairs(b, d):
+    vals, vecs = np.linalg.eigh(b)
+    return vals[::-1][:d], vecs[:, ::-1][:, :d]
+
+
+def lanczos_and_dense(monkeypatch, embed_fn):
+    """Coordinates from the library solver, then from the dense oracle."""
+    ours = embed_fn()
+    monkeypatch.setattr(dimred, "_top_eigpairs", dense_top_eigpairs)
+    return ours, embed_fn()
+
+
+@pytest.mark.parametrize(
+    "points, knn",
+    [(swiss_roll(m, seed=m).points3d, 8) for m in (5, 60, 250, 800)]
+    # criterion 8's members: the top three eigenvalues of a noisy
+    # buckyball's geodesic Gram matrix lie within 14 %
+    + [(buckyball(0.06, seed=5000), 5)],
+    ids=["roll-5", "roll-60", "roll-250", "roll-800", "noisy-buckyball"],
+)
+def test_mds_matches_dense_oracle_with_eigengap(monkeypatch, points, knn):
+    # an eigengap at d, so the coordinates themselves are defined
+    params = EmbeddingParams(target_dim=2, knn=knn)
+    ours, ref = lanczos_and_dense(monkeypatch, lambda: isomap(points, params).config.coords)
+    assert np.abs(ours - ref).max() <= 1e-11 * np.abs(ref).max()
+
+
+def regular_polygon(n):
+    ang = 2.0 * np.pi * np.arange(n) / n
+    return np.column_stack([np.cos(ang), np.sin(ang)])
+
+
+@pytest.mark.parametrize(
+    "points, d, block",
+    [
+        (regular_polygon(12), 2, 2),
+        (buckyball(0.0, seed=0).present_matrix().T, 3, 3),
+        (buckyball(0.0, seed=0).present_matrix().T, 2, 3),
+    ],
+    ids=["12-gon", "buckyball-d3", "buckyball-d2"],
+)
+def test_mds_matches_dense_oracle_on_repeated_eigenvalues(monkeypatch, points, d, block):
+    # the top eigenvalue has multiplicity ``block``: the eigenvectors are
+    # defined only up to a rotation of that eigenspace, so compare the
+    # eigenvalues and, when the whole eigenspace is embedded, the distances
+    dmat = squareform(pdist(points))
+    ours, ref = lanczos_and_dense(monkeypatch, lambda: classical_mds(dmat, d).coords)
+    assert np.allclose(np.sum(ours**2, axis=1), np.sum(ref**2, axis=1), rtol=1e-12)
+    if d == block:
+        assert np.abs(pdist(ours.T) - pdist(ref.T)).max() <= 1e-11 * np.abs(ref).max()
+
+
 def test_mds_rejects_asymmetric():
     d = np.array([[0.0, 1.0], [2.0, 0.0]])
     with pytest.raises(NotSymmetric):
@@ -168,13 +225,13 @@ def test_pca_equivariance(rng):
 
 
 def test_external_embedding_restricts_to_domain(tmp_path, rng):
-    from robust_coords.cli_io import read_points_csv, write_points_csv
+    from robust_coords.cli_io import write_points_csv
 
     full = Configuration.from_rows(rng.normal(size=(10, 2)))
     path = tmp_path / "ext.csv"
     write_points_csv(full, path)
     sub = Configuration.from_rows(rng.normal(size=(6, 3)), indices=np.arange(2, 8), n_global=10)
     params = EmbeddingParams(method="external", target_dim=2, source=str(path))
-    out = embed(sub, params, loader=read_points_csv)
+    out = embed(sub, params)
     assert np.array_equal(out.config.present_indices(), np.arange(2, 8))
     assert np.allclose(out.config.coords[:, 2:8], full.coords[:, 2:8])

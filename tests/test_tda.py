@@ -373,13 +373,14 @@ def test_matches_block_reducer_oracle(seed):
 
 
 @pytest.mark.parametrize("p", [2, 3])
-@pytest.mark.parametrize("radius", [1.5, 2.0, None])
+@pytest.mark.parametrize("radius", [1.5, 2.0, 2.5, None])
 def test_matches_block_reducer_oracle_on_ties(p, radius):
     # an integer lattice: many equal distances, so the lexicographic
-    # tie-break decides most pivots
+    # tie-break decides most pivots.  Every radius but 1.5 lies above the
+    # enclosing radius sqrt(3), where our build stops and the oracle's does not
     pts = np.indices((3, 3, 3)).reshape(3, -1).T.astype(float)
     dmat = squareform(pdist(pts))
-    radius = radius or float(dmat.max())
+    radius = radius or 1.01 * float(dmat.max())
     ours = rips_from_distances(dmat, max_dim=2, p=p, max_radius=radius)
     ref = block_reducer_bars(dmat, 2, p, radius)
     for q in ref:
@@ -432,8 +433,8 @@ def test_simplex_budget_enforced(rng):
 
 
 def test_simplex_budget_raises_before_the_memory_is_spent():
-    # 80 points at full radius hold C(80, 4) = 1,581,580 tetrahedra (about
-    # 130 MB built); the budget is passed within the first chunk of them
+    # 80 points up to their enclosing radius hold 498,281 tetrahedra (about
+    # 40 MB built); the budget is passed within the first chunk of them
     pts = np.random.default_rng(0).uniform(size=(80, 3))
     tracemalloc.start()
     try:
@@ -443,11 +444,14 @@ def test_simplex_budget_raises_before_the_memory_is_spent():
     finally:
         tracemalloc.stop()
     assert peak < 16 * 2**20
-    # the budget counts every simplex built: 30 + 435 + 4060 at max_dim=1
-    pts = pts[:30]
-    rips_persistence(pts, max_dim=1, max_radius=100.0, max_simplices=4525)
+    # the budget counts every simplex built, and the build stops at the
+    # enclosing radius sqrt(3) of the 3x3x3 lattice, far below the radius
+    # asked for: 27 + 158 + 400 + 548 simplices, not 27 + 351 + 2925 + 17550
+    lattice = np.indices((3, 3, 3)).reshape(3, -1).T.astype(float)
+    dg = rips_persistence(lattice, max_dim=2, max_radius=100.0, max_simplices=1133)
+    assert dg.max_radius == 100.0
     with pytest.raises(TooManySimplices):
-        rips_persistence(pts, max_dim=1, max_radius=100.0, max_simplices=4524)
+        rips_persistence(lattice, max_dim=2, max_radius=100.0, max_simplices=1132)
 
 
 def test_invalid_inputs(rng):
