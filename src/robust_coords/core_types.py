@@ -212,16 +212,23 @@ def _check_compatible(x, y):
         raise DimensionMismatch(f"n_global {x.n_global} != {y.n_global}")
 
 
+def _common_domain(x, y):
+    """Mask of the indices both configurations define; raises
+    DimensionMismatch or EmptyOverlap."""
+    _check_compatible(x, y)
+    common = x.mask & y.mask
+    if not common.any():
+        raise EmptyOverlap("configurations have disjoint domains")
+    return common
+
+
 def restrict_common(x, y):
     """Restrict two configurations to their common domain.
 
     Returns the pair restricted to the intersection of the two domains,
     values copied; raises EmptyOverlap when the domains are disjoint.
     """
-    _check_compatible(x, y)
-    common = x.mask & y.mask
-    if not common.any():
-        raise EmptyOverlap("configurations have disjoint domains")
+    common = _common_domain(x, y)
     return Configuration(x.coords, common), Configuration(y.coords, common)
 
 

@@ -19,7 +19,6 @@ from scipy.spatial.distance import pdist, squareform
 
 from .core_types import Configuration
 from .errors import DegenerateGraph, EigensolverFailed, NotSymmetric, TooFewPoints
-from .procrustes_pair import _column_signs
 
 __all__ = [
     "EmbeddingParams",
@@ -31,6 +30,23 @@ __all__ = [
 ]
 
 _METHODS = ("isomap", "pca", "external")
+
+# MDS and PCA axes are eigen- or singular vectors, defined only up to sign;
+# fixing the sign keeps output coordinates independent of the solver's choice.
+# Entries up to this fraction of max(1, largest magnitude) count as zero.
+_SIGN_EPS = 1e-12
+
+
+def _column_signs(vecs):
+    """+1 or -1 per column: the sign that makes its first entry of
+    non-negligible magnitude positive."""
+    signs = np.ones(vecs.shape[1])
+    for j in range(vecs.shape[1]):
+        col = vecs[:, j]
+        big = np.flatnonzero(np.abs(col) > _SIGN_EPS * max(1.0, np.abs(col).max()))
+        if big.size and col[big[0]] < 0:
+            signs[j] = -1.0
+    return signs
 
 
 @dataclass(frozen=True)
@@ -47,7 +63,6 @@ class EmbeddingParams:
     method: str = "isomap"
     epsilon: float | None = None
     knn: int | None = None
-    seed: int = 0
     source: str | None = None
 
     def __post_init__(self):
@@ -190,7 +205,8 @@ def classical_mds(dmat, d):
     The top d eigenpairs come from one Lanczos solve from a fixed, centred
     start vector (``_top_eigpairs``), which raises EigensolverFailed if it
     fails.  Negative eigenvalues are clamped to zero, so coordinates past
-    the rank of the Gram matrix are identically zero.  The output
+    the rank of the Gram matrix are identically zero, and coincident points
+    (a zero Gram matrix) embed at the origin without a solve.  The output
     configuration is centered at the origin and indexed 0..m-1.
     """
     dmat = np.asarray(dmat, dtype=float)
@@ -208,6 +224,9 @@ def classical_mds(dmat, d):
     col = sq.mean(axis=0, keepdims=True)
     b = -0.5 * (sq - row - col + sq.mean())
     b = 0.5 * (b + b.T)
+    if not b.any():
+        # coincident points: a zero Gram matrix, on which Lanczos fails
+        return Configuration(np.zeros((d, m)))
 
     vals, vecs = _top_eigpairs(b, d)
     vecs = vecs * _column_signs(vecs)

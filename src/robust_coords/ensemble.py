@@ -436,7 +436,9 @@ def run_pipeline(x, config):
 
     Raises NoGoodCluster when selection fails; the exception carries the
     partial report (clusters, verdicts, dissimilarity view) for writing
-    diagnostics.
+    diagnostics.  With fewer than two embeddings, or none sharing an index
+    with another, there is nothing to compare, and it carries no report.
+    The dissimilarity view is None for ensembles of two.
     """
     ensemble = build_ensemble(x, config)
     members = [
@@ -448,8 +450,11 @@ def run_pipeline(x, config):
             f"only {len(ensemble)} embeddings succeeded; nothing to compare",
             report=None,
         )
+    if np.sum([out.config.mask for out in ensemble], axis=0).max() < 2:
+        raise NoGoodCluster("no two embeddings share an index", report=None)
     d = dissimilarity_matrix(ensemble)
-    mds_view = classical_mds(d, 2)
+    # the 2-d view of the dissimilarities needs at least 3 members
+    mds_view = classical_mds(d, 2) if len(ensemble) >= 3 else None
     clusters = cluster_ensemble(d, config)
     med = _median_offdiag(d)
 

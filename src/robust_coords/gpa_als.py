@@ -37,7 +37,7 @@ from .errors import (
     NonFinite,
     NotAntisymmetric,
 )
-from .procrustes_pair import deterministic_svd
+from .procrustes_pair import _nearest_orthogonal
 
 __all__ = [
     "AlsOptions",
@@ -228,14 +228,12 @@ def _als_full(problem):
         if opts.variant == "basic":
             cross = np.einsum("dn,kcn->kdc", mean, x)
             for i in range(k):
-                u, _, vt = deterministic_svd(cross[i])
-                rotations[i] = u @ vt
+                rotations[i] = _nearest_orthogonal(cross[i])
             y = rotations @ x
             mean = y.mean(axis=0)
         else:
             for i in range(k):
-                u, _, vt = deterministic_svd((mean - y[i] / k) @ x[i].T)
-                rotations[i] = u @ vt
+                rotations[i] = _nearest_orthogonal((mean - y[i] / k) @ x[i].T)
                 y_new = rotations[i] @ x[i]
                 mean = mean + (y_new - y[i]) / k
                 y[i] = y_new
@@ -304,8 +302,7 @@ def _als_missing(problem):
             gap = mean[:, ix] - shifts[i][:, None]
             w = inv_counts[ix]
             rotated = rotations[i] @ xc[i]
-            u, _, vt = deterministic_svd((gap - rotated * w) @ xc[i].T)
-            rotations[i] = u @ vt
+            rotations[i] = _nearest_orthogonal((gap - rotated * w) @ xc[i].T)
             new_block = rotations[i] @ xc[i] + shifts[i][:, None]
             total[:, ix] += new_block - blocks[i]
             blocks[i] = new_block

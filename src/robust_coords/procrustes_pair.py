@@ -5,6 +5,10 @@ full orthogonal group (reflections allowed).  The affine solver additionally
 optimizes a translation by centering both sides, and works on the common
 domain of two partially defined configurations, which yields the
 (missing-points) Procrustes distance used throughout the ensemble stage.
+Every rotation fit in the package, these two solvers and the ALS sweeps of
+``gpa_als``, goes through ``_nearest_orthogonal``: Q = U Vt from one SVD.
+No sign convention is needed, since flipping a column of U together with
+the matching row of Vt leaves U Vt unchanged.
 """
 
 from __future__ import annotations
@@ -13,49 +17,22 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core_types import Configuration, RigidMotion, centroid, restrict_common
+from .core_types import Configuration, RigidMotion, _common_domain
 from .errors import DimensionMismatch
 
 __all__ = [
     "PairAlignment",
-    "deterministic_svd",
     "orthogonal_procrustes",
     "affine_procrustes",
     "procrustes_distance",
 ]
 
-# Relative threshold under which a singular-vector entry counts as zero when
-# fixing signs; only affects reproducibility bookkeeping, never Q itself.
-_SIGN_EPS = 1e-12
 
-
-def _column_signs(vecs):
-    """+1 or -1 per column: the sign that makes its first entry of
-    non-negligible magnitude positive."""
-    signs = np.ones(vecs.shape[1])
-    for j in range(vecs.shape[1]):
-        col = vecs[:, j]
-        big = np.flatnonzero(np.abs(col) > _SIGN_EPS * max(1.0, np.abs(col).max()))
-        if big.size and col[big[0]] < 0:
-            signs[j] = -1.0
-    return signs
-
-
-def deterministic_svd(m):
-    """SVD with a fixed sign convention.
-
-    Singular values come back in decreasing order (LAPACK convention); each
-    left singular vector is flipped, together with its right partner, so
-    that its first entry of non-negligible magnitude is positive.  The
-    products U @ Vt and U @ diag(s) @ Vt are unchanged by the flips; the
-    convention just pins the factors themselves so downstream spectral
-    embeddings are reproducible.
-    """
-    u, s, vt = np.linalg.svd(np.asarray(m, dtype=float))
-    signs = _column_signs(u)
-    k = min(len(signs), vt.shape[0])
-    vt[:k] *= signs[:k, None]
-    return u * signs, s, vt
+def _nearest_orthogonal(cross):
+    """The orthogonal Q maximizing trace(Q^T C) for a square cross-covariance
+    C: Q = U Vt for the SVD C = U diag(s) Vt."""
+    u, _, vt = np.linalg.svd(cross)
+    return u @ vt
 
 
 def _as_matrix_pair(x, y):
@@ -84,13 +61,13 @@ def orthogonal_procrustes(x, y):
 
     Inputs must share a domain (restrict first) and should already be
     centered when translation invariance is wanted.  Q = U Vt for the SVD
-    of the cross-covariance Y X^T.  When the cross-covariance is rank
-    deficient the minimizer is not unique; the returned Q is the one the
-    fixed SVD convention yields.
+    of the cross-covariance Y X^T, with U and Vt as LAPACK returns them;
+    their signs do not enter U Vt.  When the cross-covariance is rank
+    deficient the minimizer is not unique; the returned Q is the one that
+    SVD yields.
     """
     xm, ym = _as_matrix_pair(x, y)
-    u, _, vt = deterministic_svd(ym @ xm.T)
-    return u @ vt
+    return _nearest_orthogonal(ym @ xm.T)
 
 
 @dataclass(frozen=True)
@@ -105,20 +82,22 @@ class PairAlignment:
 def affine_procrustes(x, y):
     """Best affine isometry of X onto Y over their common domain.
 
-    Restricts both configurations to the intersection of their domains,
-    centers each side, solves the orthogonal problem there, and returns the
-    motion x -> Qx + (b - Qa) together with the Frobenius residual on the
-    overlap.
+    Takes the columns both configurations define, centers each side,
+    solves the orthogonal problem there, and returns the motion
+    x -> Qx + (b - Qa) together with the Frobenius residual on the overlap.
+    Raises DimensionMismatch and EmptyOverlap as ``restrict_common`` does.
     """
-    xr, yr = restrict_common(x, y)
-    a = centroid(xr)
-    b = centroid(yr)
-    xm = xr.present_matrix() - a[:, None]
-    ym = yr.present_matrix() - b[:, None]
-    q = orthogonal_procrustes(xm, ym)
+    common = _common_domain(x, y)
+    xm = x.coords[:, common]
+    ym = y.coords[:, common]
+    a = xm.mean(axis=1)
+    b = ym.mean(axis=1)
+    xm -= a[:, None]
+    ym -= b[:, None]
+    q = _nearest_orthogonal(ym @ xm.T)
     residual = float(np.linalg.norm(q @ xm - ym))
     motion = RigidMotion(q, b - q @ a)
-    return PairAlignment(motion=motion, distance=residual, overlap_size=xr.n_present)
+    return PairAlignment(motion=motion, distance=residual, overlap_size=xm.shape[1])
 
 
 def procrustes_distance(x, y):

@@ -18,7 +18,7 @@ from robust_coords.cli_io import (
 )
 from robust_coords.core_types import Configuration
 from robust_coords.dimred import EmbeddingParams
-from robust_coords.ensemble import PipelineConfig, PipelineReport
+from robust_coords.ensemble import PipelineConfig, PipelineReport, generate_subsamples
 from robust_coords.errors import DegenerateGraph, DuplicateId, EigensolverFailed, ParseError
 from robust_coords.gpa_als import AlsOptions
 
@@ -151,6 +151,7 @@ _ABSENT = object()
         ("dimred", [3]),
         ("dimred", {}),
         ("dimred", [{"method": "pca", "target_dim": 2, "knnn": 5}]),
+        ("dimred", [{"method": "pca", "target_dim": 2, "seed": 4}]),
         ("n_subsamples", 2.7),
         ("n_subsamples", 8.0),
         ("n_subsamples", True),
@@ -161,7 +162,7 @@ _ABSENT = object()
         ("input_path", 5),
     ],
     ids=["null", "missing", "als-list", "als-unknown", "dimred-int", "dimred-object",
-         "dimred-unknown", "int-float", "int-integral-float", "int-bool", "int-string",
+         "dimred-unknown", "dimred-seed", "int-float", "int-integral-float", "int-bool", "int-string",
          "float-bool", "float-string", "nested-float-string", "str-int"],
 )
 def test_cli_run_rejects_malformed_manifest(tmp_path, rng, capsys, key, value):
@@ -191,7 +192,7 @@ def test_report_config_reads_back_as_manifest_config(tmp_path):
         subsample_size=60,
         dimred=(
             EmbeddingParams(target_dim=3, knn=9),
-            EmbeddingParams(target_dim=3, epsilon=0.75, seed=4),
+            EmbeddingParams(target_dim=3, epsilon=0.75),
         ),
         seed=11,
         cluster_link_fraction=0.9,
@@ -376,6 +377,32 @@ def test_cli_run_all_embeddings_failed_exit_2(
     failures = [r for r in caplog.records if r.getMessage().startswith("embedding failed")]
     assert len(failures) == 8  # every subsample, one parameter setting
     assert all(isinstance(r.args[-1], error) for r in failures)
+
+
+def test_cli_run_two_members_has_no_mds_view(tmp_path, rng):
+    # a 2-d view needs 3 members; with 2 it is left out and clustering
+    # decides the outcome (here one good cluster of both members)
+    out_dir = tmp_path / "out"
+    doc = manifest_doc(plane_cloud_csv(tmp_path, rng, n=60), out_dir, n_subsamples=2)
+    assert run_command(["run", "--manifest", str(write_manifest(tmp_path, doc))]) == 0
+    assert json.loads((out_dir / "report.json").read_text())["n_members"] == 2
+    assert (out_dir / "embedding.csv").exists()
+    assert not (out_dir / "mds_view.csv").exists()
+    assert not (out_dir / "mds_view.svg").exists()
+
+
+def test_cli_run_members_sharing_no_index_exit_2(tmp_path, rng, capsys):
+    # 4 members of 10 out of 1000 points, drawn pairwise disjoint by seed 3
+    doc = manifest_doc(plane_cloud_csv(tmp_path, rng, n=1000), tmp_path / "out",
+                       n_subsamples=4, subsample_size=10)
+    subsamples = generate_subsamples(1000, 10, 4, doc["config"]["seed"])
+    assert all(
+        np.intersect1d(a, b).size == 0
+        for i, a in enumerate(subsamples) for b in subsamples[i + 1:]
+    )
+    assert run_command(["run", "--manifest", str(write_manifest(tmp_path, doc))]) == 2
+    assert "no two embeddings share an index" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_cli_run_deterministic(tmp_path, rng):

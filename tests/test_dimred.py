@@ -185,6 +185,18 @@ def test_mds_matches_dense_oracle_on_repeated_eigenvalues(monkeypatch, points, d
         assert np.abs(pdist(ours.T) - pdist(ref.T)).max() <= 1e-11 * np.abs(ref).max()
 
 
+@pytest.mark.parametrize("m, d", [(3, 1), (3, 2), (5, 1), (5, 2)])
+def test_mds_of_coincident_points_matches_dense_oracle(m, d):
+    # all-zero distances give a zero Gram matrix, which leaves Lanczos
+    # nothing to work on; the dense oracle puts every point at the origin
+    dmat = np.zeros((m, m))
+    vals, vecs = dense_top_eigpairs(dmat, d)
+    ref = (vecs * np.sqrt(np.clip(vals, 0.0, None))).T
+    out = classical_mds(dmat, d)
+    assert out.coords.shape == (d, m)
+    assert np.array_equal(out.coords, ref)
+
+
 def test_mds_rejects_asymmetric():
     d = np.array([[0.0, 1.0], [2.0, 0.0]])
     with pytest.raises(NotSymmetric):

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from robust_coords.core_types import Configuration
-from robust_coords.errors import EmptyOverlap
+from robust_coords.core_types import Configuration, centroid, restrict_common
+from robust_coords.dimred import _column_signs
+from robust_coords.errors import DimensionMismatch, EmptyOverlap
 from robust_coords.procrustes_pair import (
     affine_procrustes,
     orthogonal_procrustes,
@@ -130,3 +131,76 @@ def test_matches_angle_grid_oracle(rng):
         closed = procrustes_distance(Configuration(x), Configuration(y))
         grid = brute_force_distance_2d(x, y)
         assert abs(closed - grid) <= 1e-5 * max(1.0, grid)
+
+
+# ------------------------------------------- former route as the oracle
+
+
+def restricted_signed_svd_route(x, y):
+    """The former route of ``affine_procrustes``: restrict both sides to the
+    common domain as Configurations, centre them by ``centroid``, and take
+    Q = U Vt from an SVD whose singular-vector signs are fixed first."""
+    xr, yr = restrict_common(x, y)
+    a, b = centroid(xr), centroid(yr)
+    xm = xr.present_matrix() - a[:, None]
+    ym = yr.present_matrix() - b[:, None]
+    u, _, vt = np.linalg.svd(ym @ xm.T)
+    signs = _column_signs(u)
+    q = (u * signs) @ (vt * signs[:, None])
+    return q, b - q @ a, float(np.linalg.norm(q @ xm - ym)), xr.n_present
+
+
+def partial_pair(rng, d):
+    return random_config(rng, d=d, n=30, mask_prob=0.6), random_config(rng, d=d, n=30, mask_prob=0.6)
+
+
+def reflected_pair(rng, d):
+    x = random_config(rng, d=d, n=25, mask_prob=0.8)
+    flip = np.diag([-1.0] + [1.0] * (d - 1)) @ random_orthogonal(rng, d, allow_reflection=False)
+    coords = flip @ x.coords + 0.01 * rng.normal(size=x.coords.shape)
+    return x, Configuration(coords, rng.random(25) < 0.8)
+
+
+def collinear_pair(rng, d):
+    # X lies on a line: the cross-covariance has rank 1
+    t = rng.normal(size=20)
+    x = Configuration(np.outer(rng.normal(size=d), t), rng.random(20) < 0.7)
+    return x, random_config(rng, d=d, n=20, mask_prob=0.7)
+
+
+@pytest.mark.parametrize("make_pair", [partial_pair, reflected_pair, collinear_pair])
+@pytest.mark.parametrize("d", [2, 3])
+def test_affine_matches_former_route_bit_for_bit(rng, make_pair, d):
+    # U Vt does not depend on the signs of the singular vectors, so
+    # fixing the signs first leaves every bit of the result as it is
+    for _ in range(25):
+        x, y = make_pair(rng, d)
+        if not (x.mask & y.mask).any():
+            continue
+        q, v, dist, overlap = restricted_signed_svd_route(x, y)
+        pa = affine_procrustes(x, y)
+        assert np.array_equal(pa.motion.rotation, q)
+        assert np.array_equal(pa.motion.translation, v)
+        assert pa.distance == dist
+        assert pa.overlap_size == overlap
+
+
+@pytest.mark.parametrize(
+    "x, y, error",
+    [
+        (Configuration(np.ones((2, 4))), Configuration(np.ones((3, 4))), DimensionMismatch),
+        (Configuration(np.ones((2, 4))), Configuration(np.ones((2, 5))), DimensionMismatch),
+        (
+            Configuration(np.ones((2, 4)), [True, True, False, False]),
+            Configuration(np.ones((2, 4)), [False, False, True, True]),
+            EmptyOverlap,
+        ),
+    ],
+    ids=["dim", "n_global", "disjoint"],
+)
+def test_affine_raises_as_restrict_common(x, y, error):
+    with pytest.raises(error) as ours:
+        affine_procrustes(x, y)
+    with pytest.raises(error) as ref:
+        restrict_common(x, y)
+    assert str(ours.value) == str(ref.value)
