@@ -362,13 +362,6 @@ def _build_parser():
     p_run.add_argument("--manifest", required=True)
     p_run.add_argument("--out", help="override the manifest's output_dir")
     p_run.add_argument("--seed", type=int, help="override the manifest's seed")
-    p_run.add_argument(
-        "--threads",
-        type=int,
-        default=None,
-        help="worker budget (env ROBUST_COORDS_THREADS; computation is "
-        "deterministic and currently single-threaded)",
-    )
     p_run.add_argument("--no-plots", action="store_true")
 
     p_dist = sub.add_parser("dist", help="Procrustes distance of two point CSVs")
@@ -418,11 +411,6 @@ def _cmd_run(args):
         config = dataclasses.replace(config, seed=args.seed)
     if args.out:
         out_dir = args.out
-    threads = args.threads
-    if threads is None:
-        threads = int(os.environ.get("ROBUST_COORDS_THREADS", "1"))
-    if threads != 1:
-        logger.info("thread budget %d noted; computation runs single-threaded", threads)
     points = read_points_csv(input_path)
     try:
         report = run_pipeline(points, config)

@@ -11,7 +11,9 @@ Stages, in order:
    mesh (failures are logged and skipped);
 2. fill the pairwise dissimilarity matrix with overlap-normalized
    Procrustes distances (residual / sqrt(#shared indices), so pairs with
-   different overlap sizes are comparable);
+   different overlap sizes are comparable), all from one batched closed
+   form; each member's nearest pair, and every pair where that form loses
+   precision to cancellation, is then solved again exactly;
 3. cut the single-linkage dendrogram at a fraction of the median
    dissimilarity;
 4. among dense clusters, sample representatives and score them by
@@ -36,9 +38,9 @@ from scipy.cluster.hierarchy import fcluster, linkage
 from scipy.spatial import KDTree
 from scipy.spatial.distance import pdist, squareform
 
-from .core_types import Configuration
+from .core_types import Configuration, _check_compatible
 from .dimred import EmbeddingParams, classical_mds, embed
-from .errors import EmptyOverlap, NoGoodCluster, RobustCoordsError, SizeTooLarge
+from .errors import NoGoodCluster, RobustCoordsError, SizeTooLarge
 from .gpa_als import AlsOptions, GpaProblem, als_align, essential_dimension, normalize_first_fixed
 from .procrustes_pair import affine_procrustes
 from .tda import max_bar_length, rips_persistence
@@ -83,6 +85,16 @@ _REJECT_MEDIAN_MULTIPLE = 6.0
 # neighbour distance, so exactly flat input, whose scores are rounding
 # noise, loses no point.
 _REJECT_FLAT_TOL = 1e-9
+
+# Rows of the dissimilarity matrix computed per batch: bounds the batch's
+# temporaries, O(block * k * d^2), and so the peak memory of large ensembles.
+_DISSIMILARITY_ROW_BLOCK = 16
+# The closed-form residual^2 carries a rounding error of a few machine
+# epsilons times the pair's uncentred squared norms (at most 6.5 eps on
+# Swiss-roll and buckyball members and on near-copies of 250-2000 points),
+# so where it falls below this fraction of them the pair is solved again
+# exactly; above it the error stays far below 1e-10 relative.
+_CANCELLATION_TOL = 1e-4
 
 
 @dataclass(frozen=True)
@@ -267,31 +279,85 @@ def dissimilarity_matrix(ensemble):
     """Pairwise overlap-normalized Procrustes distances.
 
     Entry (i, j) is the alignment residual divided by sqrt(overlap size).
+    All entries come from one batched closed form, residual^2 =
+    ||X~||^2 + ||Y~||^2 - 2 ||C~||_* over the common domain (X~, Y~ the
+    centred sides, C~ their d x d cross-covariance, ||.||_* its nuclear
+    norm), which needs no rotation.  That form cancels when two members
+    nearly coincide, so ``affine_procrustes`` solves again exactly each
+    member's nearest overlapping pair and every pair whose closed-form
+    residual^2 is below ``_CANCELLATION_TOL`` times the pair's squared
+    norms; every other entry lies within 1e-10 relative of the exact one.
     Pairs with no shared index get a sentinel of twice the largest finite
-    entry (and a log line); the diagonal is zero.
+    entry (and a log line); the diagonal is zero and the matrix is exactly
+    symmetric.  Raises DimensionMismatch when members differ in dim or
+    n_global.
     """
     k = len(ensemble)
     if k < 2:
         raise ValueError("need at least two ensemble members")
-    d = np.zeros((k, k))
-    missing = []
-    for i in range(k):
-        for j in range(i + 1, k):
-            try:
-                pa = affine_procrustes(ensemble[i].config, ensemble[j].config)
-                d[i, j] = d[j, i] = pa.distance / np.sqrt(pa.overlap_size)
-            except EmptyOverlap:
-                missing.append((i, j))
-    if missing:
+    configs = [out.config for out in ensemble]
+    for c in configs[1:]:
+        _check_compatible(configs[0], c)
+    d, shared, redo = _closed_form_dissimilarities(configs)
+    nearest = np.where(shared, d, np.inf).argmin(axis=1)
+    has_pair = np.flatnonzero(shared.any(axis=1))
+    redo[has_pair, nearest[has_pair]] = True
+    for i, j in zip(*np.nonzero(np.triu(redo | redo.T, 1))):
+        pa = affine_procrustes(configs[i], configs[j])
+        d[i, j] = d[j, i] = pa.distance / np.sqrt(pa.overlap_size)
+    missing = ~shared & ~np.eye(k, dtype=bool)
+    if missing.any():
         sentinel = 2.0 * d.max()
         logger.warning(
             "%d member pairs share no index; using sentinel %.6g",
-            len(missing),
+            np.count_nonzero(missing) // 2,
             sentinel,
         )
-        for i, j in missing:
-            d[i, j] = d[j, i] = sentinel
+        d[missing] = sentinel
     return d
+
+
+def _closed_form_dissimilarities(configs):
+    """Closed-form dissimilarities, sharing pairs and imprecise pairs.
+
+    The dissimilarities and the mask of pairs that share an index are
+    computed on the upper triangle and mirrored, so both are exactly
+    symmetric with a zero (False) diagonal; pairs sharing no index read 0.
+    The last mask marks, on the upper triangle only, the sharing pairs
+    whose residual^2 is at most ``_CANCELLATION_TOL`` times their squared
+    norms, where rounding may dominate it.  Works in blocks of
+    ``_DISSIMILARITY_ROW_BLOCK`` rows, each against the columns from its
+    first row on, so the temporaries stay O(block * k * d^2).  Every product
+    is an ``einsum`` without BLAS, whose sums do not depend on the BLAS
+    thread count.
+    """
+    k = len(configs)
+    x = np.stack([c.coords for c in configs])  # (k, d, n), absent columns 0
+    m = np.stack([c.mask for c in configs]).astype(float)  # (k, n)
+    sq = np.einsum("idn,idn->in", x, x, optimize=False)
+    d = np.zeros((k, k))
+    shared = np.zeros((k, k), dtype=bool)
+    imprecise = np.zeros((k, k), dtype=bool)
+    for start in range(0, k, _DISSIMILARITY_ROW_BLOCK):
+        rows = slice(start, min(start + _DISSIMILARITY_ROW_BLOCK, k))
+        cols = slice(start, k)
+        count = np.einsum("in,jn->ij", m[rows], m[cols], optimize=False)
+        sum_x = np.einsum("idn,jn->ijd", x[rows], m[cols], optimize=False)
+        sum_y = np.einsum("in,jdn->ijd", m[rows], x[cols], optimize=False)
+        norm_x = np.einsum("in,jn->ij", sq[rows], m[cols], optimize=False)
+        norm_y = np.einsum("in,jn->ij", m[rows], sq[cols], optimize=False)
+        cross = np.einsum("idn,jen->ijde", x[rows], x[cols], optimize=False)
+        inv = 1.0 / np.maximum(count, 1.0)
+        cross -= sum_x[..., :, None] * sum_y[..., None, :] * inv[..., None, None]
+        nuclear = np.linalg.svd(cross, compute_uv=False).sum(axis=-1)
+        centred = norm_x + norm_y - ((sum_x**2).sum(-1) + (sum_y**2).sum(-1)) * inv
+        resid2 = np.maximum(centred - 2.0 * nuclear, 0.0)
+        d[rows, cols] = np.sqrt(resid2 * inv)
+        shared[rows, cols] = count > 0
+        cancelled = resid2 <= _CANCELLATION_TOL * (norm_x + norm_y)
+        imprecise[rows, cols] = shared[rows, cols] & cancelled
+    d, shared = np.triu(d, 1), np.triu(shared, 1)
+    return d + d.T, shared | shared.T, np.triu(imprecise, 1)
 
 
 def _median_offdiag(d):

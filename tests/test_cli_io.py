@@ -416,6 +416,20 @@ def test_cli_run_deterministic(tmp_path, rng):
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
 
 
+def test_cli_run_has_no_thread_setting(tmp_path, rng, capsys, monkeypatch):
+    # ROBUST_COORDS_THREADS is not read, even when it holds no number
+    data = plane_cloud_csv(tmp_path, rng)
+    plain, env = tmp_path / "plain", tmp_path / "env"
+    m1 = write_manifest(tmp_path, manifest_doc(data, plain), "m1.json")
+    m2 = write_manifest(tmp_path, manifest_doc(data, env), "m2.json")
+    assert run_command(["run", "--manifest", str(m1)]) == 0
+    monkeypatch.setenv("ROBUST_COORDS_THREADS", "two")
+    assert run_command(["run", "--manifest", str(m2)]) == 0
+    for name in ("report.json", "embedding.csv", "mds_view.csv", "outliers.csv"):
+        assert (plain / name).read_bytes() == (env / name).read_bytes()
+    assert run_command(["run", "--manifest", str(m1), "--threads", "2"]) == 1
+    assert "unrecognized arguments: --threads 2" in capsys.readouterr().err
+
 
 def test_cli_run_seed_flag_overrides_manifest_seed(tmp_path, rng):
     data = plane_cloud_csv(tmp_path, rng)

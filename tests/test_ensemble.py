@@ -1,6 +1,13 @@
+import logging
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import robust_coords
 from robust_coords.core_types import Configuration
 from robust_coords.dimred import EmbeddingOutput, EmbeddingParams
 from robust_coords.ensemble import (
@@ -15,8 +22,9 @@ from robust_coords.ensemble import (
     run_pipeline,
     select_good_cluster,
 )
-from robust_coords.errors import NoGoodCluster, SizeTooLarge
+from robust_coords.errors import DimensionMismatch, EmptyOverlap, NoGoodCluster, SizeTooLarge
 from robust_coords.gpa_als import AlsOptions
+from robust_coords.procrustes_pair import affine_procrustes
 
 from conftest import random_config, random_motion, random_orthogonal, rotation_2d
 
@@ -134,14 +142,153 @@ def test_dissimilarity_rigid_invariance_and_outlier(rng):
     assert np.allclose(d, d.T)
 
 
-def test_dissimilarity_empty_overlap_sentinel(rng):
+def per_pair_dissimilarity(ensemble):
+    """The reference: one exact ``affine_procrustes`` solve per pair."""
+    k = len(ensemble)
+    d = np.zeros((k, k))
+    missing = []
+    for i in range(k):
+        for j in range(i + 1, k):
+            try:
+                pa = affine_procrustes(ensemble[i].config, ensemble[j].config)
+                d[i, j] = d[j, i] = pa.distance / np.sqrt(pa.overlap_size)
+            except EmptyOverlap:
+                missing.append((i, j))
+    sentinel = 2.0 * d.max()
+    for i, j in missing:
+        d[i, j] = d[j, i] = sentinel
+    return d
+
+
+def nearest_pairs(d):
+    """Each row's nearest other member, as (low, high) index pairs."""
+    off = d + np.diag(np.full(len(d), np.inf))
+    return {tuple(sorted((i, int(j)))) for i, j in enumerate(off.argmin(axis=1))}
+
+
+def partial_ensemble(rng, d, kind, k=12, n=40):
+    """Noisy rigid copies (reflections included) of one shape, on random
+    partial domains; "collinear" shapes give rank-1 cross-covariances."""
+    base = rng.normal(size=(d, n))
+    if kind == "collinear":
+        base = np.outer(rng.normal(size=d), rng.normal(size=n))
+    ens = []
+    for i in range(k):
+        coords = random_orthogonal(rng, d) @ base + rng.normal(size=(d, 1))
+        if kind == "collinear" and i % 2:
+            coords = np.outer(rng.normal(size=d), rng.normal(size=n))
+        else:
+            coords = coords + 0.1 * rng.normal(size=(d, n))
+        mask = rng.random(n) < 0.7
+        mask[:3] = True  # every pair shares an index
+        ens.append(wrap(Configuration(coords, mask), i))
+    return ens
+
+
+@pytest.mark.parametrize("kind", ["reflected", "collinear"])
+@pytest.mark.parametrize("d", [2, 3])
+def test_dissimilarity_matches_per_pair_oracle(rng, d, kind):
+    ens = partial_ensemble(rng, d, kind)
+    got = dissimilarity_matrix(ens)
+    want = per_pair_dissimilarity(ens)
+    off = ~np.eye(len(ens), dtype=bool)
+    assert np.array_equal(got, got.T)
+    assert np.all(np.diag(got) == 0.0)
+    assert np.max(np.abs(got - want)[off] / want[off]) <= 1e-10
+    for i, j in nearest_pairs(got):
+        assert got[i, j] == want[i, j]
+
+
+def test_dissimilarity_empty_overlap_sentinel(rng, caplog):
     coords = rng.normal(size=(2, 10))
     a = Configuration(coords, np.arange(10) < 5)
     b = Configuration(coords, np.arange(10) >= 5)
     c = Configuration(coords)
-    d = dissimilarity_matrix([wrap(a), wrap(b), wrap(c)])
+    ens = [wrap(a), wrap(b), wrap(c)]
+    with caplog.at_level(logging.WARNING, logger="robust_coords.ensemble"):
+        d = dissimilarity_matrix(ens)
     finite_max = max(d[0, 2], d[1, 2])
     assert d[0, 1] == 2.0 * finite_max
+    # every finite entry is some member's nearest pair, so solved exactly
+    assert np.array_equal(d, per_pair_dissimilarity(ens))
+    (record,) = caplog.records
+    assert record.getMessage() == f"1 member pairs share no index; using sentinel {d[0, 1]:.6g}"
+
+
+@pytest.mark.parametrize(
+    "other",
+    [
+        Configuration(np.ones((3, 10))),
+        Configuration(np.ones((2, 11))),
+    ],
+    ids=["dim", "n_global"],
+)
+def test_dissimilarity_rejects_incompatible_members(rng, other):
+    ens = [wrap(random_config(rng, n=10)), wrap(random_config(rng, n=10)), wrap(other)]
+    with pytest.raises(DimensionMismatch):
+        dissimilarity_matrix(ens)
+    with pytest.raises(ValueError):
+        dissimilarity_matrix(ens[:1])
+
+
+def near_copies(rng, count, sigma, n=250):
+    """One chart-scale member and count - 1 copies of it plus N(0, sigma^2)."""
+    base = np.vstack([rng.uniform(0.0, 50.0, n), rng.uniform(0.0, 21.0, n)])
+    members = [base] + [base + sigma * rng.normal(size=base.shape) for _ in range(count - 1)]
+    return [wrap(Configuration(c), i) for i, c in enumerate(members)]
+
+
+def test_dissimilarity_near_identical_pair_is_exact(rng):
+    # the closed form alone reads 0 here, or up to 60 times the exact value
+    ens = near_copies(rng, 2, 1e-8)
+    d = dissimilarity_matrix(ens)
+    assert np.array_equal(d, per_pair_dissimilarity(ens))
+    assert d[0, 1] > 0.0
+
+
+@pytest.mark.parametrize("sigma", [1e-2, 1e-4, 1e-6, 1e-8])
+def test_dissimilarity_near_identical_triple(rng, sigma):
+    # at sigma <= 1e-6 the closed form alone ranks these pairs wrongly, so
+    # re-solving only its own nearest pairs would miss the true nearest
+    ens = near_copies(rng, 3, sigma)
+    got = dissimilarity_matrix(ens)
+    want = per_pair_dissimilarity(ens)
+    for i, j in nearest_pairs(want):
+        assert got[i, j] == want[i, j]
+    iu = np.triu_indices(3, 1)
+    assert np.max(np.abs(got - want)[iu] / want[iu]) <= 1e-10
+
+
+BITS_SCRIPT = """
+import hashlib, numpy as np
+from robust_coords.core_types import Configuration
+from robust_coords.dimred import EmbeddingOutput, EmbeddingParams
+from robust_coords.ensemble import dissimilarity_matrix
+rng = np.random.default_rng(11)
+params = EmbeddingParams(method="pca", target_dim=2)
+ens = [
+    EmbeddingOutput(config=Configuration(rng.normal(size=(2, 2000)), rng.random(2000) < 0.6),
+                    dropped=np.empty(0, dtype=int), params=params,
+                    subsample_index=i, params_index=0)
+    for i in range(64)
+]
+print(hashlib.sha256(dissimilarity_matrix(ens).tobytes()).hexdigest())
+"""
+
+
+def test_dissimilarity_independent_of_blas_threads():
+    # 64 members over 2000 indices: large enough that threaded BLAS
+    # products of this size change the last bits
+    src = str(Path(robust_coords.__file__).resolve().parents[1])
+    digests = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        proc = subprocess.run([sys.executable, "-c", BITS_SCRIPT], env=env,
+                              capture_output=True, text=True, timeout=300, check=True)
+        digests.append(proc.stdout.strip())
+    assert len(digests[0]) == 64
+    assert digests[0] == digests[1]
 
 
 def test_dissimilarity_normalizes_by_overlap(rng):
