@@ -226,7 +226,7 @@ def _jsonable(value):
 
 
 # AlignmentResult fields written to JSON; motions and mean go to the CSVs.
-_ALIGNMENT_KEYS = ("loss", "iterations", "converged", "variant", "loss_trace", "symmetry_residuals")
+_ALIGNMENT_KEYS = ("loss", "iterations", "converged", "loss_trace", "symmetry_residuals")
 
 
 def _alignment_to_json(result):
@@ -371,7 +371,6 @@ def _build_parser():
     p_gpa = sub.add_parser("gpa", help="align k point CSVs and write the average")
     p_gpa.add_argument("inputs", nargs="+")
     p_gpa.add_argument("--out", required=True)
-    p_gpa.add_argument("--variant", default=AlsOptions.variant)
     p_gpa.add_argument("--tol", type=float, default=AlsOptions.tol)
     p_gpa.add_argument("--max-iter", type=int, default=AlsOptions.max_iter)
     p_gpa.add_argument("--min-iter", type=int, default=AlsOptions.min_iter)
@@ -436,12 +435,7 @@ def _cmd_dist(args):
 
 def _cmd_gpa(args):
     configs = tuple(read_points_csv(p) for p in args.inputs)
-    options = AlsOptions(
-        variant=args.variant,
-        tol=args.tol,
-        max_iter=args.max_iter,
-        min_iter=args.min_iter,
-    )
+    options = AlsOptions(tol=args.tol, max_iter=args.max_iter, min_iter=args.min_iter)
     result = normalize_first_fixed(als_align(GpaProblem(configs, options)))
     os.makedirs(args.out, exist_ok=True)
     write_points_csv(result.mean, os.path.join(args.out, "mean.csv"))
@@ -478,10 +472,8 @@ def _cmd_synth(args):
     if args.kind == "swiss-roll":
         sample = swiss_roll(args.n, args.seed)
         points = sample.points3d
-        if args.noise > 0:
-            points = add_gaussian_noise(points, args.noise, args.seed + 1)
-        if args.outliers > 0:
-            points, _ = add_uniform_outliers(points, args.outliers, args.seed + 2)
+        points = add_gaussian_noise(points, args.noise, args.seed + 1)
+        points, _ = add_uniform_outliers(points, args.outliers, args.seed + 2)
         write_points_csv(points, args.out)
         if args.intrinsic_out:
             write_points_csv(sample.intrinsic, args.intrinsic_out)
@@ -534,7 +526,7 @@ def run_command(argv):
     )
     try:
         return _COMMANDS[args.command](args)
-    except (RobustCoordsError, OSError) as exc:
+    except (RobustCoordsError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -131,6 +131,8 @@ class PipelineConfig:
         if len(dims) != 1:
             raise ValueError("all parameter settings must share target_dim")
         object.__setattr__(self, "dimred", dimred)
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
         if self.n_subsamples < 1:
             raise ValueError("n_subsamples must be >= 1")
         if self.subsample_size < self.target_dim + 2:

@@ -6,17 +6,12 @@ mean configuration Z minimizing
     E = (1/k) * sum_i || (g_i . X_i - Z) restricted to the domain of X_i ||_F^2
 
 with Z eliminated as the per-index masked mean of the transformed inputs.
-Three sweep strategies are provided:
-
-* ``basic``   - each sweep solves every rotation against the frozen mean,
-  then recomputes the mean.  Can stall on unstable critical points (the
-  classic antipodal two-configuration failure); kept for tests.
-* ``refined`` - solves each rotation against the mean with the
-  configuration's own contribution removed, updating the mean after every
-  single rotation.  Exact for two configurations.
-* ``missing_points`` - the refined sweep generalized to partial domains
-  with per-index averaging counts and per-configuration translations.
-  With full domains it reproduces ``refined`` exactly; it is the default.
+Each sweep is the refined update (Ten Berge 1977) generalized to partial
+domains: every rotation is solved against the mean with the
+configuration's own contribution removed, using per-index averaging counts
+and a per-configuration translation, and the mean is updated after every
+single rotation.  This solves two configurations exactly and, unlike the
+frozen-mean sweep, does not stall at the antipodal saddle.
 
 The module also houses the post-hoc diagnostics: symmetry residuals of the
 mean/input cross-covariances (zero at critical points), the second-derivative
@@ -53,27 +48,20 @@ __all__ = [
     "essential_dimension",
 ]
 
-_VARIANTS = ("basic", "refined", "missing_points")
-
-
 @dataclass(frozen=True)
 class AlsOptions:
-    """Termination and variant controls for the ALS sweeps.
+    """Termination controls for the ALS sweeps.
 
     ``tol`` is in loss-change units: a sweep that changes the loss by less
     than ``tol`` terminates the iteration, but only after ``min_iter``
     sweeps have run (guards against stopping at unstable critical points).
-    ``variant`` is one of ``basic``, ``refined`` or ``missing_points``.
     """
 
-    variant: str = "missing_points"
     tol: float = 1e-10
     max_iter: int = 500
     min_iter: int = 3
 
     def __post_init__(self):
-        if self.variant not in _VARIANTS:
-            raise ValueError(f"unknown variant {self.variant!r}; expected {_VARIANTS}")
         if not self.tol > 0:
             raise ValueError("tol must be positive")
         if not (self.max_iter >= self.min_iter >= 0):
@@ -131,7 +119,6 @@ class AlignmentResult:
     iterations: int
     converged: bool
     symmetry_residuals: np.ndarray
-    variant: str
 
 
 def _inverse_counts(idx, n):
@@ -176,96 +163,18 @@ def gpa_loss(problem, motions):
     return total / problem.k
 
 
-def als_align(problem):
-    """Run the selected ALS variant to termination.
-
-    Terminates when the loss changes by less than ``tol`` after at least
-    ``min_iter`` sweeps, or at ``max_iter`` sweeps.  Raises NonFinite if
-    the loss leaves the reals (degenerate input data).
-    """
-    variant = problem.options.variant
-    if variant in ("basic", "refined"):
-        return _als_full(problem)
-    return _als_missing(problem)
-
-
-def _full_domain_stack(problem):
-    masks = problem.masks()
-    if not masks.all():
-        raise DimensionMismatch(
-            f"variant {problem.options.variant!r} requires full-domain configurations"
-        )
-    return np.stack([c.coords for c in problem.configs])
-
-
 def _check_finite_loss(value):
     if not np.isfinite(value):
         raise NonFinite("ALS loss became non-finite")
 
 
-def _als_full(problem):
-    """Basic and refined sweeps in the centered full-domain formulation."""
-    opts = problem.options
-    k, d = problem.k, problem.dim
-    raw = _full_domain_stack(problem)
-    centroids = raw.mean(axis=2)
-    x = raw - centroids[:, :, None]
-    sq_const = float(np.sum(x**2)) / k
+def als_align(problem):
+    """Run the ALS sweeps to termination.
 
-    rotations = np.tile(np.eye(d), (k, 1, 1))
-    y = x.copy()
-    mean = y.mean(axis=0)
-
-    def current_loss():
-        # E = (1/k) sum ||X_i||^2 - ||Z||^2, valid because Z is the mean.
-        return sq_const - float(np.sum(mean**2))
-
-    trace = [current_loss()]
-    _check_finite_loss(trace[-1])
-    iterations = 0
-    converged = False
-    for sweep in range(opts.max_iter):
-        if opts.variant == "basic":
-            cross = np.einsum("dn,kcn->kdc", mean, x)
-            for i in range(k):
-                rotations[i] = _nearest_orthogonal(cross[i])
-            y = rotations @ x
-            mean = y.mean(axis=0)
-        else:
-            for i in range(k):
-                rotations[i] = _nearest_orthogonal((mean - y[i] / k) @ x[i].T)
-                y_new = rotations[i] @ x[i]
-                mean = mean + (y_new - y[i]) / k
-                y[i] = y_new
-            mean = y.mean(axis=0)
-        iterations = sweep + 1
-        trace.append(current_loss())
-        _check_finite_loss(trace[-1])
-        if iterations >= opts.min_iter and abs(trace[-2] - trace[-1]) < opts.tol:
-            converged = True
-            break
-
-    motions = tuple(
-        RigidMotion(rotations[i], -rotations[i] @ centroids[i]) for i in range(k)
-    )
-    mean_cfg = Configuration(mean, np.ones(problem.n_global, dtype=bool))
-    residuals = np.array(
-        [_symmetry_residual_matrices(mean, y[i]) for i in range(k)]
-    )
-    return AlignmentResult(
-        motions=motions,
-        mean=mean_cfg,
-        loss=trace[-1],
-        loss_trace=np.asarray(trace),
-        iterations=iterations,
-        converged=converged,
-        symmetry_residuals=residuals,
-        variant=opts.variant,
-    )
-
-
-def _als_missing(problem):
-    """Refined-style sweep with partial domains and translations."""
+    Terminates when the loss changes by less than ``tol`` after at least
+    ``min_iter`` sweeps, or at ``max_iter`` sweeps.  Raises NonFinite if
+    the loss leaves the reals (degenerate input data).
+    """
     opts = problem.options
     k, d, n = problem.k, problem.dim, problem.n_global
 
@@ -274,7 +183,7 @@ def _als_missing(problem):
 
     # Pre-center each configuration (the translations are re-estimated every
     # sweep, so this only changes the starting point); with full masks the
-    # trace then coincides with the refined variant's exactly.
+    # trace then coincides exactly with the full-domain refined sweep's.
     offsets = [centroid(c) for c in problem.configs]
     xc = [c.present_matrix() - a[:, None] for c, a in zip(problem.configs, offsets)]
 
@@ -336,7 +245,6 @@ def _als_missing(problem):
         iterations=iterations,
         converged=converged,
         symmetry_residuals=residuals,
-        variant=opts.variant,
     )
 
 
@@ -374,7 +282,11 @@ def symmetry_residual(problem, result, i):
 
 
 def _transformed_stack(problem, result):
-    stack = _full_domain_stack(problem)
+    if not problem.masks().all():
+        raise DimensionMismatch(
+            "the gradient and Hessian diagnostics require full-domain configurations"
+        )
+    stack = np.stack([c.coords for c in problem.configs])
     out = np.empty_like(stack)
     for i, g in enumerate(result.motions):
         out[i] = g.apply(stack[i])

@@ -1,4 +1,5 @@
-"""Acceptance suite: one test per numbered criterion.
+"""Acceptance suite: one test per numbered criterion, plus a BLAS-thread
+check on criterion 10's manifest.
 
 Each test prints a ``criterion N: pass`` line on success (visible with
 ``pytest -v`` through test names as well).  The Swiss-roll and buckyball
@@ -7,7 +8,11 @@ the ``slow`` marker; everything runs in one ``pytest`` invocation.
 """
 
 import json
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,6 +20,7 @@ from scipy.linalg import expm
 from scipy.optimize import minimize
 from scipy.spatial.distance import pdist
 
+import robust_coords
 from robust_coords.cli_io import run_command
 from robust_coords.core_types import Configuration, RigidMotion
 from robust_coords.dimred import EmbeddingParams, isomap
@@ -39,6 +45,7 @@ from robust_coords.synth import add_gaussian_noise, add_uniform_outliers, buckyb
 from robust_coords.tda import max_bar_length, rips_from_distances, rips_persistence
 
 from conftest import random_config, random_orthogonal
+from test_gpa_als import als_full
 
 
 GAP = 2.0 * np.pi  # inter-sheet spacing of the roll (one full turn)
@@ -143,7 +150,7 @@ def test_criterion_02_als_correctness():
         x = random_config(rng, d=2, n=15)
         y = random_config(rng, d=2, n=15)
         dist = affine_procrustes(x, y).distance
-        res = als_align(GpaProblem((x, y), AlsOptions(variant="refined")))
+        res = als_align(GpaProblem((x, y)))
         worst_gap = max(worst_gap, abs(res.loss - dist * dist / 4.0))
         assert (np.diff(res.loss_trace) <= 1e-12).all()
     assert worst_gap <= 1e-8
@@ -152,8 +159,8 @@ def test_criterion_02_als_correctness():
     for trial in range(100):
         k = int(rng.integers(2, 6))
         cfgs = tuple(random_config(rng, d=2, n=18) for _ in range(k))
-        refined = als_align(GpaProblem(cfgs, AlsOptions(variant="refined")))
-        missing = als_align(GpaProblem(cfgs, AlsOptions(variant="missing_points")))
+        refined = als_full(GpaProblem(cfgs), "refined")
+        missing = als_align(GpaProblem(cfgs))
         n = min(len(refined.loss_trace), len(missing.loss_trace))
         worst_trace = max(
             worst_trace, np.abs(refined.loss_trace[:n] - missing.loss_trace[:n]).max()
@@ -163,12 +170,12 @@ def test_criterion_02_als_correctness():
 
     for trial in range(100):
         k = int(rng.integers(2, 6))
-        variant = ("basic", "missing_points")[trial % 2]
-        if variant == "basic":
+        if trial % 2 == 0:  # the frozen-mean oracle on full domains
             cfgs = tuple(random_config(rng, d=2, n=20) for _ in range(k))
+            res = als_full(GpaProblem(cfgs), "basic")
         else:
             cfgs = tuple(random_config(rng, d=2, n=30, mask_prob=0.7) for _ in range(k))
-        res = als_align(GpaProblem(cfgs, AlsOptions(variant=variant)))
+            res = als_align(GpaProblem(cfgs))
         assert (np.diff(res.loss_trace) <= 1e-12).all()
     elapsed = time.time() - start
     assert elapsed < 120.0
@@ -184,7 +191,7 @@ def test_criterion_03_convergence_diagnostics():
     for trial in range(20):
         k = int(rng.integers(3, 6))
         cfgs = tuple(random_config(rng, d=2, n=20) for _ in range(k))
-        res = als_align(GpaProblem(cfgs, AlsOptions(variant="refined", tol=1e-13, max_iter=5000)))
+        res = als_align(GpaProblem(cfgs, AlsOptions(tol=1e-13, max_iter=5000)))
         worst_sym = max(worst_sym, float(res.symmetry_residuals.max()))
     assert worst_sym <= 1e-6
 
@@ -195,7 +202,7 @@ def test_criterion_03_convergence_diagnostics():
         d = int(rng.choice([2, 3]))
         problem = GpaProblem(
             tuple(random_config(rng, d=d, n=20) for _ in range(k)),
-            AlsOptions(variant="refined", tol=1e-13, max_iter=5000),
+            AlsOptions(tol=1e-13, max_iter=5000),
         )
         res = als_align(problem)
         a = np.zeros((k, d, d))
@@ -522,10 +529,11 @@ def test_criterion_08_buckyball():
 # -------------------------------------------------------------- criterion 10
 
 
-@pytest.mark.slow
-def test_criterion_10_determinism(tmp_path):
-    # byte-identical outputs for equal seeds, exercised end to end through
-    # the CLI on a desk-scale manifest
+C10_OUTPUTS = ("report.json", "embedding.csv", "outliers.csv", "mds_view.csv")
+
+
+def write_c10_manifest(tmp_path):
+    """Criterion 10's desk-scale roll and manifest; returns the manifest path."""
     roll_csv = tmp_path / "roll.csv"
     assert (
         run_command(
@@ -551,6 +559,14 @@ def test_criterion_10_determinism(tmp_path):
     }
     mpath = tmp_path / "manifest.json"
     mpath.write_text(json.dumps(manifest))
+    return mpath
+
+
+@pytest.mark.slow
+def test_criterion_10_determinism(tmp_path):
+    # byte-identical outputs for equal seeds, exercised end to end through
+    # the CLI on a desk-scale manifest
+    mpath = write_c10_manifest(tmp_path)
     outputs = []
     for run_dir in ("r1", "r2"):
         code = run_command(
@@ -558,11 +574,34 @@ def test_criterion_10_determinism(tmp_path):
         )
         assert code == 0
         outputs.append(tmp_path / run_dir)
-    for name in ("report.json", "embedding.csv", "outliers.csv", "mds_view.csv"):
+    for name in C10_OUTPUTS:
         a = (outputs[0] / name).read_bytes()
         b = (outputs[1] / name).read_bytes()
         assert a == b, f"{name} differs between equal-seed runs"
     announce(10, "(byte-identical report.json, embedding.csv, outliers.csv, mds_view.csv)")
+
+
+@pytest.mark.slow
+def test_outputs_independent_of_blas_threads(tmp_path):
+    # criterion 10's manifest, run through the CLI in fresh processes at 1
+    # and 2 OpenBLAS threads, writes the same bytes
+    mpath = write_c10_manifest(tmp_path)
+    src = str(Path(robust_coords.__file__).resolve().parents[1])
+    outputs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        out = tmp_path / f"threads{threads}"
+        subprocess.run(
+            [sys.executable, "-c", "from robust_coords.cli_io import main; main()",
+             "run", "--manifest", str(mpath), "--out", str(out), "--no-plots"],
+            env=env, capture_output=True, text=True, timeout=600, check=True,
+        )
+        outputs.append(out)
+    for name in C10_OUTPUTS:
+        a = (outputs[0] / name).read_bytes()
+        b = (outputs[1] / name).read_bytes()
+        assert a == b, f"{name} differs between 1 and 2 BLAS threads"
 
 
 # --------------------------------------------------------------- criterion 9

@@ -201,7 +201,7 @@ def test_report_config_reads_back_as_manifest_config(tmp_path):
         ph_representatives=2,
         ph_bar_fraction=0.6,
         essdim_rel_tol=0.07,
-        als=AlsOptions(variant="refined", tol=1e-9, max_iter=40, min_iter=2),
+        als=AlsOptions(tol=1e-9, max_iter=40, min_iter=2),
     )
     defaults = PipelineConfig(n_subsamples=1, subsample_size=5, dimred=config.dimred[:1])
     for obj, base in ((config, defaults), (config.als, AlsOptions())):
@@ -291,7 +291,6 @@ def test_cli_gpa(tmp_path, rng, capsys):
     assert run_command(["gpa", *paths, "--out", str(out), "--tol", "1e-14"]) == 0
     summary = json.loads((out / "alignment.json").read_text())
     assert summary["loss"] <= 1e-12
-    assert summary["variant"] == "missing_points"
     mean = read_points_csv(out / "mean.csv")
     assert mean.n_present == 20
 
@@ -336,21 +335,63 @@ def test_cli_run_no_good_cluster_exit_2(tmp_path, rng, capsys):
     assert not (out_dir / "embedding.csv").exists()
 
 
-@pytest.mark.parametrize("variant", ["basic", "refined"])
-def test_cli_full_domain_variants_reject_partial_domains(tmp_path, rng, capsys, variant):
-    # 50-point subsamples of 120 points: the members' domains differ
+def test_cli_has_no_als_variant(tmp_path, rng, capsys):
+    # one ALS sweep: the manifest key, the gpa flag and both JSON fields are gone
     data = plane_cloud_csv(tmp_path, rng)
-    doc = manifest_doc(data, tmp_path / "out", als={"variant": variant})
+    doc = manifest_doc(data, tmp_path / "bad", als={"variant": "missing_points"})
     assert run_command(["run", "--manifest", str(write_manifest(tmp_path, doc))]) == 1
-    assert capsys.readouterr().err.startswith(f"error: variant '{variant}' requires")
-    cloud = read_points_csv(data)
-    paths = []
-    for i, ids in enumerate((np.arange(0, 40), np.arange(10, 40))):
-        paths.append(str(tmp_path / f"part{i}.csv"))
-        write_points_csv(cloud.restrict(np.isin(np.arange(cloud.n_global), ids)), paths[-1])
-    code = run_command(["gpa", *paths, "--variant", variant, "--out", str(tmp_path / "gpa")])
-    assert code == 1
-    assert capsys.readouterr().err.startswith(f"error: variant '{variant}' requires")
+    assert capsys.readouterr().err.startswith("error: unknown keys in manifest.config.als")
+    out_dir = tmp_path / "out"
+    doc = manifest_doc(data, out_dir)
+    assert run_command(["run", "--manifest", str(write_manifest(tmp_path, doc))]) == 0
+    report = json.loads((out_dir / "report.json").read_text())
+    assert set(report["config"]["als"]) == {"tol", "max_iter", "min_iter"}
+    assert "variant" not in report["alignment"]
+    paths = [str(data), str(data)]
+    assert run_command(["gpa", *paths, "--variant", "basic", "--out", str(tmp_path / "g")]) == 1
+    assert "error: unrecognized arguments: --variant basic" in capsys.readouterr().err
+    assert run_command(["gpa", *paths, "--out", str(tmp_path / "g")]) == 0
+    summary = json.loads((tmp_path / "g" / "alignment.json").read_text())
+    assert "variant" not in summary and "loss" in summary
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["gpa", "{x}", "{x}", "--out", "{tmp}/g", "--tol", "-1"],
+        ["gpa", "{x}", "{x}", "--out", "{tmp}/g", "--max-iter", "1", "--min-iter", "5"],
+        ["ph", "{x}", "--prime", "4"],
+        ["ph", "{x}", "--max-dim", "3"],
+        ["ph", "{x}", "--max-radius", "-1"],
+        ["embed", "{x}", "--dim", "0", "--out", "{tmp}/e.csv"],
+        ["embed", "{x}", "--method", "isomap", "--out", "{tmp}/e.csv"],
+        ["synth", "swiss-roll", "--n", "0", "--out", "{tmp}/s.csv"],
+        ["synth", "buckyball", "--noise", "-1", "--out", "{tmp}/s.csv"],
+        ["synth", "swiss-roll", "--noise", "-1", "--out", "{tmp}/s.csv"],
+        ["synth", "swiss-roll", "--outliers", "-1", "--out", "{tmp}/s.csv"],
+    ],
+    ids=["gpa-tol", "gpa-min-iter", "ph-prime", "ph-max-dim", "ph-max-radius",
+         "embed-dim", "embed-isomap-no-graph", "synth-n", "synth-bucky-noise",
+         "synth-roll-noise", "synth-roll-outliers"],
+)
+def test_cli_value_errors_exit_1(tmp_path, rng, capsys, argv):
+    x = tmp_path / "x.csv"
+    write_points_csv(random_config(rng, d=3, n=12), x)
+    argv = [a.format(x=x, tmp=tmp_path) for a in argv]
+    assert run_command(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and len(err.splitlines()) == 1
+    assert not (tmp_path / "s.csv").exists() and not (tmp_path / "e.csv").exists()
+
+
+def test_negative_seed_is_rejected_before_reading_input(tmp_path, capsys):
+    missing = tmp_path / "no-such-input.csv"
+    doc = manifest_doc(missing, tmp_path / "out", seed=-3)
+    with pytest.raises(ParseError, match="seed must be >= 0"):
+        read_manifest(write_manifest(tmp_path, doc))
+    manifest = write_manifest(tmp_path, manifest_doc(missing, tmp_path / "out"), "m2.json")
+    assert run_command(["run", "--manifest", str(manifest), "--seed", "-1"]) == 1
+    assert capsys.readouterr().err == "error: seed must be >= 0\n"
 
 
 def _eigensolver_never_converges(*args, **kwargs):

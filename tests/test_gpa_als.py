@@ -3,10 +3,13 @@ import pytest
 from scipy.linalg import expm
 
 from robust_coords.core_types import Configuration, RigidMotion
-from robust_coords.errors import NotAntisymmetric
+from robust_coords.errors import DimensionMismatch, NotAntisymmetric
 from robust_coords.gpa_als import (
+    AlignmentResult,
     AlsOptions,
     GpaProblem,
+    _check_finite_loss,
+    _symmetry_residual_matrices,
     als_align,
     essential_dimension,
     gpa_loss,
@@ -16,19 +19,23 @@ from robust_coords.gpa_als import (
     normalize_first_fixed,
     symmetry_residual,
 )
-from robust_coords.procrustes_pair import affine_procrustes, procrustes_distance
+from robust_coords.procrustes_pair import (
+    _nearest_orthogonal,
+    affine_procrustes,
+    procrustes_distance,
+)
 
 from conftest import random_config, random_motion
 
 
-def full_problem(rng, k=4, d=2, n=20, variant="refined", **opts):
+def full_problem(rng, k=4, d=2, n=20, **opts):
     cfgs = tuple(random_config(rng, d=d, n=n) for _ in range(k))
-    return GpaProblem(cfgs, AlsOptions(variant=variant, **opts))
+    return GpaProblem(cfgs, AlsOptions(**opts))
 
 
 def masked_problem(rng, k=4, d=2, n=30, prob=0.7, **opts):
     cfgs = tuple(random_config(rng, d=d, n=n, mask_prob=prob) for _ in range(k))
-    return GpaProblem(cfgs, AlsOptions(variant="missing_points", **opts))
+    return GpaProblem(cfgs, AlsOptions(**opts))
 
 
 def random_antisym_directions(rng, k, d, scale=1.0):
@@ -37,6 +44,76 @@ def random_antisym_directions(rng, k, d, scale=1.0):
         m = rng.normal(size=(d, d)) * scale
         a[i] = 0.5 * (m - m.T)
     return a
+
+
+# ------------------------------------------------- full-domain ALS oracle
+
+
+def als_full(problem, variant):
+    """The full-domain sweeps in the centered formulation, as an oracle.
+
+    ``refined`` solves each rotation against the mean with the
+    configuration's own contribution removed and updates the mean after
+    every rotation; with full domains ``als_align`` must reproduce its loss
+    trace.  ``basic`` solves every rotation against the frozen mean, then
+    recomputes the mean, and can stall at unstable critical points.
+    """
+    assert variant in ("basic", "refined")
+    assert problem.masks().all()
+    opts = problem.options
+    k, d = problem.k, problem.dim
+    raw = np.stack([c.coords for c in problem.configs])
+    centroids = raw.mean(axis=2)
+    x = raw - centroids[:, :, None]
+    sq_const = float(np.sum(x**2)) / k
+
+    rotations = np.tile(np.eye(d), (k, 1, 1))
+    y = x.copy()
+    mean = y.mean(axis=0)
+
+    def current_loss():
+        # E = (1/k) sum ||X_i||^2 - ||Z||^2, valid because Z is the mean.
+        return sq_const - float(np.sum(mean**2))
+
+    trace = [current_loss()]
+    _check_finite_loss(trace[-1])
+    iterations = 0
+    converged = False
+    for sweep in range(opts.max_iter):
+        if variant == "basic":
+            cross = np.einsum("dn,kcn->kdc", mean, x)
+            for i in range(k):
+                rotations[i] = _nearest_orthogonal(cross[i])
+            y = rotations @ x
+            mean = y.mean(axis=0)
+        else:
+            for i in range(k):
+                rotations[i] = _nearest_orthogonal((mean - y[i] / k) @ x[i].T)
+                y_new = rotations[i] @ x[i]
+                mean = mean + (y_new - y[i]) / k
+                y[i] = y_new
+            mean = y.mean(axis=0)
+        iterations = sweep + 1
+        trace.append(current_loss())
+        _check_finite_loss(trace[-1])
+        if iterations >= opts.min_iter and abs(trace[-2] - trace[-1]) < opts.tol:
+            converged = True
+            break
+
+    motions = tuple(
+        RigidMotion(rotations[i], -rotations[i] @ centroids[i]) for i in range(k)
+    )
+    return AlignmentResult(
+        motions=motions,
+        mean=Configuration(mean, np.ones(problem.n_global, dtype=bool)),
+        loss=trace[-1],
+        loss_trace=np.asarray(trace),
+        iterations=iterations,
+        converged=converged,
+        symmetry_residuals=np.array(
+            [_symmetry_residual_matrices(mean, y[i]) for i in range(k)]
+        ),
+    )
 
 
 # ----------------------------------------------------------------- gpa_loss
@@ -83,7 +160,7 @@ def test_two_config_loss_matches_closed_form(rng):
         x = random_config(rng, n=15)
         y = random_config(rng, n=15)
         dist = affine_procrustes(x, y).distance
-        res = als_align(GpaProblem((x, y), AlsOptions(variant="refined")))
+        res = als_align(GpaProblem((x, y)))
         # with two inputs the aligned halves sit symmetrically around the
         # mean, so the optimal loss is (distance/2)^2 * 2 / 2
         assert abs(res.loss - dist * dist / 4.0) <= 1e-8
@@ -102,12 +179,16 @@ def test_basic_variant_stalls_at_antipodal_saddle(rng):
     x = random_config(rng, n=12)
     centered = Configuration(x.coords - x.coords.mean(axis=1, keepdims=True))
     negated = Configuration(-centered.coords)
-    opts = AlsOptions(variant="basic", min_iter=0)
-    res = als_align(GpaProblem((centered, negated), opts))
+    problem = GpaProblem((centered, negated), AlsOptions(min_iter=0))
+    res = als_full(problem, "basic")
     assert res.iterations == 1
     for motion in res.motions:
         assert np.allclose(motion.rotation, np.eye(2))
     assert res.loss > 1.0  # nowhere near the achievable optimum
+    # the product sweep removes each member's own share of the mean, so it
+    # leaves the saddle: the pair is congruent under a half-turn
+    scale = float(np.sum(centered.coords**2))
+    assert als_align(problem).loss <= 1e-20 * scale
 
 
 def test_loss_trace_nonincreasing_all_variants(rng):
@@ -115,10 +196,9 @@ def test_loss_trace_nonincreasing_all_variants(rng):
         for _ in range(40):
             k = int(rng.integers(2, 6))
             if variant == "missing_points":
-                problem = masked_problem(rng, k=k)
+                trace = als_align(masked_problem(rng, k=k)).loss_trace
             else:
-                problem = full_problem(rng, k=k, variant=variant)
-            trace = als_align(problem).loss_trace
+                trace = als_full(full_problem(rng, k=k), variant).loss_trace
             assert (np.diff(trace) <= 1e-12).all()
 
 
@@ -126,8 +206,8 @@ def test_missing_variant_reduces_to_refined_on_full_masks(rng):
     for _ in range(20):
         k = int(rng.integers(2, 6))
         cfgs = tuple(random_config(rng, n=18) for _ in range(k))
-        refined = als_align(GpaProblem(cfgs, AlsOptions(variant="refined")))
-        missing = als_align(GpaProblem(cfgs, AlsOptions(variant="missing_points")))
+        refined = als_full(GpaProblem(cfgs), "refined")
+        missing = als_align(GpaProblem(cfgs))
         n = min(len(refined.loss_trace), len(missing.loss_trace))
         assert np.abs(refined.loss_trace[:n] - missing.loss_trace[:n]).max() <= 1e-10
 
@@ -204,7 +284,7 @@ def test_symmetry_residual_small_at_termination(rng):
 
 def test_symmetry_residual_zero_for_identical_aligned(rng):
     base = random_config(rng, n=15)
-    problem = GpaProblem((base, base, base), AlsOptions(variant="refined"))
+    problem = GpaProblem((base, base, base))
     res = als_align(problem)
     assert res.symmetry_residuals.max() <= 1e-12
 
@@ -242,6 +322,15 @@ def test_hessian_form_rejects_bad_directions(rng):
     nonzero_first[0] = np.array([[0.0, 1.0], [-1.0, 0.0]])
     with pytest.raises(ValueError):
         hessian_form(problem, res, nonzero_first)
+
+
+def test_rotation_diagnostics_reject_partial_domains(rng):
+    problem = masked_problem(rng, k=3)
+    res = als_align(problem)
+    a = random_antisym_directions(rng, 3, 2)
+    for diagnostic in (gradient_form, hessian_form):
+        with pytest.raises(DimensionMismatch, match="gradient and Hessian diagnostics"):
+            diagnostic(problem, res, a)
 
 
 def loss_along_path(problem, res, directions, t):
