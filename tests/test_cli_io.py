@@ -348,11 +348,28 @@ def test_cli_has_no_als_variant(tmp_path, rng, capsys):
     assert set(report["config"]["als"]) == {"tol", "max_iter", "min_iter"}
     assert "variant" not in report["alignment"]
     paths = [str(data), str(data)]
-    assert run_command(["gpa", *paths, "--variant", "basic", "--out", str(tmp_path / "g")]) == 1
-    assert "error: unrecognized arguments: --variant basic" in capsys.readouterr().err
     assert run_command(["gpa", *paths, "--out", str(tmp_path / "g")]) == 0
     summary = json.loads((tmp_path / "g" / "alignment.json").read_text())
     assert "variant" not in summary and "loss" in summary
+
+
+@pytest.mark.parametrize("variant", ["basic", "refined"])
+def test_cli_full_domain_variants_reject_partial_domains(tmp_path, rng, capsys, variant):
+    # 50-point subsamples of 120 points: the members' domains differ; the
+    # full-domain variants are gone, so naming one is an input error
+    data = plane_cloud_csv(tmp_path, rng)
+    doc = manifest_doc(data, tmp_path / "out", als={"variant": variant})
+    assert run_command(["run", "--manifest", str(write_manifest(tmp_path, doc))]) == 1
+    assert capsys.readouterr().err.startswith("error: unknown keys in manifest.config.als")
+    assert not (tmp_path / "out").exists()
+    cloud = read_points_csv(data)
+    paths = []
+    for i, ids in enumerate((np.arange(0, 40), np.arange(10, 40))):
+        paths.append(str(tmp_path / f"part{i}.csv"))
+        write_points_csv(cloud.restrict(np.isin(np.arange(cloud.n_global), ids)), paths[-1])
+    code = run_command(["gpa", *paths, "--variant", variant, "--out", str(tmp_path / "gpa")])
+    assert code == 1
+    assert f"error: unrecognized arguments: --variant {variant}" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(
