@@ -426,15 +426,24 @@ def _cmd_run(args):
     return 0
 
 
+def _read_on_common_index_set(paths):
+    """Read points CSVs, each widened to the largest id + 1 over all of them."""
+    configs = [read_points_csv(p) for p in paths]
+    n = max(c.n_global for c in configs)
+    return tuple(
+        Configuration.from_rows(c.present_matrix().T, c.present_indices(), n_global=n)
+        for c in configs
+    )
+
+
 def _cmd_dist(args):
-    x = read_points_csv(args.first)
-    y = read_points_csv(args.second)
+    x, y = _read_on_common_index_set([args.first, args.second])
     print(_fmt(procrustes_distance(x, y)))
     return 0
 
 
 def _cmd_gpa(args):
-    configs = tuple(read_points_csv(p) for p in args.inputs)
+    configs = _read_on_common_index_set(args.inputs)
     options = AlsOptions(tol=args.tol, max_iter=args.max_iter, min_iter=args.min_iter)
     result = normalize_first_fixed(als_align(GpaProblem(configs, options)))
     os.makedirs(args.out, exist_ok=True)

@@ -18,7 +18,14 @@ from scipy.sparse.linalg import ArpackError, eigsh
 from scipy.spatial.distance import pdist, squareform
 
 from .core_types import Configuration
-from .errors import DegenerateGraph, EigensolverFailed, NotSymmetric, TooFewPoints
+from .errors import (
+    DegenerateGraph,
+    DimensionMismatch,
+    EigensolverFailed,
+    EmptyOverlap,
+    NotSymmetric,
+    TooFewPoints,
+)
 
 __all__ = [
     "EmbeddingParams",
@@ -102,7 +109,12 @@ class EmbeddingOutput:
 def embed(x, params):
     """Dispatch on ``params.method``.
 
-    External embeddings are read from the points CSV at ``params.source``.
+    External embeddings are read from the points CSV at ``params.source``
+    and restricted to the input's domain; the source's points at indices
+    the input lacks are ignored, and the input's indices the source lacks
+    are dropped.  Raises DimensionMismatch when the source's dimension is
+    not ``target_dim``, and EmptyOverlap when it covers none of the input's
+    indices.
     """
     if params.method == "isomap":
         return isomap(x, params)
@@ -110,17 +122,23 @@ def embed(x, params):
         return pca_embed(x, params.target_dim, params=params)
     from .cli_io import read_points_csv  # lazy: avoids cycle
     full = read_points_csv(params.source)
-    if full.n_global < x.n_global:
-        pad = np.zeros((full.dim, x.n_global))
-        pad[:, : full.n_global] = full.coords
-        mask = np.zeros(x.n_global, dtype=bool)
-        mask[full.present_indices()] = True
-        full = Configuration(pad, mask)
-    keep = full.mask[: x.n_global].copy()
-    keep &= x.mask
-    config = Configuration(full.coords[:, : x.n_global], keep)
+    if full.dim != params.target_dim:
+        raise DimensionMismatch(
+            f"external embedding {params.source} has dimension {full.dim}, "
+            f"not target_dim {params.target_dim}"
+        )
+    width = min(full.n_global, x.n_global)
+    coords = np.zeros((full.dim, x.n_global))
+    coords[:, :width] = full.coords[:, :width]
+    keep = x.mask.copy()
+    keep[width:] = False
+    keep[:width] &= full.mask[:width]
+    if not keep.any():
+        raise EmptyOverlap(
+            f"external embedding {params.source} covers none of the input's indices"
+        )
     dropped = np.flatnonzero(x.mask & ~keep)
-    return EmbeddingOutput(config=config, dropped=dropped, params=params)
+    return EmbeddingOutput(config=Configuration(coords, keep), dropped=dropped, params=params)
 
 
 def _neighborhood_graph(dmat, params):

@@ -17,8 +17,9 @@ Stages, in order:
 3. cut the single-linkage dendrogram at a fraction of the median
    dissimilarity;
 4. among dense clusters, sample representatives and score them by
-   essential dimensionality and the largest finite bar of degree-1
-   persistent homology; the good cluster minimizes that bar;
+   essential dimensionality and the largest finite bar of degree-1 Rips
+   persistent homology, run to the enclosing radius so that every 1-cycle
+   dies; the good cluster minimizes that bar;
 5. align the good cluster's members by missing-points ALS, pin the first
    rotation, and average per index;
 6. report the averaged embedding plus the indices it never covered
@@ -38,12 +39,12 @@ from scipy.cluster.hierarchy import fcluster, linkage
 from scipy.spatial import KDTree
 from scipy.spatial.distance import pdist, squareform
 
+from . import tda
 from .core_types import Configuration, _check_compatible
 from .dimred import EmbeddingParams, classical_mds, embed
 from .errors import NoGoodCluster, RobustCoordsError, SizeTooLarge
 from .gpa_als import AlsOptions, GpaProblem, als_align, essential_dimension, normalize_first_fixed
 from .procrustes_pair import affine_procrustes
-from .tda import max_bar_length, rips_persistence
 
 __all__ = [
     "PipelineConfig",
@@ -66,12 +67,12 @@ VERDICT_SPARSE = "rejected_sparse"
 VERDICT_DIM = "rejected_dim"
 VERDICT_PH = "rejected_ph"
 
-# Representative scoring runs the Rips filtration out to the full point-set
-# diameter so every 1-cycle dies inside the filtration (a loop truncated at
-# the cap would otherwise be dropped as an infinite bar and score zero);
-# 100 maxmin landmarks keep that affordable while preserving loop scale.
+# Representative scoring runs the Rips filtration uncapped, so the build
+# stops only at the enclosing radius, where the complex is a cone and every
+# 1-cycle has died (a loop cut off by a cap would come out as an infinite
+# bar and score zero); 100 maxmin landmarks keep that affordable while
+# preserving loop scale.
 _PH_LANDMARKS = 100
-_PH_RADIUS_MARGIN = 1.01
 
 # Off-manifold rejection.  Points lying off the sheet, such as box outliers
 # between the turns of a roll, short-circuit every neighbourhood graph that
@@ -400,13 +401,6 @@ def cluster_ensemble(d, config):
     return reports
 
 
-def _cluster_diameter(config_points):
-    pts = config_points.present_matrix().T
-    if pts.shape[0] < 2:
-        return 0.0
-    return float(pdist(pts).max())
-
-
 def select_good_cluster(clusters, ensemble, config, dissimilarity):
     """Pick the dense, full-dimensional cluster with the smallest PH1 bar.
 
@@ -444,17 +438,14 @@ def select_good_cluster(clusters, ensemble, config, dissimilarity):
         bars = []
         diam = 0.0
         for r in reps:
-            cfg = ensemble[r].config
-            rep_diam = _cluster_diameter(cfg)
-            diam = max(diam, rep_diam)
-            diagram = rips_persistence(
-                cfg,
-                max_dim=1,
-                p=2,
-                max_radius=_PH_RADIUS_MARGIN * max(rep_diam, 1e-300),
-                landmark_budget=_PH_LANDMARKS,
+            dmat = squareform(pdist(ensemble[r].config.present_matrix().T))
+            diam = max(diam, float(dmat.max()))
+            # called through the module, with keywords, so that a wrapper
+            # installed on tda.rips_from_distances sees every call
+            diagram = tda.rips_from_distances(
+                dmat, max_dim=1, p=2, max_radius=np.inf, landmark_budget=_PH_LANDMARKS
             )
-            bars.append(max_bar_length(diagram, 1))
+            bars.append(tda.max_bar_length(diagram, 1))
         cluster.ph1_max_bars = tuple(bars)
         cluster.rep_diameter = diam
         cluster.ph_bar_threshold = config.ph_bar_fraction * diam
@@ -525,28 +516,27 @@ def run_pipeline(x, config):
     mds_view = classical_mds(d, 2) if len(ensemble) >= 3 else None
     clusters = cluster_ensemble(d, config)
     med = _median_offdiag(d)
-
-    def report_with(embedding, outliers, good, alignment):
-        return PipelineReport(
-            embedding=embedding,
-            outliers=outliers,
-            clusters=clusters,
-            good_cluster=good,
-            alignment=alignment,
-            mds_view=mds_view,
-            dissimilarity=d,
-            members=members,
-            link_cutoff=config.cluster_link_fraction * med,
-            dense_cutoff=config.dense_median_fraction * med,
-            median_dissimilarity=med,
-            config=config,
-        )
-
+    report = PipelineReport(
+        embedding=None,
+        outliers=np.empty(0, dtype=int),
+        clusters=clusters,
+        good_cluster=None,
+        alignment=None,
+        mds_view=mds_view,
+        dissimilarity=d,
+        members=members,
+        link_cutoff=config.cluster_link_fraction * med,
+        dense_cutoff=config.dense_median_fraction * med,
+        median_dissimilarity=med,
+        config=config,
+    )
     try:
         winner = select_good_cluster(clusters, ensemble, config, d)
     except NoGoodCluster as exc:
-        exc.report = report_with(None, np.empty(0, dtype=int), None, None)
+        exc.report = report
         raise
-    embedding, outliers, alignment = average_cluster(ensemble, winner, config)
-    winner_pos = next(i for i, c in enumerate(clusters) if c is winner)
-    return report_with(embedding, outliers, winner_pos, alignment)
+    report.embedding, report.outliers, report.alignment = average_cluster(
+        ensemble, winner, config
+    )
+    report.good_cluster = next(i for i, c in enumerate(clusters) if c is winner)
+    return report

@@ -25,7 +25,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .core_types import Configuration, RigidMotion, centroid
+from .core_types import Configuration, RigidMotion, _check_compatible, centroid
 from .errors import (
     DimensionMismatch,
     DroppedAllIndices,
@@ -79,10 +79,8 @@ class GpaProblem:
         configs = tuple(self.configs)
         if not configs:
             raise ValueError("need at least one configuration")
-        d, n = configs[0].dim, configs[0].n_global
         for c in configs[1:]:
-            if c.dim != d or c.n_global != n:
-                raise DimensionMismatch("configurations disagree on (dim, n_global)")
+            _check_compatible(configs[0], c)
         object.__setattr__(self, "configs", configs)
 
     @property
@@ -293,13 +291,13 @@ def _transformed_stack(problem, result):
     return out
 
 
-def _validate_directions(directions, k, d, require_first_zero=True):
+def _validate_directions(directions, k, d):
     a = np.asarray(directions, dtype=float)
     if a.shape != (k, d, d):
         raise DimensionMismatch(f"need {k} direction matrices of shape ({d},{d})")
     if np.abs(a + a.transpose(0, 2, 1)).max() > 1e-12:
         raise NotAntisymmetric("direction matrices must be antisymmetric")
-    if require_first_zero and np.abs(a[0]).max() != 0.0:
+    if np.abs(a[0]).max() != 0.0:
         raise ValueError("the first direction matrix must be zero")
     return a
 

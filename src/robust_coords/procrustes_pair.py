@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core_types import Configuration, RigidMotion, _common_domain
+from .core_types import RigidMotion, _check_compatible, _common_domain
 from .errors import DimensionMismatch
 
 __all__ = [
@@ -35,39 +35,20 @@ def _nearest_orthogonal(cross):
     return u @ vt
 
 
-def _as_matrix_pair(x, y):
-    """Extract aligned (d, m) matrices from two inputs.
-
-    Accepts Configuration pairs (which must share dim, n_global, and mask)
-    or plain array pairs of equal shape.
-    """
-    if isinstance(x, Configuration) and isinstance(y, Configuration):
-        if x.dim != y.dim or x.n_global != y.n_global:
-            raise DimensionMismatch("configurations are not compatible")
-        if not np.array_equal(x.mask, y.mask):
-            raise DimensionMismatch(
-                "orthogonal_procrustes needs identical domains; restrict first"
-            )
-        return x.present_matrix(), y.present_matrix()
-    xm = np.asarray(x, dtype=float)
-    ym = np.asarray(y, dtype=float)
-    if xm.shape != ym.shape or xm.ndim != 2:
-        raise DimensionMismatch(f"matrix shapes {xm.shape} and {ym.shape} differ")
-    return xm, ym
-
-
 def orthogonal_procrustes(x, y):
     """Best orthogonal Q matching Q @ X to Y in Frobenius norm.
 
-    Inputs must share a domain (restrict first) and should already be
+    Inputs are Configurations on one domain (restrict first) and should be
     centered when translation invariance is wanted.  Q = U Vt for the SVD
     of the cross-covariance Y X^T, with U and Vt as LAPACK returns them;
     their signs do not enter U Vt.  When the cross-covariance is rank
     deficient the minimizer is not unique; the returned Q is the one that
     SVD yields.
     """
-    xm, ym = _as_matrix_pair(x, y)
-    return _nearest_orthogonal(ym @ xm.T)
+    _check_compatible(x, y)
+    if not np.array_equal(x.mask, y.mask):
+        raise DimensionMismatch("orthogonal_procrustes needs identical domains; restrict first")
+    return _nearest_orthogonal(y.present_matrix() @ x.present_matrix().T)
 
 
 @dataclass(frozen=True)

@@ -21,6 +21,7 @@ from robust_coords.dimred import EmbeddingParams
 from robust_coords.ensemble import PipelineConfig, PipelineReport, generate_subsamples
 from robust_coords.errors import DegenerateGraph, DuplicateId, EigensolverFailed, ParseError
 from robust_coords.gpa_als import AlsOptions
+from robust_coords.procrustes_pair import procrustes_distance
 
 from conftest import random_config
 
@@ -293,6 +294,24 @@ def test_cli_gpa(tmp_path, rng, capsys):
     assert summary["loss"] <= 1e-12
     mean = read_points_csv(out / "mean.csv")
     assert mean.n_present == 20
+
+
+def test_cli_dist_and_gpa_accept_files_with_different_largest_ids(tmp_path, rng, capsys):
+    # both files hold ids 0-2, and only the first holds id 3
+    pts = rng.normal(size=(4, 2))
+    near = pts[:3] + 0.1 * rng.normal(size=(3, 2))
+    first, second = tmp_path / "a.csv", tmp_path / "b.csv"
+    write_points_csv(Configuration.from_rows(pts), first)
+    write_points_csv(Configuration.from_rows(near), second)
+    assert run_command(["dist", str(first), str(second)]) == 0
+    expected = procrustes_distance(Configuration.from_rows(pts[:3]), Configuration.from_rows(near))
+    assert float(capsys.readouterr().out) == expected
+    assert run_command(["dist", str(second), str(first)]) == 0
+    assert float(capsys.readouterr().out) > 0
+    out = tmp_path / "gpa_out"
+    assert run_command(["gpa", str(first), str(second), "--out", str(out)]) == 0
+    assert read_points_csv(out / "mean.csv").n_present == 4
+    assert np.array_equal(read_points_csv(out / "aligned_1.csv").present_indices(), [0, 1, 2])
 
 
 def test_cli_ph_unit_square(tmp_path, capsys):

@@ -11,7 +11,13 @@ from robust_coords.dimred import (
     isomap,
     pca_embed,
 )
-from robust_coords.errors import DegenerateGraph, NotSymmetric, TooFewPoints
+from robust_coords.errors import (
+    DegenerateGraph,
+    DimensionMismatch,
+    EmptyOverlap,
+    NotSymmetric,
+    TooFewPoints,
+)
 from robust_coords.procrustes_pair import procrustes_distance
 from robust_coords.synth import buckyball, swiss_roll
 
@@ -247,3 +253,37 @@ def test_external_embedding_restricts_to_domain(tmp_path, rng):
     out = embed(sub, params)
     assert np.array_equal(out.config.present_indices(), np.arange(2, 8))
     assert np.allclose(out.config.coords[:, 2:8], full.coords[:, 2:8])
+
+
+def test_external_embedding_rejects_wrong_dimension(tmp_path, rng):
+    from robust_coords.cli_io import write_points_csv
+
+    path = tmp_path / "ext3d.csv"
+    write_points_csv(Configuration.from_rows(rng.normal(size=(10, 3))), path)
+    x = Configuration.from_rows(rng.normal(size=(10, 3)))
+    params = EmbeddingParams(method="external", target_dim=2, source=str(path))
+    with pytest.raises(DimensionMismatch, match="dimension 3, not target_dim 2") as info:
+        embed(x, params)
+    assert str(path) in str(info.value)
+
+
+def test_external_embedding_without_overlap_is_skipped(tmp_path, rng, caplog):
+    from robust_coords.cli_io import write_points_csv
+    from robust_coords.ensemble import PipelineConfig, build_ensemble
+
+    # the source holds ids 20-29, beyond every index of the 20-point input
+    path = tmp_path / "ext.csv"
+    write_points_csv(Configuration.from_rows(rng.normal(size=(10, 2)), np.arange(20, 30)), path)
+    x = Configuration.from_rows(rng.normal(size=(20, 3)))
+    external = EmbeddingParams(method="external", target_dim=2, source=str(path))
+    with pytest.raises(EmptyOverlap, match="covers none of the input's indices"):
+        embed(x, external)
+    config = PipelineConfig(
+        n_subsamples=3,
+        subsample_size=12,
+        dimred=(external, EmbeddingParams(method="pca", target_dim=2)),
+    )
+    with caplog.at_level("WARNING", logger="robust_coords.ensemble"):
+        members = build_ensemble(x, config)
+    assert [m.params_index for m in members] == [1, 1, 1]
+    assert caplog.text.count("covers none of the input's indices") == 3

@@ -6,6 +6,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.spatial.distance import pdist
 
 import robust_coords
 from robust_coords.core_types import Configuration
@@ -25,6 +26,7 @@ from robust_coords.ensemble import (
 from robust_coords.errors import DimensionMismatch, EmptyOverlap, NoGoodCluster, SizeTooLarge
 from robust_coords.gpa_als import AlsOptions
 from robust_coords.procrustes_pair import affine_procrustes
+from robust_coords.tda import max_bar_length, rips_persistence
 
 from conftest import random_config, random_motion, random_orthogonal, rotation_2d
 
@@ -376,6 +378,32 @@ def test_select_prefers_disk_over_ring(rng):
     assert winner.verdict == "good"
     ring_cluster = [c for c in clusters if set(c.members) == set(range(6, 12))]
     assert ring_cluster and ring_cluster[0].verdict in ("rejected_ph", "rejected_sparse")
+
+
+def test_uncapped_scoring_matches_capped_oracle(rng):
+    # the clusters of test_select_prefers_disk_over_ring: scoring on the
+    # uncapped filtration, which stops at the enclosing radius, gives the
+    # bars and diameters of the old call capped just above the diameter
+    disk = disk_config(rng)
+    ring = ring_config(rng)
+    ens = [wrap(disk.transformed(random_motion(rng, 2)), i) for i in range(6)]
+    ens += [wrap(ring.transformed(random_motion(rng, 2)), 6 + i) for i in range(6)]
+    d = dissimilarity_matrix(ens)
+    config = small_config(seed=5)
+    clusters = cluster_ensemble(d, config)
+    select_good_cluster(clusters, ens, config, d)
+    scored = [c for c in clusters if c.representatives.size]
+    assert scored
+    for cluster in scored:
+        bars, diam = [], 0.0
+        for r in cluster.representatives:
+            cfg = ens[r].config
+            rep_diam = float(pdist(cfg.present_matrix().T).max())
+            diam = max(diam, rep_diam)
+            diagram = rips_persistence(cfg, max_radius=1.01 * rep_diam, landmark_budget=100)
+            bars.append(max_bar_length(diagram, 1))
+        assert cluster.ph1_max_bars == tuple(bars)
+        assert cluster.rep_diameter == diam
 
 
 def test_select_rejects_flat_clusters(rng):
