@@ -200,7 +200,12 @@ def read_manifest(path):
     def resolve(p):
         return p if os.path.isabs(p) else os.path.join(base, p)
 
-    return manifest.config, resolve(manifest.input_path), resolve(manifest.output_dir)
+    dimred = tuple(
+        p if p.source is None else dataclasses.replace(p, source=resolve(p.source))
+        for p in manifest.config.dimred
+    )
+    config = dataclasses.replace(manifest.config, dimred=dimred)
+    return config, resolve(manifest.input_path), resolve(manifest.output_dir)
 
 
 # -------------------------------------------------------------------- report

@@ -127,18 +127,22 @@ def embed(x, params):
             f"external embedding {params.source} has dimension {full.dim}, "
             f"not target_dim {params.target_dim}"
         )
-    width = min(full.n_global, x.n_global)
-    coords = np.zeros((full.dim, x.n_global))
-    coords[:, :width] = full.coords[:, :width]
-    keep = x.mask.copy()
-    keep[width:] = False
-    keep[:width] &= full.mask[:width]
-    if not keep.any():
+    ids = full.present_indices()
+    kept = ids[ids < x.n_global]
+    kept = kept[x.mask[kept]]
+    if not kept.size:
         raise EmptyOverlap(
             f"external embedding {params.source} covers none of the input's indices"
         )
-    dropped = np.flatnonzero(x.mask & ~keep)
-    return EmbeddingOutput(config=Configuration(coords, keep), dropped=dropped, params=params)
+    return _placed(x, full.coords[:, kept], kept, params)
+
+
+def _placed(x, chart, kept, params):
+    """The (d, len(kept)) chart placed at global indices ``kept`` of the
+    input ``x``; the input's other present indices come back in ``dropped``."""
+    config = Configuration.from_rows(chart.T, kept, n_global=x.n_global)
+    present = x.present_indices()
+    return EmbeddingOutput(config=config, dropped=present[~config.mask[present]], params=params)
 
 
 def _neighborhood_graph(dmat, params):
@@ -186,17 +190,8 @@ def isomap(x, params):
     geo = shortest_path(sub, method="D", directed=False)
     embedded = classical_mds(geo, d)
 
-    present = x.present_indices()
-    kept_global = present[in_comp]
-    coords = np.zeros((d, x.n_global))
-    coords[:, kept_global] = embedded.present_matrix()
-    mask = np.zeros(x.n_global, dtype=bool)
-    mask[kept_global] = True
-    return EmbeddingOutput(
-        config=Configuration(coords, mask),
-        dropped=present[~in_comp],
-        params=params,
-    )
+    kept = x.present_indices()[in_comp]
+    return _placed(x, embedded.present_matrix(), kept, params)
 
 
 def _top_eigpairs(b, d):
@@ -267,12 +262,6 @@ def pca_embed(x, d, params=None):
     m = m - m.mean(axis=1, keepdims=True)
     u, _, _ = np.linalg.svd(m, full_matrices=False)
     u = u[:, :d] * _column_signs(u[:, :d])
-    coords = np.zeros((d, x.n_global))
-    coords[:, x.present_indices()] = u.T @ m
     if params is None:
         params = EmbeddingParams(method="pca", target_dim=d)
-    return EmbeddingOutput(
-        config=Configuration(coords, x.mask.copy()),
-        dropped=np.empty(0, dtype=int),
-        params=params,
-    )
+    return _placed(x, u.T @ m, x.present_indices(), params)

@@ -15,8 +15,10 @@ Stages, in order:
    form; each member's nearest pair, and every pair where that form loses
    precision to cancellation, is then solved again exactly;
 3. cut the single-linkage dendrogram at a fraction of the median
-   dissimilarity;
-4. among dense clusters, sample representatives and score them by
+   dissimilarity; both sparse verdicts are set here, on every cluster that
+   is too small or whose median internal dissimilarity exceeds another
+   fraction of that median;
+4. among the dense clusters left, sample representatives and score them by
    essential dimensionality and the largest finite bar of degree-1 Rips
    persistent homology, run to the enclosing radius so that every 1-cycle
    dies; the good cluster minimizes that bar;
@@ -363,9 +365,11 @@ def _closed_form_dissimilarities(configs):
     return d + d.T, shared | shared.T, np.triu(imprecise, 1)
 
 
-def _median_offdiag(d):
-    iu = np.triu_indices(d.shape[0], 1)
-    return float(np.median(d[iu]))
+def _cutoffs(d, config):
+    """(median, link cutoff, dense cutoff) of the dissimilarity matrix d:
+    the median of its off-diagonal entries and the two fractions of it."""
+    med = float(np.median(d[np.triu_indices(d.shape[0], 1)]))
+    return med, config.cluster_link_fraction * med, config.dense_median_fraction * med
 
 
 def _median_intra(d, members):
@@ -379,14 +383,17 @@ def _median_intra(d, members):
 def cluster_ensemble(d, config):
     """Single-linkage clusters cut at link_fraction * median dissimilarity.
 
-    Clusters smaller than ``min_cluster_size`` are verdicted
-    ``rejected_sparse`` immediately; all other verdicts stay unset for
-    ``select_good_cluster``.  Clusters are ordered by decreasing size, then
-    lowest member index.
+    Both sparse verdicts are set here.  Clusters smaller than
+    ``min_cluster_size`` are ``rejected_sparse`` and keep ``dense`` False.
+    Every other cluster is ``dense`` when its median internal dissimilarity
+    is at most ``dense_median_fraction`` times the overall median, and
+    ``rejected_sparse`` otherwise.  The verdicts of dense clusters stay
+    unset for ``select_good_cluster``.  Clusters are ordered by decreasing
+    size, then lowest member index.
     """
-    cutoff = config.cluster_link_fraction * _median_offdiag(d)
+    _, link_cutoff, dense_cutoff = _cutoffs(d, config)
     merge_tree = linkage(squareform(d, checks=False), method="single")
-    labels = fcluster(merge_tree, t=cutoff, criterion="distance")
+    labels = fcluster(merge_tree, t=link_cutoff, criterion="distance")
     reports = []
     for label in np.unique(labels):
         members = np.flatnonzero(labels == label)
@@ -394,36 +401,32 @@ def cluster_ensemble(d, config):
             members=members,
             median_intra_distance=_median_intra(d, members),
         )
-        if report.size < config.min_cluster_size:
+        if report.size >= config.min_cluster_size:
+            report.dense = report.median_intra_distance <= dense_cutoff
+        if not report.dense:
             report.verdict = VERDICT_SPARSE
         reports.append(report)
     reports.sort(key=lambda r: (-r.size, int(r.members[0])))
     return reports
 
 
-def select_good_cluster(clusters, ensemble, config, dissimilarity):
+def select_good_cluster(clusters, ensemble, config):
     """Pick the dense, full-dimensional cluster with the smallest PH1 bar.
 
-    Density compares each cluster's median internal dissimilarity against
-    ``dense_median_fraction`` times the overall median.  For each dense
-    cluster a seeded sample of representatives is checked: every one must
-    have essential dimensionality >= the embedding dimension, and the
-    cluster score is the largest degree-1 bar among representatives.  The
-    minimizer wins if its score is at most ``ph_bar_fraction`` times the
-    representatives' diameter; ties break to the larger, then tighter,
-    cluster.  Raises NoGoodCluster (verdicts filled in) otherwise.
+    Only the clusters that ``cluster_ensemble`` left without a verdict (the
+    dense ones) are scored.  For each, a seeded sample of representatives
+    is checked: every one must have essential dimensionality >= the
+    embedding dimension, and the cluster score is the largest degree-1 bar
+    among representatives.  The minimizer wins if its score is at most
+    ``ph_bar_fraction`` times the representatives' diameter; ties break to
+    the larger, then tighter, cluster.  Raises NoGoodCluster (verdicts
+    filled in) otherwise.
     """
-    med_all = _median_offdiag(dissimilarity)
-    dense_cutoff = config.dense_median_fraction * med_all
     d_target = config.target_dim
 
     survivors = []
     for pos, cluster in enumerate(clusters):
         if cluster.verdict is not None:
-            continue
-        cluster.dense = cluster.median_intra_distance <= dense_cutoff
-        if not cluster.dense:
-            cluster.verdict = VERDICT_SPARSE
             continue
         rng = np.random.default_rng([config.seed, 101, pos])
         n_rep = min(config.ph_representatives, cluster.size)
@@ -515,7 +518,7 @@ def run_pipeline(x, config):
     # the 2-d view of the dissimilarities needs at least 3 members
     mds_view = classical_mds(d, 2) if len(ensemble) >= 3 else None
     clusters = cluster_ensemble(d, config)
-    med = _median_offdiag(d)
+    med, link_cutoff, dense_cutoff = _cutoffs(d, config)
     report = PipelineReport(
         embedding=None,
         outliers=np.empty(0, dtype=int),
@@ -525,13 +528,13 @@ def run_pipeline(x, config):
         mds_view=mds_view,
         dissimilarity=d,
         members=members,
-        link_cutoff=config.cluster_link_fraction * med,
-        dense_cutoff=config.dense_median_fraction * med,
+        link_cutoff=link_cutoff,
+        dense_cutoff=dense_cutoff,
         median_dissimilarity=med,
         config=config,
     )
     try:
-        winner = select_good_cluster(clusters, ensemble, config, d)
+        winner = select_good_cluster(clusters, ensemble, config)
     except NoGoodCluster as exc:
         exc.report = report
         raise

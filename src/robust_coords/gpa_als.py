@@ -155,10 +155,16 @@ def gpa_loss(problem, motions):
     d, n = problem.dim, problem.n_global
     idx = [cfg.present_indices() for cfg in problem.configs]
     mean = _index_totals(idx, transformed, d, n) * _inverse_counts(idx, n)
+    return _masked_loss(idx, transformed, mean)
+
+
+def _masked_loss(idx, blocks, mean):
+    """Mean over configurations of each block's squared distance from the
+    mean at its index set."""
     total = 0.0
-    for ix, block in zip(idx, transformed):
+    for ix, block in zip(idx, blocks):
         total += float(np.sum((block - mean[:, ix]) ** 2))
-    return total / problem.k
+    return total / len(blocks)
 
 
 def _check_finite_loss(value):
@@ -192,13 +198,7 @@ def als_align(problem):
     total = _index_totals(idx, blocks, d, n)
     mean = total * inv_counts
 
-    def current_loss():
-        acc = 0.0
-        for ix, block in zip(idx, blocks):
-            acc += float(np.sum((block - mean[:, ix]) ** 2))
-        return acc / k
-
-    trace = [current_loss()]
+    trace = [_masked_loss(idx, blocks, mean)]
     _check_finite_loss(trace[-1])
     iterations = 0
     converged = False
@@ -218,7 +218,7 @@ def als_align(problem):
         total = _index_totals(idx, blocks, d, n)
         mean = total * inv_counts
         iterations = sweep + 1
-        trace.append(current_loss())
+        trace.append(_masked_loss(idx, blocks, mean))
         _check_finite_loss(trace[-1])
         if iterations >= opts.min_iter and abs(trace[-2] - trace[-1]) < opts.tol:
             converged = True

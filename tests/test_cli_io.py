@@ -548,3 +548,22 @@ def test_write_report_embedding_round_trip(tmp_path, rng):
     }
     assert all(cluster_keys <= set(c) for c in doc["clusters"])
     assert len(doc["outliers"]) == len(report.outliers)
+
+
+def test_cli_run_resolves_source_against_manifest_directory(tmp_path, rng, monkeypatch):
+    # the manifest, its input and its external chart sit together in proj/;
+    # the run starts from proj's parent, where no chart.csv exists
+    proj = tmp_path / "proj"
+    proj.mkdir()
+    data = plane_cloud_csv(proj, rng)
+    write_points_csv(Configuration(read_points_csv(data).coords[:2]), proj / "chart.csv")
+    external = {"method": "external", "target_dim": 2, "source": "chart.csv"}
+    doc = manifest_doc(
+        "cloud.csv", "out", dimred=[external, {"method": "pca", "target_dim": 2}]
+    )
+    manifest = write_manifest(proj, doc)
+    monkeypatch.chdir(tmp_path)
+    assert run_command(["run", "--manifest", str(manifest)]) == 0
+    report = json.loads((proj / "out" / "report.json").read_text())
+    assert report["n_members"] == 16
+    assert report["config"]["dimred"][0]["source"] == str(proj / "chart.csv")

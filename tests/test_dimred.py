@@ -255,6 +255,25 @@ def test_external_embedding_restricts_to_domain(tmp_path, rng):
     assert np.allclose(out.config.coords[:, 2:8], full.coords[:, 2:8])
 
 
+def test_external_embedding_with_gaps_and_ids_beyond_input(tmp_path, rng):
+    from robust_coords.cli_io import read_points_csv, write_points_csv
+
+    # the source lacks ids 2 and 5 of the input and holds ids 11-12 beyond it
+    source_ids = np.array([0, 1, 3, 4, 6, 7, 8, 11, 12])
+    path = tmp_path / "ext.csv"
+    write_points_csv(Configuration.from_rows(rng.normal(size=(9, 2)), source_ids), path)
+    source = read_points_csv(path)
+    x = Configuration.from_rows(
+        rng.normal(size=(6, 3)), indices=np.array([1, 2, 3, 5, 6, 8]), n_global=10
+    )
+    out = embed(x, EmbeddingParams(method="external", target_dim=2, source=str(path)))
+    assert out.config.n_global == 10
+    assert np.array_equal(out.config.present_indices(), [1, 3, 6, 8])
+    assert np.array_equal(out.dropped, [2, 5])
+    assert np.array_equal(out.config.present_matrix(), source.coords[:, [1, 3, 6, 8]])
+    assert not out.config.coords[:, ~out.config.mask].any()
+
+
 def test_external_embedding_rejects_wrong_dimension(tmp_path, rng):
     from robust_coords.cli_io import write_points_csv
 

@@ -347,6 +347,26 @@ def test_cluster_uniform_chain_splits_into_singletons():
     assert all(c.verdict == "rejected_sparse" for c in clusters)
 
 
+def test_cluster_verdicts_diffuse_cluster_sparse():
+    # a tight blob 0-5 and a chain 6-11 of spacing 1, 10 apart: the median
+    # dissimilarity is 10, so both link at 0.5 * 10, and the chain's median
+    # internal distance 2 exceeds the dense cutoff 0.1 * 10
+    d = np.full((12, 12), 10.0)
+    d[:6, :6] = 0.1
+    pos = np.arange(6, dtype=float)
+    d[6:, 6:] = np.abs(pos[:, None] - pos[None, :])
+    np.fill_diagonal(d, 0.0)
+    config = small_config(dense_median_fraction=0.1)
+    blob, chain = cluster_ensemble(d, config)
+    assert list(blob.members) == list(range(6))
+    assert blob.dense and blob.verdict is None
+    assert list(chain.members) == list(range(6, 12))
+    assert not chain.dense and chain.verdict == "rejected_sparse"
+    # below the size limit density is not tested: dense stays False
+    small = cluster_ensemble(d, small_config(dense_median_fraction=0.1, min_cluster_size=7))
+    assert [(c.dense, c.verdict) for c in small] == [(False, "rejected_sparse")] * 2
+
+
 # ------------------------------------------------------ selection and mean
 
 
@@ -373,7 +393,7 @@ def test_select_prefers_disk_over_ring(rng):
     d = dissimilarity_matrix(ens)
     config = small_config(seed=5)
     clusters = cluster_ensemble(d, config)
-    winner = select_good_cluster(clusters, ens, config, d)
+    winner = select_good_cluster(clusters, ens, config)
     assert set(winner.members) == set(range(6))
     assert winner.verdict == "good"
     ring_cluster = [c for c in clusters if set(c.members) == set(range(6, 12))]
@@ -391,7 +411,7 @@ def test_uncapped_scoring_matches_capped_oracle(rng):
     d = dissimilarity_matrix(ens)
     config = small_config(seed=5)
     clusters = cluster_ensemble(d, config)
-    select_good_cluster(clusters, ens, config, d)
+    select_good_cluster(clusters, ens, config)
     scored = [c for c in clusters if c.representatives.size]
     assert scored
     for cluster in scored:
@@ -420,7 +440,7 @@ def test_select_rejects_flat_clusters(rng):
     config = small_config(seed=6)
     clusters = cluster_ensemble(d, config)
     with pytest.raises(NoGoodCluster):
-        select_good_cluster(clusters, ens, config, d)
+        select_good_cluster(clusters, ens, config)
     assert any(c.verdict == "rejected_dim" for c in clusters)
 
 
@@ -432,8 +452,25 @@ def test_select_prefers_dense_over_diffuse(rng):
     d = dissimilarity_matrix(ens)
     config = small_config(seed=7)
     clusters = cluster_ensemble(d, config)
-    winner = select_good_cluster(clusters, ens, config, d)
+    winner = select_good_cluster(clusters, ens, config)
     assert set(winner.members) == set(range(6))
+
+
+def test_select_ring_only_bar_exceeds_threshold(rng):
+    # noisy rings only: the dense cluster among them is full-dimensional, so
+    # it is scored, but its degree-1 bar is far above 0.1 times its diameter
+    ens = [wrap(ring_config(rng).transformed(random_motion(rng, 2)), i) for i in range(6)]
+    d = dissimilarity_matrix(ens)
+    config = small_config(
+        seed=8, cluster_link_fraction=1.0, dense_median_fraction=1.0, ph_bar_fraction=0.1
+    )
+    clusters = cluster_ensemble(d, config)
+    rings = clusters[0]
+    assert rings.dense and rings.size >= 2
+    with pytest.raises(NoGoodCluster, match="exceeds threshold"):
+        select_good_cluster(clusters, ens, config)
+    assert rings.verdict == "rejected_ph"
+    assert max(rings.ph1_max_bars) > rings.ph_bar_threshold
 
 
 # ---------------------------------------------------------------- average
