@@ -106,35 +106,36 @@ class EmbeddingOutput:
         self.dropped = np.asarray(self.dropped, dtype=int)
 
 
-def embed(x, params):
+def embed(x, params, chart=None):
     """Dispatch on ``params.method``.
 
-    External embeddings are read from the points CSV at ``params.source``
-    and restricted to the input's domain; the source's points at indices
-    the input lacks are ignored, and the input's indices the source lacks
-    are dropped.  Raises DimensionMismatch when the source's dimension is
-    not ``target_dim``, and EmptyOverlap when it covers none of the input's
-    indices.
+    External embeddings take the points CSV at ``params.source``, given
+    already read as ``chart`` or else read here, restricted to the input's
+    domain; the source's points at indices the input lacks are ignored,
+    and the input's indices the source lacks are dropped.  Raises
+    DimensionMismatch when the source's dimension is not ``target_dim``,
+    and EmptyOverlap when it covers none of the input's indices.
     """
     if params.method == "isomap":
         return isomap(x, params)
     if params.method == "pca":
         return pca_embed(x, params.target_dim, params=params)
-    from .cli_io import read_points_csv  # lazy: avoids cycle
-    full = read_points_csv(params.source)
-    if full.dim != params.target_dim:
+    if chart is None:
+        from .cli_io import read_points_csv  # lazy: avoids cycle
+        chart = read_points_csv(params.source)
+    if chart.dim != params.target_dim:
         raise DimensionMismatch(
-            f"external embedding {params.source} has dimension {full.dim}, "
+            f"external embedding {params.source} has dimension {chart.dim}, "
             f"not target_dim {params.target_dim}"
         )
-    ids = full.present_indices()
+    ids = chart.present_indices()
     kept = ids[ids < x.n_global]
     kept = kept[x.mask[kept]]
     if not kept.size:
         raise EmptyOverlap(
             f"external embedding {params.source} covers none of the input's indices"
         )
-    return _placed(x, full.coords[:, kept], kept, params)
+    return _placed(x, chart.coords[:, kept], kept, params)
 
 
 def _placed(x, chart, kept, params):
@@ -187,7 +188,9 @@ def isomap(x, params):
         )
 
     sub = graph[in_comp][:, in_comp]
-    geo = shortest_path(sub, method="D", directed=False)
+    # the graph is exactly symmetric, so each edge is relaxed once, in the
+    # direction it is stored, with the same geodesics as directed=False
+    geo = shortest_path(sub, method="D", directed=True)
     embedded = classical_mds(geo, d)
 
     kept = x.present_indices()[in_comp]

@@ -8,16 +8,18 @@ Stages, in order:
    scoring above ``_REJECT_MEDIAN_MULTIPLE`` times the median score;
    then draw index subsamples of the input, remove the rejected points
    from each, and embed each one under every parameter setting in the
-   mesh (failures are logged and skipped);
+   mesh, spread over forked worker processes (failures are logged and
+   skipped);
 2. fill the pairwise dissimilarity matrix with overlap-normalized
    Procrustes distances (residual / sqrt(#shared indices), so pairs with
    different overlap sizes are comparable), all from one batched closed
    form; each member's nearest pair, and every pair where that form loses
    precision to cancellation, is then solved again exactly;
 3. cut the single-linkage dendrogram at a fraction of the median
-   dissimilarity; both sparse verdicts are set here, on every cluster that
-   is too small or whose median internal dissimilarity exceeds another
-   fraction of that median;
+   dissimilarity (floored at a tiny fraction of the members' scale, so
+   that identical members stay together); both sparse verdicts are set
+   here, on every cluster that is too small or whose median internal
+   dissimilarity exceeds another fraction of that median;
 4. among the dense clusters left, sample representatives and score them by
    essential dimensionality and the largest finite bar of degree-1 Rips
    persistent homology, run to the enclosing radius so that every 1-cycle
@@ -34,6 +36,8 @@ Every random choice derives from the pipeline seed, so a fixed
 from __future__ import annotations
 
 import logging
+import os
+import traceback
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -99,6 +103,12 @@ _DISSIMILARITY_ROW_BLOCK = 16
 # exactly; above it the error stays far below 1e-10 relative.
 _CANCELLATION_TOL = 1e-4
 
+# The selection cutoffs are fractions of the median dissimilarity, which is
+# floored at this fraction of the members' scale (their median RMS radius).
+# Members that are one chart differ by rounding only, and cutoffs set by
+# rounding noise would split them; real ensembles have medians far above.
+_CUTOFF_FLOOR = 1e-6
+
 
 @dataclass(frozen=True)
 class PipelineConfig:
@@ -107,9 +117,10 @@ class PipelineConfig:
     Thresholds are fractions of data-derived scales: the dendrogram is cut
     at ``cluster_link_fraction`` times the median dissimilarity, a cluster
     is dense when its median internal dissimilarity is below
-    ``dense_median_fraction`` times the overall median, and the winning
-    cluster's largest degree-1 bar must stay below ``ph_bar_fraction``
-    times the representatives' diameter.
+    ``dense_median_fraction`` times the overall median (that median is
+    floored at ``_CUTOFF_FLOOR`` times the members' median RMS radius), and
+    the winning cluster's largest degree-1 bar must stay below
+    ``ph_bar_fraction`` times the representatives' diameter.
     """
 
     n_subsamples: int
@@ -246,7 +257,11 @@ def build_ensemble(x, config):
     ``dropped``, so they become missing points downstream and end up in
     the report's outliers.  Items whose embedding fails (fragmented graph,
     too few points, ...) are logged and skipped rather than aborting the
-    run.
+    run.  Each ``external`` source is read once.
+
+    The items are embedded by as many processes as there are usable
+    CPUs, capped at the number of items; see ``_embed_items``.  The
+    members, their order and the log lines do not depend on that number.
     """
     present = x.present_indices()
     subsamples = generate_subsamples(
@@ -255,29 +270,147 @@ def build_ensemble(x, config):
     rejected = off_manifold_points(x, config.target_dim)
     if rejected.size:
         logger.info("rejected %d off-manifold points", rejected.size)
+    from .cli_io import read_points_csv  # lazy: avoids cycle
+    charts = {
+        p.source: read_points_csv(p.source) for p in config.dimred if p.method == "external"
+    }
+    job = _EmbedJob(x, config, present, subsamples, rejected, charts)
+    only_rejected = [np.isin(present[subset], rejected).all() for subset in subsamples]
+    items = [
+        (a, b)
+        for a in range(len(subsamples))
+        if not only_rejected[a]
+        for b in range(len(config.dimred))
+    ]
+    results = _embed_items(job, items)
     outputs = []
-    for a, subset in enumerate(subsamples):
-        keep = np.zeros(x.n_global, dtype=bool)
-        keep[present[subset]] = True
-        left_out = rejected[keep[rejected]]
-        keep[rejected] = False
-        if not keep.any():
+    for a in range(len(subsamples)):
+        if only_rejected[a]:
             logger.warning("subsample %d holds only rejected points", a)
             continue
-        sub_cfg = x.restrict(keep)
-        for b, params in enumerate(config.dimred):
-            try:
-                out = embed(sub_cfg, params)
-            except RobustCoordsError as exc:
-                logger.warning(
-                    "embedding failed for subsample %d, params %d: %s", a, b, exc
-                )
-                continue
-            out.dropped = np.union1d(out.dropped, left_out)
-            out.subsample_index = a
-            out.params_index = b
-            outputs.append(out)
+        for b in range(len(config.dimred)):
+            out = results[a, b]
+            if isinstance(out, RobustCoordsError):
+                logger.warning("embedding failed for subsample %d, params %d: %s", a, b, out)
+            else:
+                outputs.append(out)
     return outputs
+
+
+@dataclass(frozen=True)
+class _EmbedJob:
+    """What every (subsample a, parameter b) item of one ensemble reads."""
+
+    x: Configuration
+    config: PipelineConfig
+    present: np.ndarray
+    subsamples: list
+    rejected: np.ndarray
+    charts: dict  # external source path -> its points, read once
+
+
+def _embed_item(job, a, b):
+    """Subsample a embedded under parameter setting b: the member, or the
+    RobustCoordsError that stopped it, returned rather than raised."""
+    keep = np.zeros(job.x.n_global, dtype=bool)
+    keep[job.present[job.subsamples[a]]] = True
+    left_out = job.rejected[keep[job.rejected]]
+    keep[job.rejected] = False
+    params = job.config.dimred[b]
+    try:
+        out = embed(job.x.restrict(keep), params, chart=job.charts.get(params.source))
+    except RobustCoordsError as exc:
+        return exc.with_traceback(None)  # its frames would hold the member's arrays
+    out.dropped = np.union1d(out.dropped, left_out)
+    out.subsample_index = a
+    out.params_index = b
+    return out
+
+
+def _process_count(n_items):
+    """The usable CPUs, capped at ``n_items``."""
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        cpus = os.cpu_count() or 1
+    return max(1, min(cpus, n_items))
+
+
+class _RemoteTraceback(Exception):
+    """A worker's formatted traceback, chained onto the error it raised."""
+
+    def __str__(self):
+        return self.args[0]
+
+
+def _embed_items(job, items):
+    """{(a, b): _embed_item(job, a, b)} over ``items``, in W processes.
+
+    Process k of W embeds the items of every subsample a with a % W == k:
+    this process takes k = 0, through the module attribute ``embed``, and
+    a forked worker process each other k.  The shares are fixed by a alone,
+    so which process embeds an item never depends on timing, and each
+    subsample's items stay together.  Workers inherit ``job`` through the
+    fork, so nothing is sent to them.  Each sends back its list of results
+    once it is done, and this process reads them in its main thread after
+    its own share: a helper thread unpickling members would allocate them
+    in a malloc arena of its own and leave the process's peak memory
+    higher after every run.  A RobustCoordsError comes back as a value;
+    any other exception is raised here, chained to the worker's traceback.
+    Every worker is stopped and joined before this returns or raises.
+    """
+    w = _process_count(len(items))
+    if w > 1:
+        import multiprocessing  # only here, so that importing stays cheap
+
+        if "fork" not in multiprocessing.get_all_start_methods():
+            w = 1
+    shares = [[item for item in items if item[0] % w == k] for k in range(w)]
+    logger.info(
+        "embedding %d items in %d processes, %d of them in the parent",
+        len(items), w, len(shares[0]),
+    )
+    if w == 1:
+        return {item: _embed_item(job, *item) for item in items}
+    ctx = multiprocessing.get_context("fork")
+    procs = []
+    try:
+        for share in filter(None, shares[1:]):
+            reader, writer = ctx.Pipe(duplex=False)
+            proc = ctx.Process(target=_embed_share, args=(job, share, writer), daemon=True)
+            proc.start()
+            writer.close()
+            procs.append((proc, reader, share))
+        results = {item: _embed_item(job, *item) for item in shares[0]}
+        for proc, reader, share in procs:
+            try:
+                outcome = reader.recv()
+            except EOFError:  # the worker died before sending
+                proc.join()
+                raise RuntimeError(
+                    f"embedding worker exited with code {proc.exitcode}"
+                ) from None
+            if isinstance(outcome, tuple):
+                exc, text = outcome
+                raise exc from _RemoteTraceback(text)
+            results.update(zip(share, outcome))
+    finally:
+        for proc, reader, _ in procs:
+            proc.terminate()
+            proc.join()
+            reader.close()
+    return results
+
+
+def _embed_share(job, share, writer):
+    """A worker's body: embed ``share`` and send the results, or the
+    exception that stopped it with its formatted traceback, through
+    ``writer``."""
+    try:
+        outcome = [_embed_item(job, *item) for item in share]
+    except Exception as exc:  # raised again in the parent
+        outcome = (exc, traceback.format_exc())
+    writer.send(outcome)
 
 
 def dissimilarity_matrix(ensemble):
@@ -365,11 +498,22 @@ def _closed_form_dissimilarities(configs):
     return d + d.T, shared | shared.T, np.triu(imprecise, 1)
 
 
-def _cutoffs(d, config):
+def _cutoffs(d, config, scale):
     """(median, link cutoff, dense cutoff) of the dissimilarity matrix d:
-    the median of its off-diagonal entries and the two fractions of it."""
+    the median of its off-diagonal entries, and two fractions of it floored
+    at ``_CUTOFF_FLOOR`` times the members' ``scale``."""
     med = float(np.median(d[np.triu_indices(d.shape[0], 1)]))
-    return med, config.cluster_link_fraction * med, config.dense_median_fraction * med
+    base = max(med, _CUTOFF_FLOOR * scale)
+    return med, config.cluster_link_fraction * base, config.dense_median_fraction * base
+
+
+def _member_scale(ensemble):
+    """The median over members of the RMS radius of their present points."""
+    radii = []
+    for out in ensemble:
+        m = out.config.present_matrix()
+        radii.append(np.sqrt(np.mean(np.sum((m - m.mean(axis=1, keepdims=True)) ** 2, axis=0))))
+    return float(np.median(radii))
 
 
 def _median_intra(d, members):
@@ -380,7 +524,7 @@ def _median_intra(d, members):
     return float(np.median(block[iu]))
 
 
-def cluster_ensemble(d, config):
+def cluster_ensemble(d, config, scale):
     """Single-linkage clusters cut at link_fraction * median dissimilarity.
 
     Both sparse verdicts are set here.  Clusters smaller than
@@ -389,9 +533,11 @@ def cluster_ensemble(d, config):
     is at most ``dense_median_fraction`` times the overall median, and
     ``rejected_sparse`` otherwise.  The verdicts of dense clusters stay
     unset for ``select_good_cluster``.  Clusters are ordered by decreasing
-    size, then lowest member index.
+    size, then lowest member index.  The median under both fractions is
+    floored at ``_CUTOFF_FLOOR`` times ``scale``, the members' median RMS
+    radius (0 sets no floor).
     """
-    _, link_cutoff, dense_cutoff = _cutoffs(d, config)
+    _, link_cutoff, dense_cutoff = _cutoffs(d, config, scale)
     merge_tree = linkage(squareform(d, checks=False), method="single")
     labels = fcluster(merge_tree, t=link_cutoff, criterion="distance")
     reports = []
@@ -517,8 +663,9 @@ def run_pipeline(x, config):
     d = dissimilarity_matrix(ensemble)
     # the 2-d view of the dissimilarities needs at least 3 members
     mds_view = classical_mds(d, 2) if len(ensemble) >= 3 else None
-    clusters = cluster_ensemble(d, config)
-    med, link_cutoff, dense_cutoff = _cutoffs(d, config)
+    scale = _member_scale(ensemble)
+    clusters = cluster_ensemble(d, config, scale)
+    med, link_cutoff, dense_cutoff = _cutoffs(d, config, scale)
     report = PipelineReport(
         embedding=None,
         outliers=np.empty(0, dtype=int),

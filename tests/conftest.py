@@ -1,3 +1,5 @@
+import multiprocessing
+
 import numpy as np
 import pytest
 
@@ -31,6 +33,25 @@ def random_config(rng, d=2, n=20, mask_prob=None):
     return Configuration(coords, mask)
 
 
+def set_process_count(monkeypatch, w):
+    """Embed ensembles in w processes (capped at the items) instead of one
+    per usable CPU."""
+    from robust_coords import ensemble
+
+    monkeypatch.setattr(ensemble, "_process_count", lambda n_items: min(w, n_items))
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240817)
+
+
+@pytest.fixture(autouse=True)
+def no_child_process_left():
+    """Fail any test that leaves a child process running, then stop it."""
+    yield
+    left = multiprocessing.active_children()
+    for child in left:
+        child.terminate()
+        child.join(timeout=10)
+    assert not left, f"test left child processes running: {left}"

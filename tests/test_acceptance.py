@@ -44,7 +44,7 @@ from robust_coords.procrustes_pair import affine_procrustes, procrustes_distance
 from robust_coords.synth import add_gaussian_noise, add_uniform_outliers, buckyball, swiss_roll
 from robust_coords.tda import max_bar_length, rips_from_distances, rips_persistence
 
-from conftest import random_config, random_orthogonal
+from conftest import random_config, random_orthogonal, set_process_count
 from test_gpa_als import als_full
 
 
@@ -450,7 +450,7 @@ def test_criterion_07_parameter_sweep():
     ensemble = build_ensemble(sample.points3d, config)
     assert len(ensemble) == 30
     d = dissimilarity_matrix(ensemble)
-    clusters = cluster_ensemble(d, config)
+    clusters = cluster_ensemble(d, config, scale=0.0)
     assert len(clusters) >= 2
 
     eps_index = np.array([out.params_index for out in ensemble])
@@ -602,6 +602,23 @@ def test_outputs_independent_of_blas_threads(tmp_path):
         a = (outputs[0] / name).read_bytes()
         b = (outputs[1] / name).read_bytes()
         assert a == b, f"{name} differs between 1 and 2 BLAS threads"
+
+
+@pytest.mark.slow
+def test_outputs_independent_of_worker_count(tmp_path, monkeypatch):
+    # criterion 10's manifest, embedded by 1 and by 2 processes, writes the
+    # same bytes
+    mpath = write_c10_manifest(tmp_path)
+    outputs = []
+    for workers in (1, 2):
+        set_process_count(monkeypatch, workers)
+        out = tmp_path / f"workers{workers}"
+        assert run_command(["run", "--manifest", str(mpath), "--out", str(out)]) == 0
+        outputs.append(out)
+    for name in C10_OUTPUTS:
+        a = (outputs[0] / name).read_bytes()
+        b = (outputs[1] / name).read_bytes()
+        assert a == b, f"{name} differs between 1 and 2 workers"
 
 
 # --------------------------------------------------------------- criterion 9

@@ -508,6 +508,21 @@ def test_cli_run_has_no_thread_setting(tmp_path, rng, capsys, monkeypatch):
     assert "unrecognized arguments: --threads 2" in capsys.readouterr().err
 
 
+def test_cli_run_identical_members_form_one_good_cluster(tmp_path):
+    # 6 external members, each a 100-point restriction of one 200-point roll
+    # chart, differ by rounding only; the cutoffs' floor keeps them together
+    synth = ["synth", "swiss-roll", "--n", "200", "--seed", "3", "--out", str(tmp_path / "roll.csv"),
+             "--intrinsic-out", str(tmp_path / "chart.csv")]
+    assert run_command(synth) == 0
+    external = {"method": "external", "target_dim": 2, "source": "chart.csv"}
+    doc = {"format_version": "1", "input_path": "roll.csv", "output_dir": "out",
+           "config": {"n_subsamples": 6, "subsample_size": 100, "dimred": [external]}}
+    assert run_command(["run", "--manifest", str(write_manifest(tmp_path, doc))]) == 0
+    report = json.loads((tmp_path / "out" / "report.json").read_text())
+    assert report["thresholds"]["median_dissimilarity"] < 1e-12
+    assert [(c["size"], c["verdict"]) for c in report["clusters"]] == [(6, "good")]
+
+
 def test_cli_run_seed_flag_overrides_manifest_seed(tmp_path, rng):
     data = plane_cloud_csv(tmp_path, rng)
     flag, manifest = tmp_path / "flag", tmp_path / "manifest"

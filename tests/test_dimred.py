@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import shortest_path
 from scipy.spatial.distance import pdist, squareform
 
 from robust_coords import dimred
@@ -107,6 +109,33 @@ def test_isomap_swiss_roll_unrolls():
     dist = procrustes_distance(out.config, chart)
     per_point = dist / np.sqrt(kept.size)
     assert per_point <= 0.02 * diam
+
+
+def _geodesic_graph(points, params):
+    # the weighted graph isomap builds; csr_matrix drops zero-weight edges
+    dmat = squareform(pdist(points))
+    return csr_matrix(np.where(dimred._neighborhood_graph(dmat, params), dmat, 0.0))
+
+
+@pytest.mark.parametrize("kind", ["epsilon", "union-knn", "coincident", "disconnected"])
+def test_directed_dijkstra_matches_undirected_oracle(kind):
+    # isomap relaxes each stored edge once (directed=True); the graph is
+    # exactly symmetric, so the geodesics equal the undirected call's bits
+    points = swiss_roll(150, seed=4).points3d.present_matrix().T
+    params = EmbeddingParams(target_dim=2, epsilon=4.0)
+    if kind == "union-knn":
+        params = EmbeddingParams(target_dim=2, knn=6)
+    elif kind == "coincident":
+        points = np.vstack([points, points[:20]])
+    elif kind == "disconnected":
+        points = np.vstack([points, points[:30] + 1000.0])
+    graph = _geodesic_graph(points, params)
+    assert (graph != graph.T).nnz == 0
+    fast = shortest_path(graph, method="D", directed=True)
+    oracle = shortest_path(graph, method="D", directed=False)
+    assert np.array_equal(fast, oracle)
+    if kind == "disconnected":
+        assert np.isinf(fast).any()
 
 
 def test_mds_345_triangle():

@@ -28,7 +28,13 @@ from robust_coords.gpa_als import AlsOptions
 from robust_coords.procrustes_pair import affine_procrustes
 from robust_coords.tda import max_bar_length, rips_persistence
 
-from conftest import random_config, random_motion, random_orthogonal, rotation_2d
+from conftest import (
+    random_config,
+    random_motion,
+    random_orthogonal,
+    rotation_2d,
+    set_process_count,
+)
 
 
 PCA_PARAMS = EmbeddingParams(method="pca", target_dim=2)
@@ -121,6 +127,126 @@ def test_build_ensemble_skips_failures(rng, caplog):
     outs = build_ensemble(x, config)
     assert len(outs) == 2
     assert all(o.params.method == "pca" for o in outs)
+
+
+def roll_with_partial_chart(tmp_path, rng):
+    # a 3-d roll with box outliers, so that rejected points reach `dropped`,
+    # and an external chart covering ids 0-5 only, so that the subsamples
+    # holding none of them fail with EmptyOverlap
+    from robust_coords.cli_io import write_points_csv
+    from robust_coords.synth import add_uniform_outliers, swiss_roll
+
+    x, _ = add_uniform_outliers(swiss_roll(150, seed=8).points3d, 10, seed=9)
+    path = tmp_path / "partial.csv"
+    write_points_csv(Configuration.from_rows(rng.normal(size=(6, 2))), path)
+    config = PipelineConfig(
+        n_subsamples=8,
+        subsample_size=40,
+        seed=2,
+        dimred=(
+            EmbeddingParams(target_dim=2, knn=8),
+            EmbeddingParams(method="external", target_dim=2, source=str(path)),
+        ),
+    )
+    return x, config
+
+
+def test_build_ensemble_same_members_for_any_worker_count(
+    tmp_path, rng, caplog, monkeypatch
+):
+    import multiprocessing
+
+    x, config = roll_with_partial_chart(tmp_path, rng)
+    runs = []
+    for workers in (1, 2):
+        set_process_count(monkeypatch, workers)
+        caplog.clear()
+        with caplog.at_level(logging.WARNING, logger="robust_coords.ensemble"):
+            members = build_ensemble(x, config)
+        assert multiprocessing.active_children() == []
+        logged = [(r.getMessage(), type(r.args[-1])) for r in caplog.records]
+        runs.append((members, logged))
+    (one, log_one), (two, log_two) = runs
+    assert log_one == log_two
+    assert any(kind is EmptyOverlap for _, kind in log_one)
+    assert {m.params_index for m in one} == {0, 1}
+    rejected = off_manifold_points(x, 2)
+    assert rejected.size and any(np.isin(rejected, m.dropped).any() for m in one)
+    assert len(one) == len(two)
+    for p, q in zip(one, two):
+        assert (p.subsample_index, p.params_index) == (q.subsample_index, q.params_index)
+        assert np.array_equal(p.config.coords, q.config.coords)
+        assert np.array_equal(p.config.mask, q.config.mask)
+        assert np.array_equal(p.dropped, q.dropped)
+
+
+@pytest.mark.parametrize(
+    "where, message",
+    [
+        ("worker", "raised in the worker"),
+        ("parent", "raised in the parent"),
+        ("dead worker", "embedding worker exited with code 3"),
+    ],
+)
+def test_build_ensemble_reraises_other_errors_and_leaves_no_process(
+    tmp_path, rng, monkeypatch, where, message
+):
+    import multiprocessing
+
+    from robust_coords import ensemble
+
+    x, config = roll_with_partial_chart(tmp_path, rng)
+    parent = os.getpid()
+    embed = ensemble.embed
+
+    def embed_or_raise(sub, params, chart=None):
+        if (os.getpid() == parent) == (where == "parent"):
+            if where == "dead worker":
+                os._exit(3)
+            raise RuntimeError(f"raised in the {where}")
+        return embed(sub, params, chart=chart)
+
+    monkeypatch.setattr(ensemble, "embed", embed_or_raise)
+    set_process_count(monkeypatch, 2)
+    with pytest.raises(RuntimeError, match=message) as raised:
+        build_ensemble(x, config)
+    assert multiprocessing.active_children() == []
+    if where == "worker":  # the worker's frames come along as the cause
+        assert "in embed_or_raise" in str(raised.value.__cause__)
+
+
+def test_build_ensemble_reads_each_external_source_once(tmp_path, rng, monkeypatch):
+    from robust_coords import cli_io
+    from robust_coords.dimred import embed
+
+    # 2-d input: nothing is rejected, so each member is its subsample's chart
+    x = Configuration.from_rows(rng.normal(size=(60, 2)))
+    path = tmp_path / "chart.csv"
+    cli_io.write_points_csv(Configuration.from_rows(rng.normal(size=(60, 2))), path)
+    calls = tmp_path / "calls.txt"
+    read = cli_io.read_points_csv
+
+    def counted(source):  # a file, so that reads in a worker are counted too
+        with open(calls, "a") as fh:
+            fh.write(f"{source}\n")
+        return read(source)
+
+    monkeypatch.setattr(cli_io, "read_points_csv", counted)
+    set_process_count(monkeypatch, 2)
+    external = EmbeddingParams(method="external", target_dim=2, source=str(path))
+    config = PipelineConfig(
+        n_subsamples=8, subsample_size=30, seed=4, dimred=(external, PCA_PARAMS)
+    )
+    members = build_ensemble(x, config)
+    assert calls.read_text().splitlines() == [str(path)]
+    subsamples = generate_subsamples(60, 30, 8, seed=4)
+    assert len(members) == 16
+    for m in members[::2]:
+        keep = np.zeros(60, dtype=bool)
+        keep[subsamples[m.subsample_index]] = True
+        oracle = embed(x.restrict(keep), external)  # reads the source itself
+        assert np.array_equal(m.config.coords, oracle.config.coords)
+        assert np.array_equal(m.config.mask, oracle.config.mask)
 
 
 # ---------------------------------------------------- dissimilarity matrix
@@ -322,7 +448,7 @@ def test_cluster_two_blobs():
         for j in other:
             d[i, j] = d[j, i] = 10.0
     config = small_config()
-    clusters = cluster_ensemble(d, config)
+    clusters = cluster_ensemble(d, config, scale=0.0)
     assert len(clusters) == 2
     sets = sorted(tuple(c.members) for c in clusters)
     assert sets == [tuple(blob), tuple(other)]
@@ -330,7 +456,7 @@ def test_cluster_two_blobs():
 
 def test_cluster_all_zero_distances():
     d = np.zeros((6, 6))
-    clusters = cluster_ensemble(d, small_config())
+    clusters = cluster_ensemble(d, small_config(), scale=0.0)
     assert len(clusters) == 1
     assert clusters[0].size == 6
 
@@ -342,9 +468,21 @@ def test_cluster_uniform_chain_splits_into_singletons():
     d = np.abs(pos[:, None] - pos[None, :])
     config = small_config(cluster_link_fraction=0.4)
     # median off-diagonal distance of the chain is 2.0 -> cut at 0.8 < 1
-    clusters = cluster_ensemble(d, config)
+    clusters = cluster_ensemble(d, config, scale=0.0)
     assert len(clusters) == n
     assert all(c.verdict == "rejected_sparse" for c in clusters)
+
+
+def test_cluster_cutoffs_floored_at_member_scale():
+    # the chain of the test above, shrunk to rounding size: unfloored, the
+    # cutoffs split it as before; floored at the members' scale, it is one
+    # dense cluster
+    pos = np.arange(6, dtype=float) * 1e-15
+    d = np.abs(pos[:, None] - pos[None, :])
+    config = small_config(cluster_link_fraction=0.4)
+    assert len(cluster_ensemble(d, config, scale=0.0)) == 6
+    (whole,) = cluster_ensemble(d, config, scale=1.0)
+    assert whole.size == 6 and whole.dense and whole.verdict is None
 
 
 def test_cluster_verdicts_diffuse_cluster_sparse():
@@ -357,13 +495,14 @@ def test_cluster_verdicts_diffuse_cluster_sparse():
     d[6:, 6:] = np.abs(pos[:, None] - pos[None, :])
     np.fill_diagonal(d, 0.0)
     config = small_config(dense_median_fraction=0.1)
-    blob, chain = cluster_ensemble(d, config)
+    blob, chain = cluster_ensemble(d, config, scale=0.0)
     assert list(blob.members) == list(range(6))
     assert blob.dense and blob.verdict is None
     assert list(chain.members) == list(range(6, 12))
     assert not chain.dense and chain.verdict == "rejected_sparse"
     # below the size limit density is not tested: dense stays False
-    small = cluster_ensemble(d, small_config(dense_median_fraction=0.1, min_cluster_size=7))
+    config = small_config(dense_median_fraction=0.1, min_cluster_size=7)
+    small = cluster_ensemble(d, config, scale=0.0)
     assert [(c.dense, c.verdict) for c in small] == [(False, "rejected_sparse")] * 2
 
 
@@ -392,7 +531,7 @@ def test_select_prefers_disk_over_ring(rng):
     ens += [wrap(ring.transformed(random_motion(rng, 2)), 6 + i) for i in range(6)]
     d = dissimilarity_matrix(ens)
     config = small_config(seed=5)
-    clusters = cluster_ensemble(d, config)
+    clusters = cluster_ensemble(d, config, scale=0.0)
     winner = select_good_cluster(clusters, ens, config)
     assert set(winner.members) == set(range(6))
     assert winner.verdict == "good"
@@ -410,7 +549,7 @@ def test_uncapped_scoring_matches_capped_oracle(rng):
     ens += [wrap(ring.transformed(random_motion(rng, 2)), 6 + i) for i in range(6)]
     d = dissimilarity_matrix(ens)
     config = small_config(seed=5)
-    clusters = cluster_ensemble(d, config)
+    clusters = cluster_ensemble(d, config, scale=0.0)
     select_good_cluster(clusters, ens, config)
     scored = [c for c in clusters if c.representatives.size]
     assert scored
@@ -438,7 +577,7 @@ def test_select_rejects_flat_clusters(rng):
         ens.append(wrap(random_config(rng, n=60), 6 + i))
     d = dissimilarity_matrix(ens)
     config = small_config(seed=6)
-    clusters = cluster_ensemble(d, config)
+    clusters = cluster_ensemble(d, config, scale=0.0)
     with pytest.raises(NoGoodCluster):
         select_good_cluster(clusters, ens, config)
     assert any(c.verdict == "rejected_dim" for c in clusters)
@@ -451,7 +590,7 @@ def test_select_prefers_dense_over_diffuse(rng):
     ens = dense + diffuse
     d = dissimilarity_matrix(ens)
     config = small_config(seed=7)
-    clusters = cluster_ensemble(d, config)
+    clusters = cluster_ensemble(d, config, scale=0.0)
     winner = select_good_cluster(clusters, ens, config)
     assert set(winner.members) == set(range(6))
 
@@ -464,7 +603,7 @@ def test_select_ring_only_bar_exceeds_threshold(rng):
     config = small_config(
         seed=8, cluster_link_fraction=1.0, dense_median_fraction=1.0, ph_bar_fraction=0.1
     )
-    clusters = cluster_ensemble(d, config)
+    clusters = cluster_ensemble(d, config, scale=0.0)
     rings = clusters[0]
     assert rings.dense and rings.size >= 2
     with pytest.raises(NoGoodCluster, match="exceeds threshold"):
