@@ -2,8 +2,8 @@
 
 File formats
 ------------
-Points CSV: header ``id,x0,...,x{d-1}``; one row per present index; floats
-written with 17 significant digits so a write/read round trip is exact.
+Points CSV: see ``core_types``; ``read_points_csv`` and ``write_points_csv``
+are re-exported here.
 
 Manifest JSON: ``{"format_version": "1", "input_path": ..., "output_dir":
 ..., "config": {...}}`` where ``config`` mirrors PipelineConfig field for
@@ -32,15 +32,10 @@ import typing
 
 import numpy as np
 
-from .core_types import Configuration
+from .core_types import Configuration, _fmt, read_points_csv, write_points_csv
 from .dimred import EmbeddingParams, embed
 from .ensemble import PipelineConfig, run_pipeline
-from .errors import (
-    DuplicateId,
-    NoGoodCluster,
-    ParseError,
-    RobustCoordsError,
-)
+from .errors import NoGoodCluster, ParseError, RobustCoordsError
 from .gpa_als import AlsOptions, GpaProblem, als_align, normalize_first_fixed
 from .procrustes_pair import procrustes_distance
 from .synth import add_gaussian_noise, add_uniform_outliers, buckyball, swiss_roll
@@ -58,71 +53,6 @@ __all__ = [
 logger = logging.getLogger(__name__)
 
 FORMAT_VERSION = "1"
-
-
-def _fmt(x):
-    return format(float(x), ".17g")
-
-
-# ---------------------------------------------------------------- points CSV
-
-
-def read_points_csv(path):
-    """Read a points CSV into a Configuration.
-
-    Column 0 is the integer global index; the remaining columns are the
-    coordinates.  Missing rows are missing points.
-    """
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise ParseError("empty file", line=1) from None
-        header = [h.strip() for h in header]
-        if not header or header[0] != "id":
-            raise ParseError("header must start with 'id'", line=1)
-        dim = len(header) - 1
-        if dim < 1:
-            raise ParseError("no coordinate columns", line=1)
-        expected = [f"x{i}" for i in range(dim)]
-        if header[1:] != expected:
-            raise ParseError(
-                f"coordinate columns must be {','.join(expected)}", line=1
-            )
-        ids = []
-        rows = []
-        seen = set()
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != dim + 1:
-                raise ParseError(f"expected {dim + 1} fields, got {len(row)}", line=lineno)
-            try:
-                idx = int(row[0])
-                vals = [float(v) for v in row[1:]]
-            except ValueError as exc:
-                raise ParseError(str(exc), line=lineno) from None
-            if idx < 0:
-                raise ParseError(f"negative id {idx}", line=lineno)
-            if idx in seen:
-                raise DuplicateId(f"duplicate id {idx}", line=lineno)
-            seen.add(idx)
-            ids.append(idx)
-            rows.append(vals)
-    if not ids:
-        raise ParseError("file has no data rows")
-    return Configuration.from_rows(np.asarray(rows), indices=np.asarray(ids))
-
-
-def write_points_csv(config, path):
-    """Write a Configuration's present points; inverse of read_points_csv."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["id"] + [f"x{i}" for i in range(config.dim)])
-        matrix = config.present_matrix()
-        for col, idx in enumerate(config.present_indices()):
-            writer.writerow([int(idx)] + [_fmt(v) for v in matrix[:, col]])
 
 
 # ------------------------------------------------------------------ manifest

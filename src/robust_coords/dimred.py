@@ -17,7 +17,7 @@ from scipy.sparse.csgraph import connected_components, shortest_path
 from scipy.sparse.linalg import ArpackError, eigsh
 from scipy.spatial.distance import pdist, squareform
 
-from .core_types import Configuration
+from .core_types import Configuration, read_points_csv
 from .errors import (
     DegenerateGraph,
     DimensionMismatch,
@@ -121,7 +121,6 @@ def embed(x, params, chart=None):
     if params.method == "pca":
         return pca_embed(x, params.target_dim, params=params)
     if chart is None:
-        from .cli_io import read_points_csv  # lazy: avoids cycle
         chart = read_points_csv(params.source)
     if chart.dim != params.target_dim:
         raise DimensionMismatch(

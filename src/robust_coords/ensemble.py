@@ -8,8 +8,9 @@ Stages, in order:
    scoring above ``_REJECT_MEDIAN_MULTIPLE`` times the median score;
    then draw index subsamples of the input, remove the rejected points
    from each, and embed each one under every parameter setting in the
-   mesh, spread over forked worker processes (failures are logged and
-   skipped);
+   mesh; one function builds each member, and one process map spreads
+   the subsamples over forked worker processes (failures, an all-rejected
+   subsample among them, are logged and skipped);
 2. fill the pairwise dissimilarity matrix with overlap-normalized
    Procrustes distances (residual / sqrt(#shared indices), so pairs with
    different overlap sizes are comparable), all from one batched closed
@@ -46,7 +47,7 @@ from scipy.spatial import KDTree
 from scipy.spatial.distance import pdist, squareform
 
 from . import tda
-from .core_types import Configuration, _check_compatible
+from .core_types import Configuration, _check_compatible, read_points_csv
 from .dimred import EmbeddingParams, classical_mds, embed
 from .errors import NoGoodCluster, RobustCoordsError, SizeTooLarge
 from .gpa_als import AlsOptions, GpaProblem, als_align, essential_dimension, normalize_first_fixed
@@ -256,12 +257,14 @@ def build_ensemble(x, config):
     each subsample before embedding and added to every member's
     ``dropped``, so they become missing points downstream and end up in
     the report's outliers.  Items whose embedding fails (fragmented graph,
-    too few points, ...) are logged and skipped rather than aborting the
-    run.  Each ``external`` source is read once.
+    too few points, a subsample holding only rejected points, ...) are
+    logged and skipped rather than aborting the run.  Each ``external``
+    source is read once.
 
     The items are embedded by as many processes as there are usable
-    CPUs, capped at the number of items; see ``_embed_items``.  The
-    members, their order and the log lines do not depend on that number.
+    CPUs, capped at the number of subsamples; see ``_map_in_processes``.
+    The members, their order and the log lines do not depend on that
+    number.
     """
     present = x.present_indices()
     subsamples = generate_subsamples(
@@ -270,70 +273,44 @@ def build_ensemble(x, config):
     rejected = off_manifold_points(x, config.target_dim)
     if rejected.size:
         logger.info("rejected %d off-manifold points", rejected.size)
-    from .cli_io import read_points_csv  # lazy: avoids cycle
     charts = {
         p.source: read_points_csv(p.source) for p in config.dimred if p.method == "external"
     }
-    job = _EmbedJob(x, config, present, subsamples, rejected, charts)
-    only_rejected = [np.isin(present[subset], rejected).all() for subset in subsamples]
-    items = [
-        (a, b)
-        for a in range(len(subsamples))
-        if not only_rejected[a]
-        for b in range(len(config.dimred))
-    ]
-    results = _embed_items(job, items)
+
+    def member(a, b):
+        """Subsample a embedded under parameter setting b: the member, or
+        the RobustCoordsError that stopped it, returned rather than raised."""
+        keep = np.zeros(x.n_global, dtype=bool)
+        keep[present[subsamples[a]]] = True
+        left_out = rejected[keep[rejected]]
+        keep[rejected] = False
+        params = config.dimred[b]
+        try:
+            out = embed(x.restrict(keep), params, chart=charts.get(params.source))
+        except RobustCoordsError as exc:
+            return exc.with_traceback(None)  # its frames would hold the member's arrays
+        out.dropped = np.union1d(out.dropped, left_out)
+        out.subsample_index = a
+        out.params_index = b
+        return out
+
+    items = [(a, b) for a in range(len(subsamples)) for b in range(len(config.dimred))]
     outputs = []
-    for a in range(len(subsamples)):
-        if only_rejected[a]:
-            logger.warning("subsample %d holds only rejected points", a)
-            continue
-        for b in range(len(config.dimred)):
-            out = results[a, b]
-            if isinstance(out, RobustCoordsError):
-                logger.warning("embedding failed for subsample %d, params %d: %s", a, b, out)
-            else:
-                outputs.append(out)
+    for (a, b), out in zip(items, _map_in_processes(member, items)):
+        if isinstance(out, RobustCoordsError):
+            logger.warning("embedding failed for subsample %d, params %d: %s", a, b, out)
+        else:
+            outputs.append(out)
     return outputs
 
 
-@dataclass(frozen=True)
-class _EmbedJob:
-    """What every (subsample a, parameter b) item of one ensemble reads."""
-
-    x: Configuration
-    config: PipelineConfig
-    present: np.ndarray
-    subsamples: list
-    rejected: np.ndarray
-    charts: dict  # external source path -> its points, read once
-
-
-def _embed_item(job, a, b):
-    """Subsample a embedded under parameter setting b: the member, or the
-    RobustCoordsError that stopped it, returned rather than raised."""
-    keep = np.zeros(job.x.n_global, dtype=bool)
-    keep[job.present[job.subsamples[a]]] = True
-    left_out = job.rejected[keep[job.rejected]]
-    keep[job.rejected] = False
-    params = job.config.dimred[b]
-    try:
-        out = embed(job.x.restrict(keep), params, chart=job.charts.get(params.source))
-    except RobustCoordsError as exc:
-        return exc.with_traceback(None)  # its frames would hold the member's arrays
-    out.dropped = np.union1d(out.dropped, left_out)
-    out.subsample_index = a
-    out.params_index = b
-    return out
-
-
-def _process_count(n_items):
-    """The usable CPUs, capped at ``n_items``."""
+def _process_count(n_keys):
+    """The usable CPUs, capped at ``n_keys``."""
     try:
         cpus = len(os.sched_getaffinity(0))
     except AttributeError:  # no affinity call on this platform
         cpus = os.cpu_count() or 1
-    return max(1, min(cpus, n_items))
+    return max(1, min(cpus, n_keys))
 
 
 class _RemoteTraceback(Exception):
@@ -343,45 +320,46 @@ class _RemoteTraceback(Exception):
         return self.args[0]
 
 
-def _embed_items(job, items):
-    """{(a, b): _embed_item(job, a, b)} over ``items``, in W processes.
+def _map_in_processes(fn, items):
+    """[fn(*item) for item in items], computed in W processes.
 
-    Process k of W embeds the items of every subsample a with a % W == k:
-    this process takes k = 0, through the module attribute ``embed``, and
-    a forked worker process each other k.  The shares are fixed by a alone,
-    so which process embeds an item never depends on timing, and each
-    subsample's items stay together.  Workers inherit ``job`` through the
-    fork, so nothing is sent to them.  Each sends back its list of results
-    once it is done, and this process reads them in its main thread after
-    its own share: a helper thread unpickling members would allocate them
-    in a malloc arena of its own and leave the process's peak memory
-    higher after every run.  A RobustCoordsError comes back as a value;
-    any other exception is raised here, chained to the worker's traceback.
-    Every worker is stopped and joined before this returns or raises.
+    The items are distinct tuples whose first entry, an int a, is their
+    share key; W is ``_process_count`` of the number of distinct keys.
+    Process k of W computes the items with a % W == k: this process takes
+    k = 0, and a forked worker process each other k.  The shares are fixed
+    by a alone, so which process computes an item never depends on timing,
+    and the items sharing a key stay together.  Workers inherit ``fn`` and
+    what it closes over through the fork, so nothing is sent to them.
+    Each sends back its list of results once it is done, and this process
+    reads them in its main thread after its own share: a helper thread
+    unpickling results would allocate them in a malloc arena of its own
+    and leave the process's peak memory higher after every run.  An
+    exception that ``fn`` raises in a worker is raised here, chained to the
+    worker's traceback.  Every worker is stopped and joined before this
+    returns or raises.
     """
-    w = _process_count(len(items))
+    w = _process_count(len({item[0] for item in items}))
     if w > 1:
         import multiprocessing  # only here, so that importing stays cheap
 
-        if "fork" not in multiprocessing.get_all_start_methods():
+        if "fork" in multiprocessing.get_all_start_methods():
+            ctx = multiprocessing.get_context("fork")
+        else:
             w = 1
     shares = [[item for item in items if item[0] % w == k] for k in range(w)]
     logger.info(
         "embedding %d items in %d processes, %d of them in the parent",
         len(items), w, len(shares[0]),
     )
-    if w == 1:
-        return {item: _embed_item(job, *item) for item in items}
-    ctx = multiprocessing.get_context("fork")
     procs = []
     try:
-        for share in filter(None, shares[1:]):
+        for share in shares[1:]:
             reader, writer = ctx.Pipe(duplex=False)
-            proc = ctx.Process(target=_embed_share, args=(job, share, writer), daemon=True)
+            proc = ctx.Process(target=_map_share, args=(fn, share, writer), daemon=True)
             proc.start()
             writer.close()
             procs.append((proc, reader, share))
-        results = {item: _embed_item(job, *item) for item in shares[0]}
+        results = {item: fn(*item) for item in shares[0]}
         for proc, reader, share in procs:
             try:
                 outcome = reader.recv()
@@ -399,15 +377,14 @@ def _embed_items(job, items):
             proc.terminate()
             proc.join()
             reader.close()
-    return results
+    return [results[item] for item in items]
 
 
-def _embed_share(job, share, writer):
-    """A worker's body: embed ``share`` and send the results, or the
-    exception that stopped it with its formatted traceback, through
-    ``writer``."""
+def _map_share(fn, share, writer):
+    """A worker's body: send [fn(*item) for item in share], or the exception
+    that stopped it with its formatted traceback, through ``writer``."""
     try:
-        outcome = [_embed_item(job, *item) for item in share]
+        outcome = [fn(*item) for item in share]
     except Exception as exc:  # raised again in the parent
         outcome = (exc, traceback.format_exc())
     writer.send(outcome)

@@ -34,11 +34,11 @@ def random_config(rng, d=2, n=20, mask_prob=None):
 
 
 def set_process_count(monkeypatch, w):
-    """Embed ensembles in w processes (capped at the items) instead of one
-    per usable CPU."""
+    """Embed ensembles in w processes (capped at the subsamples) instead of
+    one per usable CPU."""
     from robust_coords import ensemble
 
-    monkeypatch.setattr(ensemble, "_process_count", lambda n_items: min(w, n_items))
+    monkeypatch.setattr(ensemble, "_process_count", lambda n_keys: min(w, n_keys))
 
 
 @pytest.fixture

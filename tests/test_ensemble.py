@@ -216,22 +216,23 @@ def test_build_ensemble_reraises_other_errors_and_leaves_no_process(
 
 
 def test_build_ensemble_reads_each_external_source_once(tmp_path, rng, monkeypatch):
-    from robust_coords import cli_io
+    from robust_coords import ensemble
+    from robust_coords.core_types import write_points_csv
     from robust_coords.dimred import embed
 
     # 2-d input: nothing is rejected, so each member is its subsample's chart
     x = Configuration.from_rows(rng.normal(size=(60, 2)))
     path = tmp_path / "chart.csv"
-    cli_io.write_points_csv(Configuration.from_rows(rng.normal(size=(60, 2))), path)
+    write_points_csv(Configuration.from_rows(rng.normal(size=(60, 2))), path)
     calls = tmp_path / "calls.txt"
-    read = cli_io.read_points_csv
+    read = ensemble.read_points_csv
 
     def counted(source):  # a file, so that reads in a worker are counted too
         with open(calls, "a") as fh:
             fh.write(f"{source}\n")
         return read(source)
 
-    monkeypatch.setattr(cli_io, "read_points_csv", counted)
+    monkeypatch.setattr(ensemble, "read_points_csv", counted)
     set_process_count(monkeypatch, 2)
     external = EmbeddingParams(method="external", target_dim=2, source=str(path))
     config = PipelineConfig(
@@ -247,6 +248,78 @@ def test_build_ensemble_reads_each_external_source_once(tmp_path, rng, monkeypat
         oracle = embed(x.restrict(keep), external)  # reads the source itself
         assert np.array_equal(m.config.coords, oracle.config.coords)
         assert np.array_equal(m.config.mask, oracle.config.mask)
+
+
+def test_build_ensemble_skips_all_rejected_subsample(rng, caplog, monkeypatch):
+    from robust_coords import ensemble
+
+    x = Configuration.from_rows(rng.normal(size=(80, 2)))
+    config = PipelineConfig(
+        n_subsamples=4,
+        subsample_size=20,
+        seed=3,
+        dimred=(PCA_PARAMS, EmbeddingParams(target_dim=2, knn=6)),
+    )
+    subsamples = generate_subsamples(80, 20, 4, seed=3)
+    # subsample 1 lies in the worker's share at 2 processes
+    monkeypatch.setattr(ensemble, "off_manifold_points", lambda x, d: subsamples[1])
+    runs = []
+    for workers in (1, 2):
+        set_process_count(monkeypatch, workers)
+        caplog.clear()
+        with caplog.at_level(logging.WARNING, logger="robust_coords.ensemble"):
+            members = build_ensemble(x, config)
+        named = [r for r in caplog.records if "subsample 1," in r.getMessage()]
+        assert [r.args[1] for r in named] == [0, 1]
+        assert all(isinstance(r.args[-1], EmptyOverlap) for r in named)
+        runs.append(members)
+    one, two = runs
+    assert [(m.subsample_index, m.params_index) for m in one] == [
+        (a, b) for a in (0, 2, 3) for b in (0, 1)
+    ]
+    assert len(one) == len(two)
+    for p, q in zip(one, two):
+        assert (p.subsample_index, p.params_index) == (q.subsample_index, q.params_index)
+        assert np.array_equal(p.config.coords, q.config.coords)
+        assert np.array_equal(p.config.mask, q.config.mask)
+        assert np.array_equal(p.dropped, q.dropped)
+
+
+def test_build_ensemble_caps_processes_at_subsamples(rng, caplog):
+    # the share key is the subsample, so one subsample needs one process
+    x = Configuration.from_rows(rng.normal(size=(20, 2)))
+    config = PipelineConfig(n_subsamples=1, subsample_size=10, dimred=(PCA_PARAMS, PCA_PARAMS))
+    with caplog.at_level(logging.INFO, logger="robust_coords.ensemble"):
+        assert len(build_ensemble(x, config)) == 2
+    assert "embedding 2 items in 1 processes, 2 of them in the parent" in caplog.messages
+
+
+LAYERING_SCRIPT = """
+import sys
+import numpy as np
+import robust_coords
+from robust_coords.core_types import write_points_csv
+chart = sys.argv[1]
+rng = np.random.default_rng(6)
+write_points_csv(robust_coords.Configuration.from_rows(rng.normal(size=(40, 2))), chart)
+x = robust_coords.Configuration.from_rows(rng.normal(size=(40, 2)))
+external = robust_coords.EmbeddingParams(method="external", target_dim=2, source=chart)
+config = robust_coords.PipelineConfig(n_subsamples=3, subsample_size=20, dimred=(external,))
+assert len(robust_coords.build_ensemble(x, config)) == 3
+print(sorted(m for m in sys.modules if m.startswith("robust_coords")))
+"""
+
+
+def test_build_ensemble_never_imports_the_cli_module(tmp_path):
+    src = str(Path(robust_coords.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", LAYERING_SCRIPT, str(tmp_path / "chart.csv")],
+        env=env, capture_output=True, text=True, timeout=300, check=True,
+    )
+    loaded = proc.stdout.strip()
+    assert "'robust_coords.ensemble'" in loaded
+    assert "robust_coords.cli_io" not in loaded
 
 
 # ---------------------------------------------------- dissimilarity matrix
