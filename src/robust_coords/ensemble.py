@@ -325,6 +325,8 @@ def _map_in_processes(fn, items):
 
     The items are distinct tuples whose first entry, an int a, is their
     share key; W is ``_process_count`` of the number of distinct keys.
+    The keys must be 0..n-1, as ``build_ensemble``'s subsample indices
+    are, so that no share is empty; the log lines speak of embedding.
     Process k of W computes the items with a % W == k: this process takes
     k = 0, and a forked worker process each other k.  The shares are fixed
     by a alone, so which process computes an item never depends on timing,
@@ -339,6 +341,7 @@ def _map_in_processes(fn, items):
     returns or raises.
     """
     w = _process_count(len({item[0] for item in items}))
+    ctx = None
     if w > 1:
         import multiprocessing  # only here, so that importing stays cheap
 
