@@ -152,11 +152,14 @@ def _neighborhood_graph(dmat, params):
         adj = dmat <= params.epsilon
     else:
         ell = min(params.knn, m - 1)
-        order = np.argsort(dmat, axis=1, kind="stable")
+        order = np.argsort(dmat, axis=1, kind="stable")[:, : ell + 1]
+        is_self = order == np.arange(m)[:, None]
+        # exact duplicates, also at distance 0, can crowd a point out of its
+        # own first ell + 1; it then gives up its farthest candidate instead
+        is_self[~is_self.any(axis=1), -1] = True
         adj = np.zeros((m, m), dtype=bool)
         rows = np.repeat(np.arange(m), ell)
-        # column 0 of the stable argsort is the point itself (distance 0)
-        adj[rows, order[:, 1 : ell + 1].ravel()] = True
+        adj[rows, order[~is_self]] = True
         adj |= adj.T
     np.fill_diagonal(adj, False)
     return adj
@@ -177,7 +180,10 @@ def isomap(x, params):
     dmat = squareform(pdist(points))
     adj = _neighborhood_graph(dmat, params)
 
-    graph = csr_matrix(np.where(adj, dmat, 0.0))
+    # built from the edge list, so that the weight-0 edge between exact
+    # duplicates is stored: csgraph treats stored zeros as edges
+    rows, cols = np.nonzero(adj)
+    graph = csr_matrix((dmat[rows, cols], (rows, cols)), shape=adj.shape)
     n_comp, labels = connected_components(graph, directed=False)
     keep_label = np.bincount(labels).argmax()
     in_comp = labels == keep_label

@@ -8,17 +8,18 @@ Stages, in order:
    scoring above ``_REJECT_MEDIAN_MULTIPLE`` times the median score;
    then draw index subsamples of the input, remove the rejected points
    from each, and embed each one under every parameter setting in the
-   mesh; one function builds each member, and one process map spreads
-   the subsamples over forked worker processes (failures, an all-rejected
-   subsample among them, are logged and skipped);
+   mesh; one process map spreads the subsample indices over forked worker
+   processes (failures, an all-rejected subsample among them, are logged
+   and skipped);
 2. fill the pairwise dissimilarity matrix with overlap-normalized
    Procrustes distances (residual / sqrt(#shared indices), so pairs with
    different overlap sizes are comparable), all from one batched closed
    form; each member's nearest pair, and every pair where that form loses
    precision to cancellation, is then solved again exactly;
-3. cut the single-linkage dendrogram at a fraction of the median
-   dissimilarity (floored at a tiny fraction of the members' scale, so
-   that identical members stay together); both sparse verdicts are set
+3. cut single linkage at a fraction of the median dissimilarity (floored
+   at a tiny fraction of the members' scale, so that identical members
+   stay together), as the connected components of the graph of pairs
+   within the cut, without a dendrogram; both sparse verdicts are set
    here, on every cluster that is too small or whose median internal
    dissimilarity exceeds another fraction of that median;
 4. among the dense clusters left, sample representatives and score them by
@@ -42,7 +43,7 @@ import traceback
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.cluster.hierarchy import fcluster, linkage
+from scipy.sparse.csgraph import connected_components
 from scipy.spatial import KDTree
 from scipy.spatial.distance import pdist, squareform
 
@@ -115,7 +116,7 @@ _CUTOFF_FLOOR = 1e-6
 class PipelineConfig:
     """All knobs of one pipeline run.
 
-    Thresholds are fractions of data-derived scales: the dendrogram is cut
+    Thresholds are fractions of data-derived scales: single linkage is cut
     at ``cluster_link_fraction`` times the median dissimilarity, a cluster
     is dense when its median internal dissimilarity is below
     ``dense_median_fraction`` times the overall median (that median is
@@ -256,15 +257,16 @@ def build_ensemble(x, config):
     if nothing were rejected; the rejected points are then removed from
     each subsample before embedding and added to every member's
     ``dropped``, so they become missing points downstream and end up in
-    the report's outliers.  Items whose embedding fails (fragmented graph,
+    the report's outliers.  Pairs whose embedding fails (fragmented graph,
     too few points, a subsample holding only rejected points, ...) are
     logged and skipped rather than aborting the run.  Each ``external``
     source is read once.
 
-    The items are embedded by as many processes as there are usable
-    CPUs, capped at the number of subsamples; see ``_map_in_processes``.
-    The members, their order and the log lines do not depend on that
-    number.
+    One task embeds one subsample under every parameter setting in order,
+    and ``_map_in_processes`` runs the tasks in as many processes as there
+    are usable CPUs, capped at the number of subsamples.  The members are
+    ordered by subsample, then parameter setting; they, their order and the
+    log lines do not depend on the number of processes.
     """
     present = x.present_indices()
     subsamples = generate_subsamples(
@@ -277,40 +279,43 @@ def build_ensemble(x, config):
         p.source: read_points_csv(p.source) for p in config.dimred if p.method == "external"
     }
 
-    def member(a, b):
-        """Subsample a embedded under parameter setting b: the member, or
-        the RobustCoordsError that stopped it, returned rather than raised."""
+    def members(a):
+        """Subsample a embedded under each parameter setting in order: the
+        member, or the RobustCoordsError that stopped it, returned."""
         keep = np.zeros(x.n_global, dtype=bool)
         keep[present[subsamples[a]]] = True
         left_out = rejected[keep[rejected]]
         keep[rejected] = False
-        params = config.dimred[b]
-        try:
-            out = embed(x.restrict(keep), params, chart=charts.get(params.source))
-        except RobustCoordsError as exc:
-            return exc.with_traceback(None)  # its frames would hold the member's arrays
-        out.dropped = np.union1d(out.dropped, left_out)
-        out.subsample_index = a
-        out.params_index = b
-        return out
+        outs = []
+        for b, params in enumerate(config.dimred):
+            try:
+                out = embed(x.restrict(keep), params, chart=charts.get(params.source))
+            except RobustCoordsError as exc:
+                out = exc.with_traceback(None)  # its frames would hold the arrays
+            else:
+                out.dropped = np.union1d(out.dropped, left_out)
+                out.subsample_index = a
+                out.params_index = b
+            outs.append(out)
+        return outs
 
-    items = [(a, b) for a in range(len(subsamples)) for b in range(len(config.dimred))]
     outputs = []
-    for (a, b), out in zip(items, _map_in_processes(member, items)):
-        if isinstance(out, RobustCoordsError):
-            logger.warning("embedding failed for subsample %d, params %d: %s", a, b, out)
-        else:
-            outputs.append(out)
+    for a, outs in enumerate(_map_in_processes(members, len(subsamples))):
+        for b, out in enumerate(outs):
+            if isinstance(out, RobustCoordsError):
+                logger.warning("embedding failed for subsample %d, params %d: %s", a, b, out)
+            else:
+                outputs.append(out)
     return outputs
 
 
-def _process_count(n_keys):
-    """The usable CPUs, capped at ``n_keys``."""
+def _process_count(n):
+    """The usable CPUs, capped at ``n``."""
     try:
         cpus = len(os.sched_getaffinity(0))
     except AttributeError:  # no affinity call on this platform
         cpus = os.cpu_count() or 1
-    return max(1, min(cpus, n_keys))
+    return max(1, min(cpus, n))
 
 
 class _RemoteTraceback(Exception):
@@ -320,27 +325,23 @@ class _RemoteTraceback(Exception):
         return self.args[0]
 
 
-def _map_in_processes(fn, items):
-    """[fn(*item) for item in items], computed in W processes.
+def _map_in_processes(fn, n):
+    """[fn(a) for a in range(n)], computed in W = ``_process_count(n)``
+    processes.
 
-    The items are distinct tuples whose first entry, an int a, is their
-    share key; W is ``_process_count`` of the number of distinct keys.
-    The keys must be 0..n-1, as ``build_ensemble``'s subsample indices
-    are, so that no share is empty; the log lines speak of embedding.
-    Process k of W computes the items with a % W == k: this process takes
-    k = 0, and a forked worker process each other k.  The shares are fixed
-    by a alone, so which process computes an item never depends on timing,
-    and the items sharing a key stay together.  Workers inherit ``fn`` and
-    what it closes over through the fork, so nothing is sent to them.
-    Each sends back its list of results once it is done, and this process
-    reads them in its main thread after its own share: a helper thread
-    unpickling results would allocate them in a malloc arena of its own
-    and leave the process's peak memory higher after every run.  An
-    exception that ``fn`` raises in a worker is raised here, chained to the
-    worker's traceback.  Every worker is stopped and joined before this
-    returns or raises.
+    Process k of W computes fn(a) for a in range(k, n, W): this process
+    takes k = 0, and a forked worker process each other k.  The shares are
+    fixed by a alone, so which process computes fn(a) never depends on
+    timing.  Workers inherit ``fn`` and what it closes over through the
+    fork, so nothing is sent to them.  Each sends back its list of results
+    once it is done, and this process reads them in its main thread after
+    its own share: a helper thread unpickling results would allocate them
+    in a malloc arena of its own and leave the process's peak memory higher
+    after every run.  An exception that ``fn`` raises in a worker is raised
+    here, chained to the worker's traceback.  Every worker is stopped and
+    joined before this returns or raises.
     """
-    w = _process_count(len({item[0] for item in items}))
+    w = _process_count(n)
     ctx = None
     if w > 1:
         import multiprocessing  # only here, so that importing stays cheap
@@ -349,45 +350,42 @@ def _map_in_processes(fn, items):
             ctx = multiprocessing.get_context("fork")
         else:
             w = 1
-    shares = [[item for item in items if item[0] % w == k] for k in range(w)]
     logger.info(
-        "embedding %d items in %d processes, %d of them in the parent",
-        len(items), w, len(shares[0]),
+        "%d tasks in %d processes, %d of them in the parent", n, w, len(range(0, n, w))
     )
+    results = [None] * n
     procs = []
     try:
-        for share in shares[1:]:
+        for k in range(1, w):
             reader, writer = ctx.Pipe(duplex=False)
-            proc = ctx.Process(target=_map_share, args=(fn, share, writer), daemon=True)
+            proc = ctx.Process(target=_map_share, args=(fn, range(k, n, w), writer), daemon=True)
             proc.start()
             writer.close()
-            procs.append((proc, reader, share))
-        results = {item: fn(*item) for item in shares[0]}
-        for proc, reader, share in procs:
+            procs.append((proc, reader))
+        results[::w] = [fn(a) for a in range(0, n, w)]
+        for k, (proc, reader) in enumerate(procs, start=1):
             try:
                 outcome = reader.recv()
             except EOFError:  # the worker died before sending
                 proc.join()
-                raise RuntimeError(
-                    f"embedding worker exited with code {proc.exitcode}"
-                ) from None
+                raise RuntimeError(f"worker process exited with code {proc.exitcode}") from None
             if isinstance(outcome, tuple):
                 exc, text = outcome
                 raise exc from _RemoteTraceback(text)
-            results.update(zip(share, outcome))
+            results[k::w] = outcome
     finally:
-        for proc, reader, _ in procs:
+        for proc, reader in procs:
             proc.terminate()
             proc.join()
             reader.close()
-    return [results[item] for item in items]
+    return results
 
 
 def _map_share(fn, share, writer):
-    """A worker's body: send [fn(*item) for item in share], or the exception
-    that stopped it with its formatted traceback, through ``writer``."""
+    """A worker's body: send [fn(a) for a in share], or the exception that
+    stopped it with its formatted traceback, through ``writer``."""
     try:
-        outcome = [fn(*item) for item in share]
+        outcome = [fn(a) for a in share]
     except Exception as exc:  # raised again in the parent
         outcome = (exc, traceback.format_exc())
     writer.send(outcome)
@@ -507,6 +505,9 @@ def _median_intra(d, members):
 def cluster_ensemble(d, config, scale):
     """Single-linkage clusters cut at link_fraction * median dissimilarity.
 
+    A single-linkage dendrogram cut at height t has the same clusters as
+    the connected components of the graph joining members i and j when
+    d[i, j] <= t (Gower & Ross, 1969), so the components are found directly.
     Both sparse verdicts are set here.  Clusters smaller than
     ``min_cluster_size`` are ``rejected_sparse`` and keep ``dense`` False.
     Every other cluster is ``dense`` when its median internal dissimilarity
@@ -518,8 +519,7 @@ def cluster_ensemble(d, config, scale):
     radius (0 sets no floor).
     """
     _, link_cutoff, dense_cutoff = _cutoffs(d, config, scale)
-    merge_tree = linkage(squareform(d, checks=False), method="single")
-    labels = fcluster(merge_tree, t=link_cutoff, criterion="distance")
+    _, labels = connected_components(d <= link_cutoff, directed=False)
     reports = []
     for label in np.unique(labels):
         members = np.flatnonzero(labels == label)

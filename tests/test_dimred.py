@@ -138,6 +138,39 @@ def test_directed_dijkstra_matches_undirected_oracle(kind):
         assert np.isinf(fast).any()
 
 
+@pytest.mark.parametrize("params", [
+    EmbeddingParams(target_dim=2, knn=5),
+    EmbeddingParams(target_dim=2, epsilon=1.5),
+])
+def test_isomap_exact_duplicate_is_at_geodesic_distance_zero(rng, monkeypatch, params):
+    # a cloud plus one exact copy of point 0: the weight-0 edge between the
+    # copies is kept, so their geodesics agree and the copies embed together
+    points = rng.normal(size=(30, 3))
+    points = np.vstack([points, points[:1]])
+    seen = []
+
+    def spy(graph, **kw):
+        seen.append((graph, shortest_path(graph, **kw)))
+        return seen[-1][1]
+
+    monkeypatch.setattr(dimred, "shortest_path", spy)
+    out = isomap(Configuration.from_rows(points), params)
+    ((graph, geo),) = seen
+    kept = out.config.present_indices()
+    assert kept[0] == 0 and kept[-1] == 30
+    twin = kept.size - 1
+    assert geo[0, twin] == geo[twin, 0] == 0.0
+    assert np.array_equal(geo[0], geo[twin])
+    assert np.array_equal(geo, shortest_path(graph, method="D", directed=False))
+    coords = out.config.coords
+    assert np.abs(coords[:, 0] - coords[:, 30]).max() <= 1e-12 * np.abs(coords).max()
+    if params.knn is not None:
+        # each copy keeps knn neighbours besides itself, the other copy first
+        adj = dimred._neighborhood_graph(squareform(pdist(points)), params)
+        assert adj[0, 30] and adj[30, 0]
+        assert adj.sum(axis=1).min() >= params.knn
+
+
 def test_mds_345_triangle():
     d = np.array([[0.0, 3.0, 5.0], [3.0, 0.0, 4.0], [5.0, 4.0, 0.0]])
     cfg = classical_mds(d, 2)

@@ -6,7 +6,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from scipy.spatial.distance import pdist
+from scipy.cluster.hierarchy import fcluster, linkage
+from scipy.spatial.distance import pdist, squareform
 
 import robust_coords
 from robust_coords.core_types import Configuration
@@ -185,7 +186,7 @@ def test_build_ensemble_same_members_for_any_worker_count(
     [
         ("worker", "raised in the worker"),
         ("parent", "raised in the parent"),
-        ("dead worker", "embedding worker exited with code 3"),
+        ("dead worker", "worker process exited with code 3"),
     ],
 )
 def test_build_ensemble_reraises_other_errors_and_leaves_no_process(
@@ -291,7 +292,59 @@ def test_build_ensemble_caps_processes_at_subsamples(rng, caplog):
     config = PipelineConfig(n_subsamples=1, subsample_size=10, dimred=(PCA_PARAMS, PCA_PARAMS))
     with caplog.at_level(logging.INFO, logger="robust_coords.ensemble"):
         assert len(build_ensemble(x, config)) == 2
-    assert "embedding 2 items in 1 processes, 2 of them in the parent" in caplog.messages
+    assert "1 tasks in 1 processes, 1 of them in the parent" in caplog.messages
+
+
+def test_build_ensemble_same_members_at_three_workers(tmp_path, rng, caplog, monkeypatch):
+    # 8 subsamples in 3 processes: shares of 3, 3 and 2 subsamples
+    x, config = roll_with_partial_chart(tmp_path, rng)
+    runs = []
+    for workers in (1, 3):
+        set_process_count(monkeypatch, workers)
+        caplog.clear()
+        with caplog.at_level(logging.INFO, logger="robust_coords.ensemble"):
+            members = build_ensemble(x, config)
+        shares = [m for m in caplog.messages if "tasks in" in m]
+        warned = [(r.getMessage(), type(r.args[-1])) for r in caplog.records
+                  if r.levelno == logging.WARNING]
+        runs.append((members, shares, warned))
+    (one, share_one, warned_one), (three, share_three, warned_three) = runs
+    assert share_one == ["8 tasks in 1 processes, 8 of them in the parent"]
+    assert share_three == ["8 tasks in 3 processes, 3 of them in the parent"]
+    assert warned_one == warned_three
+    assert any(kind is EmptyOverlap for _, kind in warned_one)
+    assert len(one) == len(three)
+    for p, q in zip(one, three):
+        assert (p.subsample_index, p.params_index) == (q.subsample_index, q.params_index)
+        assert np.array_equal(p.config.coords, q.config.coords)
+        assert np.array_equal(p.config.mask, q.config.mask)
+        assert np.array_equal(p.dropped, q.dropped)
+
+
+def test_map_in_processes_runs_share_k_in_process_k(monkeypatch):
+    from robust_coords.ensemble import _map_in_processes
+
+    set_process_count(monkeypatch, 3)
+    results = _map_in_processes(lambda a: (a, os.getpid()), 7)
+    assert [a for a, _ in results] == list(range(7))
+    pids = [pid for _, pid in results]
+    assert pids[0] == os.getpid()
+    for a, pid in enumerate(pids):
+        assert pid == pids[a % 3]
+    assert len(set(pids)) == 3
+
+
+def test_map_in_processes_caps_processes_at_tasks(monkeypatch, caplog):
+    from robust_coords import ensemble
+
+    assert ensemble._process_count(1) == 1
+    assert ensemble._process_count(10**6) == len(os.sched_getaffinity(0))
+    set_process_count(monkeypatch, 3)
+    with caplog.at_level(logging.INFO, logger="robust_coords.ensemble"):
+        results = ensemble._map_in_processes(lambda a: (a, os.getpid()), 2)
+    assert caplog.messages == ["2 tasks in 2 processes, 1 of them in the parent"]
+    assert [a for a, _ in results] == [0, 1]
+    assert results[0][1] == os.getpid() != results[1][1]
 
 
 LAYERING_SCRIPT = """
@@ -577,6 +630,71 @@ def test_cluster_verdicts_diffuse_cluster_sparse():
     config = small_config(dense_median_fraction=0.1, min_cluster_size=7)
     small = cluster_ensemble(d, config, scale=0.0)
     assert [(c.dense, c.verdict) for c in small] == [(False, "rejected_sparse")] * 2
+
+
+def single_linkage_oracle(d, cutoff):
+    """The members of each cluster of the single-linkage dendrogram cut at
+    ``cutoff``, ordered by decreasing size, then lowest member."""
+    labels = fcluster(linkage(squareform(d, checks=False), method="single"),
+                      t=cutoff, criterion="distance")
+    groups = [list(np.flatnonzero(labels == label)) for label in np.unique(labels)]
+    return sorted(groups, key=lambda g: (-len(g), g[0]))
+
+
+def random_dissimilarities(rng, k, ties):
+    # integer entries from a few values give ties everywhere, and cutoffs
+    # (a fraction of the median) that equal entries
+    upper = rng.integers(1, 4, size=(k, k)).astype(float) if ties else rng.random((k, k))
+    d = np.triu(upper, 1)
+    return d + d.T
+
+
+@pytest.mark.parametrize("ties", [False, True])
+def test_cluster_matches_single_linkage_oracle(ties):
+    from robust_coords.ensemble import _cutoffs
+
+    rng = np.random.default_rng(31 + ties)
+    at_entry = 0
+    for trial in range(300):
+        k = int(rng.integers(2, 16))
+        d = random_dissimilarities(rng, k, ties)
+        fraction = float(rng.choice([0.25, 0.5, 1.0]))
+        config = small_config(cluster_link_fraction=fraction)
+        cutoff = _cutoffs(d, config, 0.0)[1]
+        at_entry += bool((d[np.triu_indices(k, 1)] == cutoff).any())
+        ours = [list(c.members) for c in cluster_ensemble(d, config, scale=0.0)]
+        assert ours == single_linkage_oracle(d, cutoff)
+    assert at_entry >= 40
+
+
+PIPELINE_MODULES_SCRIPT = """
+import sys
+import robust_coords
+from robust_coords.synth import swiss_roll
+config = robust_coords.PipelineConfig(
+    n_subsamples=6, subsample_size=120, seed=1, min_cluster_size=3, ph_representatives=2,
+    cluster_link_fraction=1.0, dense_median_fraction=1.0,
+    dimred=(robust_coords.EmbeddingParams(target_dim=2, knn=8),),
+)
+try:
+    report = robust_coords.run_pipeline(swiss_roll(200, seed=3).points3d, config)
+    print("clusters", len(report.clusters))
+except robust_coords.NoGoodCluster as exc:
+    print("clusters", len(exc.report.clusters))
+print(sorted(m for m in sys.modules if m.startswith("scipy.cluster")))
+"""
+
+
+def test_run_pipeline_never_imports_scipy_cluster():
+    src = str(Path(robust_coords.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", PIPELINE_MODULES_SCRIPT],
+        env=env, capture_output=True, text=True, timeout=300, check=True,
+    )
+    clustered, loaded = proc.stdout.strip().splitlines()
+    assert int(clustered.split()[1]) >= 1
+    assert loaded == "[]"
 
 
 # ------------------------------------------------------ selection and mean
