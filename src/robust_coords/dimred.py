@@ -165,40 +165,51 @@ def _neighborhood_graph(dmat, params):
     return adj
 
 
+def _geodesic_graph(dmat, adj):
+    """The weighted neighbourhood graph as a CSR matrix, built row by row
+    from the adjacency: edge weights are the ambient distances.
+
+    Every adjacent pair is stored, also the weight-0 edge between exact
+    duplicates, which csgraph treats as an edge.
+    """
+    indptr = np.zeros(adj.shape[0] + 1, dtype=np.int64)
+    np.cumsum(adj.sum(axis=1), out=indptr[1:])
+    rows, cols = np.nonzero(adj)
+    return csr_matrix((dmat[rows, cols], cols, indptr), shape=adj.shape)
+
+
 def isomap(x, params):
     """Geodesic embedding: neighborhood graph, shortest paths, then MDS.
 
-    Edge weights are ambient distances.  Shortest paths are computed on the
-    largest connected component only; the remaining input points come back
-    in ``dropped``.  Raises DegenerateGraph when that component has fewer
-    than target_dim + 2 vertices.
+    Edge weights are ambient distances, and the graph's CSR arrays are
+    filled straight from the adjacency's rows (``_geodesic_graph``), with
+    no COO conversion.  Shortest
+    paths are computed on the largest connected component only, which is
+    cut out of the graph only when there is more than one; the remaining
+    input points come back in ``dropped``.  Raises DegenerateGraph when
+    that component has fewer than target_dim + 2 vertices.
     """
     d = params.target_dim
     if x.n_present < d + 2:
         raise TooFewPoints(f"isomap needs at least {d + 2} points")
     points = x.present_matrix().T
     dmat = squareform(pdist(points))
-    adj = _neighborhood_graph(dmat, params)
-
-    # built from the edge list, so that the weight-0 edge between exact
-    # duplicates is stored: csgraph treats stored zeros as edges
-    rows, cols = np.nonzero(adj)
-    graph = csr_matrix((dmat[rows, cols], (rows, cols)), shape=adj.shape)
+    graph = _geodesic_graph(dmat, _neighborhood_graph(dmat, params))
+    kept = x.present_indices()
     n_comp, labels = connected_components(graph, directed=False)
-    keep_label = np.bincount(labels).argmax()
-    in_comp = labels == keep_label
-    if in_comp.sum() < d + 2:
-        raise DegenerateGraph(
-            f"largest graph component has {int(in_comp.sum())} < {d + 2} vertices"
-        )
+    if n_comp > 1:
+        in_comp = labels == np.bincount(labels).argmax()
+        if in_comp.sum() < d + 2:
+            raise DegenerateGraph(
+                f"largest graph component has {int(in_comp.sum())} < {d + 2} vertices"
+            )
+        graph = graph[in_comp][:, in_comp]
+        kept = kept[in_comp]
 
-    sub = graph[in_comp][:, in_comp]
     # the graph is exactly symmetric, so each edge is relaxed once, in the
     # direction it is stored, with the same geodesics as directed=False
-    geo = shortest_path(sub, method="D", directed=True)
+    geo = shortest_path(graph, method="D", directed=True)
     embedded = classical_mds(geo, d)
-
-    kept = x.present_indices()[in_comp]
     return _placed(x, embedded.present_matrix(), kept, params)
 
 
@@ -223,7 +234,9 @@ def _top_eigpairs(b, d):
 def classical_mds(dmat, d):
     """Embed a distance matrix by double centering and top eigenpairs.
 
-    The top d eigenpairs come from one Lanczos solve from a fixed, centred
+    The matrix must be square and symmetric within 1e-8 times the larger
+    of 1 and its largest magnitude.  Its squares are double-centred in place, in one buffer.  The
+    top d eigenpairs come from one Lanczos solve from a fixed, centred
     start vector (``_top_eigpairs``), which raises EigensolverFailed if it
     fails.  Negative eigenvalues are clamped to zero, so coordinates past
     the rank of the Gram matrix are identically zero, and coincident points
@@ -240,11 +253,17 @@ def classical_mds(dmat, d):
     if np.abs(dmat - dmat.T).max() > 1e-8 * scale:
         raise NotSymmetric("distance matrix is not symmetric")
 
-    sq = dmat.astype(float) ** 2
-    row = sq.mean(axis=1, keepdims=True)
-    col = sq.mean(axis=0, keepdims=True)
-    b = -0.5 * (sq - row - col + sq.mean())
-    b = 0.5 * (b + b.T)
+    # in the order -0.5 * (sq - row - col + mean), then 0.5 * (b + b.T)
+    b = dmat**2
+    row = b.mean(axis=1, keepdims=True)
+    col = b.mean(axis=0, keepdims=True)
+    total = b.mean()
+    b -= row
+    b -= col
+    b += total
+    b *= -0.5
+    b += b.T
+    b *= 0.5
     if not b.any():
         # coincident points: a zero Gram matrix, on which Lanczos fails
         return Configuration(np.zeros((d, m)))

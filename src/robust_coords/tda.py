@@ -17,6 +17,14 @@ Vejdemo-Johansson, "Dualities in persistent (co)homology", 2011), and on
 Rips filtrations most columns need no addition at all (Bauer, "Ripser",
 J. Appl. Comput. Topol. 2021).
 
+Only dimensions 0..max_dim are built.  The cofacets of the top dimension,
+max_dim + 1, stay implicit, as in Ripser: each is keyed by the rank of its
+diameter among the distinct distances, times m^(max_dim+2), plus the
+base-m code of its vertices, so that keys ascend in filtration order
+(value, then lexicographic vertices) and a death is read off its pivot's
+key.  The simplex budget still counts the top dimension, chunk by chunk,
+without storing it.
+
 Point sets larger than the landmark budget are first thinned by farthest-
 point (maxmin) sampling, which is deterministic: it starts from the most
 eccentric point and breaks ties by index.
@@ -101,7 +109,7 @@ def _chunks(n, m):
     return (slice(lo, lo + step) for lo in range(0, n, step))
 
 
-def _build_simplices(dmat, max_dim, max_radius, max_simplices):
+def _build_simplices(dmat, max_dim, max_radius, max_simplices, *, build_top=True):
     """Rips simplices of dimension 0 .. max_dim+1 up to max_radius, per dimension.
 
     A simplex's filtration value is its largest pairwise vertex distance.
@@ -111,6 +119,9 @@ def _build_simplices(dmat, max_dim, max_radius, max_simplices):
     (q-1)-simplex extended by a common neighbour above its last vertex;
     extending in lexicographic order keeps that order.  Also returns the
     adjacency matrix at max_radius.
+
+    Without ``build_top`` the (max_dim+1)-simplices are counted against
+    ``max_simplices``, chunk by chunk as if built, but not stored.
     """
     m = dmat.shape[0]
     adj = dmat <= max_radius
@@ -120,18 +131,23 @@ def _build_simplices(dmat, max_dim, max_radius, max_simplices):
     out = {0: (lex_v, lex_f, np.arange(m))}
     total = m
     for q in range(1, max_dim + 2):
+        store = build_top or q <= max_dim
         new_v, new_f = [np.empty((0, q + 1), dtype=np.int64)], [np.empty(0)]
         for part in _chunks(len(lex_v), m):
             v = lex_v[part]
-            rows, ws = np.nonzero(_common_neighbours(adj, v) & (above > v[:, -1:]))
-            new_v.append(np.column_stack([v[rows], ws]))
-            new_f.append(np.maximum(lex_f[part][rows], dmat[v[rows], ws[:, None]].max(axis=1)))
+            new = _common_neighbours(adj, v) & (above > v[:, -1:])
+            if store:
+                rows, ws = np.nonzero(new)
+                new_v.append(np.column_stack([v[rows], ws]))
+                new_f.append(np.maximum(lex_f[part][rows], dmat[v[rows], ws[:, None]].max(axis=1)))
             # checked per chunk, so the budget also bounds the memory spent
-            total += len(ws)
+            total += np.count_nonzero(new)
             if total > max_simplices:
                 raise TooManySimplices(
                     f"at least {total} simplices exceed budget {max_simplices}"
                 )
+        if not store:
+            break
         lex_v, lex_f = np.concatenate(new_v), np.concatenate(new_f)
         order = np.argsort(lex_f, kind="stable")
         ranks = np.empty_like(order)
@@ -162,14 +178,15 @@ def _h0_death_edges(edges, m):
 
 
 def _heap_pivot(column, p):
-    """Pivot (row, coefficient) of a heap column, popping entries that cancel."""
+    """Pivot (key, coefficient) of a heap column of entries ``key * p +
+    coefficient``, popping entries that cancel."""
     while column:
-        row, val = heapq.heappop(column)
-        while column and column[0][0] == row:
-            val += heapq.heappop(column)[1]
+        key, val = divmod(heapq.heappop(column), p)
+        while column and column[0] // p == key:
+            val += heapq.heappop(column) % p
         if val % p:
-            heapq.heappush(column, (row, val % p))
-            return row, val % p
+            heapq.heappush(column, key * p + val % p)
+            return key, val % p
     return None, 0
 
 
@@ -182,63 +199,97 @@ def _summed(rows, vals, p):
     return rows[vals != 0], vals[vals != 0]
 
 
-def _coboundary_reduce(simplices, adj, q, p, cleared):
+def _coboundary_reduce(simplices, adj, values, ranks, q, p, cleared):
     """Reduce the coboundary columns of the q-simplices over F_p.
+
+    The (q+1)-simplices are never built.  A column's entries are the
+    cofacets ``v + w`` for the common neighbours w of the simplex v, each
+    keyed ``rank * m**(q+2) + code``: ``rank`` is the dense rank of the
+    cofacet's diameter among the distinct entries ``values`` of the
+    distance matrix (``ranks`` holds each entry's rank) and ``code`` the
+    base-m number spelled by its sorted vertices.  Keys therefore ascend in
+    filtration order, value first and then lexicographic vertices, as the
+    built simplices do.
 
     Columns run in reverse filtration order and skip ``cleared`` (the
     q-simplices paired one dimension down).  A column's pivot is its
-    earliest cofacet.  Returns (pairs: list of (column, pivot), columns
-    that reduce to zero).  A pivot's reduced column is kept only when it
-    needed an addition; otherwise its coboundary is recomputed on demand.
+    earliest cofacet, the smallest key.  Columns are computed chunk by
+    chunk; each pivot's column is kept as a slice of its chunk's arrays,
+    or as its reduced entries when it needed an addition, so no coboundary
+    is computed twice.  Returns (pairs: list of (column, pivot key),
+    columns that reduce to zero).
     """
     verts = simplices[q][0]
+    own = np.searchsorted(values, simplices[q][1])
+    flat_ranks = ranks.ravel()
     m = adj.shape[0]
     powers = m ** np.arange(q + 1, -1, -1, dtype=np.int64)
-    cofacet_verts, _, by_code = simplices[q + 1]
-    codes = cofacet_verts[by_code] @ powers  # ascending: lexicographic order
+    scale = m * powers[0]
+    sign = np.array([1, p - 1], dtype=np.int8 if p < 128 else np.int64)
+    inverse = [0] + [pow(a, p - 2, p) for a in range(1, p)]
 
     def coboundaries(js):
-        """Entries (cofacet rank, coefficient) of the columns js, grouped by column."""
+        """Keys and coefficients of the columns js, grouped by column, with
+        each column's bounds and pivot (key, coefficient); pivot -1 marks an
+        empty column.  Entries are gathered by flat ``take``, which is much
+        faster than 2-d fancy indexing."""
         v = verts[js]
         col, ws = np.nonzero(_common_neighbours(adj, v))
+        rank, t = own[js].take(col), 0
+        for c in range(q + 1):
+            vc = v[:, c].take(col)
+            np.maximum(rank, flat_ranks.take(vc * m + ws), out=rank)
+            t = t + (vc < ws)
         # w enters the cofacet at position t: vertices before it keep their
         # place value in the code, vertices after it drop one place
-        t = (v[:, :, None] < np.arange(m)).sum(axis=1)[col, ws]
         zero = np.zeros((len(v), 1), dtype=np.int64)
         before = np.cumsum(np.hstack([zero, v * powers[:-1]]), axis=1)
         after = np.cumsum(np.hstack([v * powers[1:], zero])[:, ::-1], axis=1)[:, ::-1]
-        rows = by_code[np.searchsorted(codes, (before + after)[col, t] + ws * powers[t])]
+        code = (before + after).ravel().take(col * (q + 2) + t) + ws * powers.take(t)
+        keys = rank * scale + code
         # [cofacet : simplex] = (-1)^t
-        return rows, np.where(t % 2, p - 1, 1), np.searchsorted(col, np.arange(len(js) + 1))
+        vals = sign.take(t & 1)
+        bounds = np.searchsorted(col, np.arange(len(js) + 1))
+        lo = bounds[:-1]
+        full = bounds[1:] > lo
+        pivots = np.full(len(js), -1, dtype=np.int64)
+        pivot_vals = np.zeros(len(js), dtype=np.int64)
+        if keys.size:
+            pivots[full] = np.minimum.reduceat(keys, lo[full])
+            pivot_vals[full] = vals[keys == np.repeat(pivots, np.diff(bounds))]
+        return keys, vals, bounds, pivots, pivot_vals
 
-    owners = {}
+    owners = {}  # pivot key -> (keys, coefficients, lo, hi, inverse of pivot coefficient)
     pairs, zeros = [], []
     todo = np.ones(len(verts), dtype=bool)
     todo[cleared] = False
     todo = np.flatnonzero(todo)[::-1]
     for part in _chunks(len(todo), m):
-        rows, vals, bounds = coboundaries(todo[part])
-        for j, lo, hi in zip(todo[part].tolist(), bounds[:-1].tolist(), bounds[1:].tolist()):
-            pivot, val, reduced = None, 0, None
-            if hi > lo:
-                k = lo + int(rows[lo:hi].argmin())
-                pivot, val = int(rows[k]), int(vals[k])
+        keys, vals, bounds, pivots, pivot_vals = coboundaries(todo[part])
+        for j, lo, hi, pivot, val in zip(
+            todo[part].tolist(), bounds[:-1].tolist(), bounds[1:].tolist(),
+            pivots.tolist(), pivot_vals.tolist(),
+        ):
+            column = (keys, vals, lo, hi)
             if pivot in owners:
-                # entries of one row are summed lazily as they reach the top
-                column = list(zip(rows[lo:hi].tolist(), vals[lo:hi].tolist()))
-                heapq.heapify(column)
+                # entries ``key * p + coefficient``, whose order is the keys';
+                # the entries of one key are summed lazily as they reach the top
+                heap = [k * p + x for k, x in zip(keys[lo:hi].tolist(), vals[lo:hi].tolist())]
+                heapq.heapify(heap)
                 while pivot in owners:
-                    other, stored, inv = owners[pivot]
-                    orows, ovals = stored if stored is not None else coboundaries([other])[:2]
-                    for entry in zip(orows.tolist(), (ovals * (p - val * inv % p) % p).tolist()):
-                        heapq.heappush(column, entry)
-                    pivot, val = _heap_pivot(column, p)
+                    okeys, ovals, olo, ohi, inv = owners[pivot]
+                    factor = p - val * inv % p
+                    added = okeys[olo:ohi] * p + ovals[olo:ohi].astype(np.int64) * factor % p
+                    for entry in added.tolist():
+                        heapq.heappush(heap, entry)
+                    pivot, val = _heap_pivot(heap, p)
                 if pivot is not None:
-                    reduced = _summed(*np.array(column, dtype=np.int64).T, p)
-            if pivot is None:
+                    heap = np.array(heap, dtype=np.int64)
+                    column = (*_summed(heap // p, heap % p, p), 0, None)
+            if pivot is None or pivot < 0:
                 zeros.append(j)
             else:
-                owners[pivot] = (j, reduced, pow(val, p - 2, p))
+                owners[pivot] = (*column, inverse[val])
                 pairs.append((j, pivot))
     return pairs, zeros
 
@@ -251,7 +302,19 @@ def rips_from_distances(
     landmark_budget=DEFAULT_LANDMARK_BUDGET,
     max_simplices=DEFAULT_MAX_SIMPLICES,
 ):
-    """Rips persistence of a finite metric space given as a distance matrix."""
+    """Rips persistence of a finite metric space given as a distance matrix.
+
+    The matrix must be symmetric within 1e-9 times the larger of 1 and its
+    largest entry.  Above ``landmark_budget`` points it is first cut to its
+    maxmin landmarks, and it is then read from its upper triangle.
+    Simplices of dimension 0..max_dim
+    are built up to the smaller of ``max_radius`` (default: half the
+    largest distance) and the enclosing radius.  The (max_dim+1)-simplices
+    are only counted, but count towards ``max_simplices`` as if built:
+    TooManySimplices is raised where building them would pass the budget,
+    and also when their filtration keys (distance rank times m^(max_dim+2)
+    plus vertex code, times p in the reduction) would overflow int64.
+    """
     _check_prime(p)
     if not 0 <= max_dim <= 2:
         raise ValueError("max_dim must be 0, 1, or 2")
@@ -264,6 +327,9 @@ def rips_from_distances(
     if dmat.shape[0] > landmark_budget:
         keep = maxmin_landmarks(dmat, landmark_budget)
         dmat = dmat[np.ix_(keep, keep)]
+    # the build reads each distance above the diagonal and the coboundaries
+    # read both halves, so the half below is made to match
+    dmat = np.triu(dmat) + np.triu(dmat, 1).T
     if max_radius is None:
         max_radius = 0.5 * float(dmat.max())
     if not max_radius > 0:
@@ -273,18 +339,39 @@ def rips_from_distances(
     # complex is a cone on that row's point: no bar is born or dies there,
     # so the build stops at it.  The diagram keeps the requested radius.
     build_radius = dmat.max(axis=1, initial=0.0).min(initial=max_radius)
-    simplices, adj = _build_simplices(dmat, max_dim, build_radius, max_simplices)
     m = dmat.shape[0]
+    # raveled first, so that the inverse is flat under every numpy version
+    values, ranks = np.unique(dmat.ravel(), return_inverse=True)
+    ranks = ranks.reshape(m, m)
+    # a key of dimension q is below (ranks up to the build radius) * m^(q+2),
+    # and the reduction's heap entries are keys * p + coefficient
+    reach = int(np.searchsorted(values, build_radius, side="right"))
+    if max_dim and reach * m ** (max_dim + 2) * p > 2**63:
+        raise TooManySimplices(
+            f"{m} points with {reach} distinct distances overflow the int64 "
+            f"filtration keys of dimension {max_dim + 1}; use fewer landmarks"
+        )
+    simplices, adj = _build_simplices(
+        dmat, max_dim, build_radius, max_simplices, build_top=max_dim == 0
+    )
     edge_f = simplices[1][1]
     cleared = _h0_death_edges(simplices[1][0], m)
     bars = {0: [(0.0, edge_f[e]) for e in cleared if edge_f[e] > 0]}
     bars[0] += [(0.0, np.inf)] * (m - len(cleared))
     for q in range(1, max_dim + 1):
-        pairs, zeros = _coboundary_reduce(simplices, adj, q, p, cleared)
-        births, deaths = simplices[q][1], simplices[q + 1][1]
-        bars[q] = [(births[j], deaths[t]) for j, t in pairs if deaths[t] > births[j]]
-        bars[q] += [(births[j], np.inf) for j in zeros]
-        cleared = [t for _, t in pairs]
+        pairs, zeros = _coboundary_reduce(simplices, adj, values, ranks, q, p, cleared)
+        js, pivots = np.array(pairs, dtype=np.int64).reshape(-1, 2).T
+        births, deaths = simplices[q][1][js], values[pivots // m ** (q + 2)]
+        alive = deaths > births
+        bars[q] = list(zip(births[alive].tolist(), deaths[alive].tolist()))
+        bars[q] += [(b, np.inf) for b in simplices[q][1][zeros].tolist()]
+        if q < max_dim:
+            # clearing: the pivots are keys of the built (q+1)-simplices,
+            # whose keys ascend in their filtration order
+            verts, filts, _ = simplices[q + 1]
+            keys = np.searchsorted(values, filts) * m ** (q + 2)
+            keys += verts @ m ** np.arange(q + 1, -1, -1, dtype=np.int64)
+            cleared = np.searchsorted(keys, pivots)
 
     packed = {}
     for q, entries in bars.items():

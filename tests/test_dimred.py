@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import shortest_path
+from scipy.sparse.csgraph import connected_components, shortest_path
 from scipy.spatial.distance import pdist, squareform
 
 from robust_coords import dimred
@@ -112,9 +112,9 @@ def test_isomap_swiss_roll_unrolls():
 
 
 def _geodesic_graph(points, params):
-    # the weighted graph isomap builds; csr_matrix drops zero-weight edges
+    # the weighted graph isomap builds, stored zeros between duplicates included
     dmat = squareform(pdist(points))
-    return csr_matrix(np.where(dimred._neighborhood_graph(dmat, params), dmat, 0.0))
+    return dimred._geodesic_graph(dmat, dimred._neighborhood_graph(dmat, params))
 
 
 @pytest.mark.parametrize("kind", ["epsilon", "union-knn", "coincident", "disconnected"])
@@ -136,6 +136,56 @@ def test_directed_dijkstra_matches_undirected_oracle(kind):
     assert np.array_equal(fast, oracle)
     if kind == "disconnected":
         assert np.isinf(fast).any()
+
+
+# ------------------------------------------------------ Isomap oracle
+# Isomap as it was built before its graph was filled in one pass: the CSR
+# converted from the COO edge list, the largest component always cut out,
+# and the Gram matrix double-centred through temporaries.
+
+
+def isomap_oracle(x, params):
+    d = params.target_dim
+    dmat = squareform(pdist(x.present_matrix().T))
+    rows, cols = np.nonzero(dimred._neighborhood_graph(dmat, params))
+    graph = csr_matrix((dmat[rows, cols], (rows, cols)), shape=dmat.shape)
+    labels = connected_components(graph, directed=False)[1]
+    in_comp = labels == np.bincount(labels).argmax()
+    geo = shortest_path(graph[in_comp][:, in_comp], method="D", directed=True)
+    sq = geo.astype(float) ** 2
+    row = sq.mean(axis=1, keepdims=True)
+    col = sq.mean(axis=0, keepdims=True)
+    b = -0.5 * (sq - row - col + sq.mean())
+    b = 0.5 * (b + b.T)
+    vals, vecs = dimred._top_eigpairs(b, d)
+    vecs = vecs * dimred._column_signs(vecs)
+    vals = np.clip(vals, 0.0, None)
+    vals[vals < 1e-12 * vals[0]] = 0.0
+    coords = (vecs * np.sqrt(vals)).T
+    coords = coords - coords.mean(axis=1, keepdims=True)
+    return dimred._placed(x, coords, x.present_indices()[in_comp], params), graph
+
+
+@pytest.mark.parametrize("kind", ["epsilon", "two-component", "union-knn", "duplicate"])
+def test_isomap_matches_coo_graph_oracle_bit_for_bit(kind):
+    points = swiss_roll(150, seed=4).points3d.present_matrix().T
+    params = EmbeddingParams(target_dim=2, epsilon=6.0)
+    if kind == "two-component":
+        points = np.vstack([points, 0.01 * points[:30] + 1000.0])
+    elif kind == "union-knn":
+        params = EmbeddingParams(target_dim=2, knn=6)
+    elif kind == "duplicate":
+        points = np.vstack([points, points[:1]])
+    x = Configuration.from_rows(points, np.arange(10, 10 + len(points)), n_global=len(points) + 20)
+    ref, graph = isomap_oracle(x, params)
+    out = embed(x, params)
+    n_comp = connected_components(graph, directed=False)[0]
+    assert n_comp == (2 if kind == "two-component" else 1)
+    assert (graph.data == 0).any() == (kind == "duplicate")
+    assert out.dropped.size == (30 if kind == "two-component" else 0)
+    assert np.array_equal(out.dropped, ref.dropped)
+    assert np.array_equal(out.config.mask, ref.config.mask)
+    assert np.array_equal(out.config.coords, ref.config.coords)
 
 
 @pytest.mark.parametrize("params", [

@@ -8,6 +8,7 @@ from scipy.spatial.distance import pdist, squareform
 
 from robust_coords.errors import NotSymmetric, TooManySimplices
 from robust_coords.tda import (
+    DEFAULT_LANDMARK_BUDGET,
     DEFAULT_MAX_SIMPLICES,
     _build_simplices,
     max_bar_length,
@@ -405,6 +406,84 @@ def test_build_simplices_enumerates_every_clique_in_filtration_order():
         assert np.array_equal(filts, [f for f, _ in expected])
         lex = verts[ranks]
         assert [tuple(v) for v in lex.tolist()] == sorted(tuple(v) for v in lex.tolist())
+
+
+# ------------------------------------------------- implicit top dimension
+# rips_from_distances keys each cofacet by its diameter's rank and its
+# vertex code and never builds the top dimension; the block reducer builds
+# every dimension and reads its filtration order off the built simplices.
+
+
+def rounded_annulus(seed, n):
+    # distances rounded to one decimal: thousands of cofacets share a few
+    # dozen diameters, so the lexicographic tie-break decides most pivots
+    return np.round(squareform(pdist(thick_annulus(seed, n))), 1)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+@pytest.mark.parametrize("max_dim", [1, 2])
+@pytest.mark.parametrize("case", ["enclosing", "capped", "landmarked"])
+def test_implicit_cofacets_match_block_reducer_on_ties(case, max_dim, p):
+    seed = 10 * max_dim + p
+    dmat = rounded_annulus(seed, 40 if case == "landmarked" else 24)
+    budget = 20 if case == "landmarked" else DEFAULT_LANDMARK_BUDGET
+    # the cap closes the ring but stays below the hole's filling scale
+    radius = 1.2 if case == "capped" else np.inf
+    ours = rips_from_distances(dmat, max_dim=max_dim, p=p, max_radius=radius,
+                               landmark_budget=budget)
+    if case == "landmarked":
+        keep = maxmin_landmarks(dmat, budget)
+        dmat = dmat[np.ix_(keep, keep)]
+    # the oracle builds the same complex: ours stops at the enclosing radius
+    build_radius = min(radius, float(dmat.max(axis=1).min()))
+    assert (build_radius < dmat.max(axis=1).min()) == (case == "capped")
+    ref = block_reducer_bars(dmat, max_dim, p, build_radius)
+    assert sorted(ours.bars) == sorted(ref)
+    for q in ref:
+        assert np.array_equal(ours.bars[q], ref[q])
+    assert np.isinf(ref[1][:, 1]).any() == (case == "capped")
+    simplices, _ = _build_simplices(dmat, max_dim, build_radius, DEFAULT_MAX_SIMPLICES)
+    top = simplices[max_dim + 1][1]
+    assert len(top) >= 20 * len(np.unique(top))
+
+
+def test_reads_the_upper_triangle_of_a_nearly_symmetric_matrix():
+    # below the diagonal, every distance is off by less than the symmetry
+    # tolerance: the bars are those of the upper triangle, to the bit
+    dmat = rounded_annulus(3, 24)
+    skewed = dmat + np.tril(np.full_like(dmat, 1e-10), -1)
+    ours = rips_from_distances(skewed, max_dim=2, p=3, max_radius=np.inf)
+    ref = block_reducer_bars(dmat, 2, 3, float(dmat.max(axis=1).min()))
+    for q in ref:
+        assert np.array_equal(ours.bars[q], ref[q])
+
+
+def test_peak_memory_stays_below_that_of_building_the_triangles():
+    # 100 points up to their enclosing radius: about 5.4 MB are traced when
+    # only the edges are built, and 9.0 MB when the triangles were built too
+    dmat = squareform(pdist(np.random.default_rng(0).uniform(size=(100, 3))))
+    tracemalloc.start()
+    try:
+        dg = rips_from_distances(dmat, max_dim=1, max_radius=np.inf)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert dg.bars[1].shape[0] > 0
+    assert peak < 7 * 2**20
+
+
+def test_filtration_keys_that_would_overflow_int64_raise():
+    # 1500 points with distinct distances: 1500^4 codes times 1,124,251
+    # distance ranks times p = 2 exceed 2^63, so no key is formed
+    a = np.random.default_rng(0).uniform(1.0, 2.0, size=(1500, 1500))
+    dmat = a + a.T
+    np.fill_diagonal(dmat, 0.0)
+    with pytest.raises(TooManySimplices, match="overflow the int64 filtration keys"):
+        rips_from_distances(dmat, max_dim=2, max_radius=np.inf, landmark_budget=1500)
+    # below every distance only the rank of 0 is in reach, and the keys fit
+    dg = rips_from_distances(dmat, max_dim=2, max_radius=1.0, landmark_budget=1500)
+    assert np.array_equal(dg.bars[0], np.tile([0.0, np.inf], (1500, 1)))
+    assert dg.bars[1].size == dg.bars[2].size == 0
 
 # ------------------------------------------------------------- guard rails
 
