@@ -214,9 +214,9 @@ def _coboundary_reduce(simplices, adj, values, ranks, q, p, cleared):
     Columns run in reverse filtration order and skip ``cleared`` (the
     q-simplices paired one dimension down).  A column's pivot is its
     earliest cofacet, the smallest key.  Columns are computed chunk by
-    chunk; each pivot's column is kept as a slice of its chunk's arrays,
-    or as its reduced entries when it needed an addition, so no coboundary
-    is computed twice.  Returns (pairs: list of (column, pivot key),
+    chunk; each pivot's column is kept as its slice (bounds) of its chunk's
+    arrays, or as its reduced entries when it needed an addition, so no
+    coboundary is computed twice.  Returns (pairs: list of (column, pivot key),
     columns that reduce to zero).
     """
     verts = simplices[q][0]

@@ -472,6 +472,16 @@ def test_peak_memory_stays_below_that_of_building_the_triangles():
     assert peak < 7 * 2**20
 
 
+def test_simplex_budget_stops_a_built_dimension_within_it():
+    # 80 points up to their enclosing radius hold 80 + 2,466 + 42,944
+    # simplices of dimension 0..2; at max_dim 2 the triangles are built, and
+    # the budget is checked chunk by chunk while they are
+    pts = np.random.default_rng(0).uniform(size=(80, 3))
+    with pytest.raises(TooManySimplices, match=r"at least \d+ simplices") as info:
+        rips_persistence(pts, max_dim=2, max_radius=100.0, max_simplices=10_000)
+    assert int(str(info.value).split()[2]) < 80 + 2466 + 42944
+
+
 def test_filtration_keys_that_would_overflow_int64_raise():
     # 1500 points with distinct distances: 1500^4 codes times 1,124,251
     # distance ranks times p = 2 exceed 2^63, so no key is formed
