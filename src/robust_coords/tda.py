@@ -17,13 +17,15 @@ Vejdemo-Johansson, "Dualities in persistent (co)homology", 2011), and on
 Rips filtrations most columns need no addition at all (Bauer, "Ripser",
 J. Appl. Comput. Topol. 2021).
 
-Only dimensions 0..max_dim are built.  The cofacets of the top dimension,
-max_dim + 1, stay implicit, as in Ripser: each is keyed by the rank of its
-diameter among the distinct distances, times m^(max_dim+2), plus the
-base-m code of its vertices, so that keys ascend in filtration order
-(value, then lexicographic vertices) and a death is read off its pivot's
-key.  The simplex budget still counts the top dimension, chunk by chunk,
-without storing it.
+Every simplex, built or not, is keyed by one integer: the dense rank of
+its diameter among the distinct distances, times m^(q+1) for a
+q-simplex on m points, plus the base-m code of its sorted vertices.  Keys
+ascend in filtration order (value, then lexicographic vertices), and a
+value is read back as the distance of its key's rank.  Only dimensions
+0..max_dim are built, and the edges always are, for H0.  The cofacets of
+the top dimension, max_dim + 1, stay implicit, as in Ripser: a death is
+read off its pivot's key.  The simplex budget still counts the top
+dimension, chunk by chunk, without storing it.
 
 Point sets larger than the landmark budget are first thinned by farthest-
 point (maxmin) sampling, which is deterministic: it starts from the most
@@ -109,37 +111,40 @@ def _chunks(n, m):
     return (slice(lo, lo + step) for lo in range(0, n, step))
 
 
-def _build_simplices(dmat, max_dim, max_radius, max_simplices, *, build_top=True):
-    """Rips simplices of dimension 0 .. max_dim+1 up to max_radius, per dimension.
+def _build_simplices(ranks, reach, max_dim, max_simplices):
+    """Rips simplices of dimension 0 .. max(max_dim, 1) within reach, per dimension.
 
-    A simplex's filtration value is its largest pairwise vertex distance.
-    Each dimension is ``(verts, filts, ranks)``: vertex rows and values in
-    filtration order (value, then lexicographic vertices), and for the i-th
-    simplex in lexicographic order its filtration rank.  A q-simplex is a
-    (q-1)-simplex extended by a common neighbour above its last vertex;
-    extending in lexicographic order keeps that order.  Also returns the
-    adjacency matrix at max_radius.
+    ``ranks`` holds the dense rank of each distance among the distinct
+    ones, and two vertices span an edge when their rank is below
+    ``reach``.  A simplex's rank is the largest among its edges.  Each
+    dimension q is ``(verts, keys)``, sorted by the filtration key ``rank *
+    m**(q+1) + code``, where ``code`` is the base-m number spelled by the
+    sorted vertices of the row.  A q-simplex is a (q-1)-simplex extended by
+    a common neighbour above its last vertex.  Also returns the adjacency
+    matrix.
 
-    Without ``build_top`` the (max_dim+1)-simplices are counted against
-    ``max_simplices``, chunk by chunk as if built, but not stored.
+    The edges are always stored, for H0.  At max_dim 1 or 2 the
+    (max_dim+1)-simplices are only counted against ``max_simplices``,
+    chunk by chunk as if built.
     """
-    m = dmat.shape[0]
-    adj = dmat <= max_radius
+    m = ranks.shape[0]
+    adj = ranks < reach
     np.fill_diagonal(adj, False)
     above = np.arange(m)
-    lex_v, lex_f = np.arange(m, dtype=np.int64)[:, None], np.zeros(m)
-    out = {0: (lex_v, lex_f, np.arange(m))}
+    verts, keys = np.arange(m, dtype=np.int64)[:, None], np.arange(m, dtype=np.int64)
+    out = {0: (verts, keys)}
     total = m
     for q in range(1, max_dim + 2):
-        store = build_top or q <= max_dim
-        new_v, new_f = [np.empty((0, q + 1), dtype=np.int64)], [np.empty(0)]
-        for part in _chunks(len(lex_v), m):
-            v = lex_v[part]
+        store = q <= max(max_dim, 1)
+        own = keys // m**q
+        new_v, new_r = [np.empty((0, q + 1), dtype=np.int64)], [np.empty(0, dtype=np.int64)]
+        for part in _chunks(len(verts), m):
+            v = verts[part]
             new = _common_neighbours(adj, v) & (above > v[:, -1:])
             if store:
                 rows, ws = np.nonzero(new)
                 new_v.append(np.column_stack([v[rows], ws]))
-                new_f.append(np.maximum(lex_f[part][rows], dmat[v[rows], ws[:, None]].max(axis=1)))
+                new_r.append(np.maximum(own[part][rows], ranks[v[rows], ws[:, None]].max(axis=1)))
             # checked per chunk, so the budget also bounds the memory spent
             total += np.count_nonzero(new)
             if total > max_simplices:
@@ -148,11 +153,12 @@ def _build_simplices(dmat, max_dim, max_radius, max_simplices, *, build_top=True
                 )
         if not store:
             break
-        lex_v, lex_f = np.concatenate(new_v), np.concatenate(new_f)
-        order = np.argsort(lex_f, kind="stable")
-        ranks = np.empty_like(order)
-        ranks[order] = np.arange(len(order))
-        out[q] = (lex_v[order], lex_f[order], ranks)
+        verts = np.concatenate(new_v)
+        keys = np.concatenate(new_r) * m ** (q + 1)
+        keys += verts @ m ** np.arange(q, -1, -1, dtype=np.int64)
+        order = np.argsort(keys)
+        verts, keys = verts[order], keys[order]
+        out[q] = (verts, keys)
     return out, adj
 
 
@@ -199,17 +205,14 @@ def _summed(rows, vals, p):
     return rows[vals != 0], vals[vals != 0]
 
 
-def _coboundary_reduce(simplices, adj, values, ranks, q, p, cleared):
+def _coboundary_reduce(simplices, adj, ranks, q, p, cleared):
     """Reduce the coboundary columns of the q-simplices over F_p.
 
     The (q+1)-simplices are never built.  A column's entries are the
     cofacets ``v + w`` for the common neighbours w of the simplex v, each
-    keyed ``rank * m**(q+2) + code``: ``rank`` is the dense rank of the
-    cofacet's diameter among the distinct entries ``values`` of the
-    distance matrix (``ranks`` holds each entry's rank) and ``code`` the
-    base-m number spelled by its sorted vertices.  Keys therefore ascend in
-    filtration order, value first and then lexicographic vertices, as the
-    built simplices do.
+    under its filtration key ``rank * m**(q+2) + code``, as the built
+    simplices are: ``rank`` is the largest of the simplex's own rank, read
+    off its key, and the ranks (``ranks``) of the distances from w to v.
 
     Columns run in reverse filtration order and skip ``cleared`` (the
     q-simplices paired one dimension down).  A column's pivot is its
@@ -220,9 +223,9 @@ def _coboundary_reduce(simplices, adj, values, ranks, q, p, cleared):
     columns that reduce to zero).
     """
     verts = simplices[q][0]
-    own = np.searchsorted(values, simplices[q][1])
-    flat_ranks = ranks.ravel()
     m = adj.shape[0]
+    own = simplices[q][1] // m ** (q + 1)
+    flat_ranks = ranks.ravel()
     powers = m ** np.arange(q + 1, -1, -1, dtype=np.int64)
     scale = m * powers[0]
     sign = np.array([1, p - 1], dtype=np.int8 if p < 128 else np.int64)
@@ -343,7 +346,7 @@ def rips_from_distances(
     # raveled first, so that the inverse is flat under every numpy version
     values, ranks = np.unique(dmat.ravel(), return_inverse=True)
     ranks = ranks.reshape(m, m)
-    # a key of dimension q is below (ranks up to the build radius) * m^(q+2),
+    # a key of dimension q is below (ranks up to the build radius) * m^(q+1),
     # and the reduction's heap entries are keys * p + coefficient
     reach = int(np.searchsorted(values, build_radius, side="right"))
     if max_dim and reach * m ** (max_dim + 2) * p > 2**63:
@@ -351,27 +354,22 @@ def rips_from_distances(
             f"{m} points with {reach} distinct distances overflow the int64 "
             f"filtration keys of dimension {max_dim + 1}; use fewer landmarks"
         )
-    simplices, adj = _build_simplices(
-        dmat, max_dim, build_radius, max_simplices, build_top=max_dim == 0
-    )
-    edge_f = simplices[1][1]
+    simplices, adj = _build_simplices(ranks, reach, max_dim, max_simplices)
+    edge_f = values[simplices[1][1] // m**2]
     cleared = _h0_death_edges(simplices[1][0], m)
     bars = {0: [(0.0, edge_f[e]) for e in cleared if edge_f[e] > 0]}
     bars[0] += [(0.0, np.inf)] * (m - len(cleared))
     for q in range(1, max_dim + 1):
-        pairs, zeros = _coboundary_reduce(simplices, adj, values, ranks, q, p, cleared)
+        pairs, zeros = _coboundary_reduce(simplices, adj, ranks, q, p, cleared)
         js, pivots = np.array(pairs, dtype=np.int64).reshape(-1, 2).T
-        births, deaths = simplices[q][1][js], values[pivots // m ** (q + 2)]
+        filts = values[simplices[q][1] // m ** (q + 1)]
+        births, deaths = filts[js], values[pivots // m ** (q + 2)]
         alive = deaths > births
         bars[q] = list(zip(births[alive].tolist(), deaths[alive].tolist()))
-        bars[q] += [(b, np.inf) for b in simplices[q][1][zeros].tolist()]
+        bars[q] += [(b, np.inf) for b in filts[zeros].tolist()]
         if q < max_dim:
-            # clearing: the pivots are keys of the built (q+1)-simplices,
-            # whose keys ascend in their filtration order
-            verts, filts, _ = simplices[q + 1]
-            keys = np.searchsorted(values, filts) * m ** (q + 2)
-            keys += verts @ m ** np.arange(q + 1, -1, -1, dtype=np.int64)
-            cleared = np.searchsorted(keys, pivots)
+            # clearing: the pivots are keys of built (q+1)-simplices
+            cleared = np.searchsorted(simplices[q + 1][1], pivots)
 
     packed = {}
     for q, entries in bars.items():

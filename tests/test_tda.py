@@ -190,16 +190,29 @@ def _reduce_block(col_verts, row_verts, m, p, skip_cols):
     return pairs, zeros
 
 
-def block_reducer_bars(dmat, max_dim, p, max_radius):
-    simplices, _ = _build_simplices(dmat, max_dim, max_radius, DEFAULT_MAX_SIMPLICES)
+def built_complex(dmat, max_dim, max_radius):
+    """The Rips simplices of dimension 0..max_dim up to max_radius, per
+    dimension (verts, keys, filtration values read off the keys), and the
+    adjacency matrix."""
     m = dmat.shape[0]
-    top = max(q for q in simplices)
+    values, ranks = np.unique(dmat.ravel(), return_inverse=True)
+    reach = int(np.searchsorted(values, max_radius, side="right"))
+    simplices, adj = _build_simplices(ranks.reshape(m, m), reach, max_dim, DEFAULT_MAX_SIMPLICES)
+    return {
+        q: (verts, keys, values[keys // m ** (q + 1)]) for q, (verts, keys) in simplices.items()
+    }, adj
+
+
+def block_reducer_bars(dmat, max_dim, p, max_radius):
+    simplices, _ = built_complex(dmat, max_dim + 1, max_radius)
+    m = dmat.shape[0]
+    top = max_dim + 1
 
     bars = {q: [] for q in range(max_dim + 1)}
     prev_pairs = {}
     for q in range(top, 0, -1):
-        col_verts, col_filts, _ = simplices[q]
-        row_verts, row_filts, _ = simplices[q - 1]
+        col_verts, _, col_filts = simplices[q]
+        row_verts, _, row_filts = simplices[q - 1]
         pairs, zero_cols = _reduce_block(col_verts, row_verts, m, p, prev_pairs)
         for r, c in pairs.items():
             birth, death = row_filts[r], col_filts[c]
@@ -392,7 +405,7 @@ def test_build_simplices_enumerates_every_clique_in_filtration_order():
     dmat = squareform(pdist(thick_annulus(7, 24)))
     dmat = np.round(dmat, 1)  # ties, so the lexicographic order matters
     radius = 1.2
-    simplices, adj = _build_simplices(dmat, 2, radius, DEFAULT_MAX_SIMPLICES)
+    simplices, adj = built_complex(dmat, 3, radius)
     assert np.array_equal(adj, (dmat <= radius) & ~np.eye(24, dtype=bool))
     for q in range(4):
         expected = []
@@ -401,11 +414,10 @@ def test_build_simplices_enumerates_every_clique_in_filtration_order():
             if filt <= radius:
                 expected.append((filt, verts))
         expected.sort()
-        verts, filts, ranks = simplices[q]
+        verts, keys, filts = simplices[q]
         assert np.array_equal(verts, np.array([v for _, v in expected]).reshape(-1, q + 1))
         assert np.array_equal(filts, [f for f, _ in expected])
-        lex = verts[ranks]
-        assert [tuple(v) for v in lex.tolist()] == sorted(tuple(v) for v in lex.tolist())
+        assert (np.diff(keys) > 0).all()
 
 
 # ------------------------------------------------- implicit top dimension
@@ -442,8 +454,8 @@ def test_implicit_cofacets_match_block_reducer_on_ties(case, max_dim, p):
     for q in ref:
         assert np.array_equal(ours.bars[q], ref[q])
     assert np.isinf(ref[1][:, 1]).any() == (case == "capped")
-    simplices, _ = _build_simplices(dmat, max_dim, build_radius, DEFAULT_MAX_SIMPLICES)
-    top = simplices[max_dim + 1][1]
+    simplices, _ = built_complex(dmat, max_dim + 1, build_radius)
+    top = simplices[max_dim + 1][2]
     assert len(top) >= 20 * len(np.unique(top))
 
 
