@@ -23,6 +23,7 @@ from .errors import (
     DimensionMismatch,
     EigensolverFailed,
     EmptyOverlap,
+    NonFinite,
     NotSymmetric,
     TooFewPoints,
 )
@@ -182,12 +183,12 @@ def isomap(x, params):
     """Geodesic embedding: neighborhood graph, shortest paths, then MDS.
 
     Edge weights are ambient distances, and the graph's CSR arrays are
-    filled straight from the adjacency's rows (``_geodesic_graph``), with
-    no COO conversion.  Shortest
-    paths are computed on the largest connected component only, which is
-    cut out of the graph only when there is more than one; the remaining
-    input points come back in ``dropped``.  Raises DegenerateGraph when
-    that component has fewer than target_dim + 2 vertices.
+    filled straight from the adjacency's rows (``_geodesic_graph``).
+    Shortest paths are computed on the largest connected component only,
+    which is cut out of the graph only when there is more than one; the
+    remaining input points come back in ``dropped``.  Raises
+    DegenerateGraph when that component has fewer than target_dim + 2
+    vertices.
     """
     d = params.target_dim
     if x.n_present < d + 2:
@@ -234,13 +235,14 @@ def _top_eigpairs(b, d):
 def classical_mds(dmat, d):
     """Embed a distance matrix by double centering and top eigenpairs.
 
-    The matrix must be square and symmetric within 1e-8 times the larger
-    of 1 and its largest magnitude.  Its squares are double-centred in place, in one buffer.  The
-    top d eigenpairs come from one Lanczos solve from a fixed, centred
-    start vector (``_top_eigpairs``), which raises EigensolverFailed if it
-    fails.  Negative eigenvalues are clamped to zero, so coordinates past
-    the rank of the Gram matrix are identically zero, and coincident points
-    (a zero Gram matrix) embed at the origin without a solve.  The output
+    The matrix must be square, finite (else NonFinite) and symmetric within
+    1e-8 times the larger of 1 and its largest magnitude.  Its squares are
+    double-centred in place, in one buffer.  The top d eigenpairs come from
+    one Lanczos solve from a fixed, centred start vector
+    (``_top_eigpairs``), which raises EigensolverFailed if it fails.
+    Negative eigenvalues are clamped to zero, so coordinates past the rank
+    of the Gram matrix are identically zero, and coincident points (a zero
+    Gram matrix) embed at the origin without a solve.  The output
     configuration is centered at the origin and indexed 0..m-1.
     """
     dmat = np.asarray(dmat, dtype=float)
@@ -249,6 +251,8 @@ def classical_mds(dmat, d):
     m = dmat.shape[0]
     if m < d + 1:
         raise TooFewPoints(f"MDS into {d} dimensions needs at least {d + 1} points")
+    if not np.isfinite(dmat).all():
+        raise NonFinite("distance matrix has a NaN or infinite entry")
     scale = max(1.0, float(np.abs(dmat).max()))
     if np.abs(dmat - dmat.T).max() > 1e-8 * scale:
         raise NotSymmetric("distance matrix is not symmetric")

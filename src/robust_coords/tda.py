@@ -8,7 +8,8 @@ anything built beyond the enclosing radius (the smallest row maximum of
 the distance matrix), where the complex is a cone and the bars are final.
 
 Dimension 0 comes from a union-find over the edges in filtration order.
-Dimensions 1..max_dim come from persistent cohomology over F_p: the
+Dimensions 1..max_dim come from persistent cohomology over F_p, for primes
+with (p-1)^2 < 2^63 so that a product of two coefficients fits int64: the
 coboundary columns of the q-simplices are reduced in reverse filtration
 order, each column's pivot being its earliest cofacet, and the q-simplices
 already paired one dimension down are skipped (clearing).  Cohomology reads
@@ -41,7 +42,7 @@ import numpy as np
 from scipy.spatial.distance import pdist, squareform
 
 from .core_types import Configuration
-from .errors import NotSymmetric, TooManySimplices
+from .errors import NonFinite, NotSymmetric, TooManySimplices
 
 __all__ = [
     "PersistenceDiagram",
@@ -74,6 +75,8 @@ class PersistenceDiagram:
 
 
 def _check_prime(p):
+    if (p - 1) ** 2 >= 2**63:
+        raise ValueError(f"{p} is too large: (p-1)^2 must stay below 2^63")
     if p < 2 or any(p % q == 0 for q in range(2, int(p**0.5) + 1)):
         raise ValueError(f"{p} is not prime")
 
@@ -229,7 +232,6 @@ def _coboundary_reduce(simplices, adj, ranks, q, p, cleared):
     powers = m ** np.arange(q + 1, -1, -1, dtype=np.int64)
     scale = m * powers[0]
     sign = np.array([1, p - 1], dtype=np.int8 if p < 128 else np.int64)
-    inverse = [0] + [pow(a, p - 2, p) for a in range(1, p)]
 
     def coboundaries(js):
         """Keys and coefficients of the columns js, grouped by column, with
@@ -292,7 +294,7 @@ def _coboundary_reduce(simplices, adj, ranks, q, p, cleared):
             if pivot is None or pivot < 0:
                 zeros.append(j)
             else:
-                owners[pivot] = (*column, inverse[val])
+                owners[pivot] = (*column, pow(val, p - 2, p))
                 pairs.append((j, pivot))
     return pairs, zeros
 
@@ -307,16 +309,20 @@ def rips_from_distances(
 ):
     """Rips persistence of a finite metric space given as a distance matrix.
 
-    The matrix must be symmetric within 1e-9 times the larger of 1 and its
-    largest entry.  Above ``landmark_budget`` points it is first cut to its
-    maxmin landmarks, and it is then read from its upper triangle.
-    Simplices of dimension 0..max_dim
-    are built up to the smaller of ``max_radius`` (default: half the
-    largest distance) and the enclosing radius.  The (max_dim+1)-simplices
-    are only counted, but count towards ``max_simplices`` as if built:
-    TooManySimplices is raised where building them would pass the budget,
-    and also when their filtration keys (distance rank times m^(max_dim+2)
-    plus vertex code, times p in the reduction) would overflow int64.
+    The matrix must be finite (else NonFinite), non-negative and symmetric
+    within 1e-9 times the larger of 1 and its largest entry.  Above
+    ``landmark_budget`` points it is first cut to its maxmin landmarks, and
+    it is then read from its upper triangle.  Simplices of dimension
+    0..max(max_dim, 1) are built up to the smaller of ``max_radius``
+    (default: half the largest distance) and the enclosing radius; the
+    edges always are, for H0.  Each is keyed by the rank of its diameter
+    among the distinct distances, times m^(q+1), plus its vertex code, and
+    every value is read back through that rank.  At max_dim 1 or 2 the
+    (max_dim+1)-simplices are only counted, but count towards
+    ``max_simplices`` as if built: TooManySimplices is raised where
+    building them would pass the budget, and also when their keys (times p
+    in the reduction) would overflow int64.  The prime p must satisfy
+    (p-1)^2 < 2^63, else ValueError.
     """
     _check_prime(p)
     if not 0 <= max_dim <= 2:
@@ -324,6 +330,10 @@ def rips_from_distances(
     dmat = np.asarray(dmat, dtype=float)
     if dmat.ndim != 2 or dmat.shape[0] != dmat.shape[1]:
         raise NotSymmetric("distance matrix must be square")
+    if not np.isfinite(dmat).all():
+        raise NonFinite("distance matrix has a NaN or infinite entry")
+    if (dmat < 0).any():
+        raise ValueError("distance matrix has a negative entry")
     if dmat.size and np.abs(dmat - dmat.T).max() > 1e-9 * max(1.0, dmat.max()):
         raise NotSymmetric("distance matrix is not symmetric")
 

@@ -397,6 +397,7 @@ def test_cli_full_domain_variants_reject_partial_domains(tmp_path, rng, capsys, 
         ["gpa", "{x}", "{x}", "--out", "{tmp}/g", "--tol", "-1"],
         ["gpa", "{x}", "{x}", "--out", "{tmp}/g", "--max-iter", "1", "--min-iter", "5"],
         ["ph", "{x}", "--prime", "4"],
+        ["ph", "{x}", "--prime", "3100000027"],
         ["ph", "{x}", "--max-dim", "3"],
         ["ph", "{x}", "--max-radius", "-1"],
         ["embed", "{x}", "--dim", "0", "--out", "{tmp}/e.csv"],
@@ -406,9 +407,9 @@ def test_cli_full_domain_variants_reject_partial_domains(tmp_path, rng, capsys, 
         ["synth", "swiss-roll", "--noise", "-1", "--out", "{tmp}/s.csv"],
         ["synth", "swiss-roll", "--outliers", "-1", "--out", "{tmp}/s.csv"],
     ],
-    ids=["gpa-tol", "gpa-min-iter", "ph-prime", "ph-max-dim", "ph-max-radius",
-         "embed-dim", "embed-isomap-no-graph", "synth-n", "synth-bucky-noise",
-         "synth-roll-noise", "synth-roll-outliers"],
+    ids=["gpa-tol", "gpa-min-iter", "ph-prime", "ph-huge-prime", "ph-max-dim",
+         "ph-max-radius", "embed-dim", "embed-isomap-no-graph", "synth-n",
+         "synth-bucky-noise", "synth-roll-noise", "synth-roll-outliers"],
 )
 def test_cli_value_errors_exit_1(tmp_path, rng, capsys, argv):
     x = tmp_path / "x.csv"

@@ -17,6 +17,7 @@ from robust_coords.errors import (
     DegenerateGraph,
     DimensionMismatch,
     EmptyOverlap,
+    NonFinite,
     NotSymmetric,
     TooFewPoints,
 )
@@ -318,6 +319,14 @@ def test_mds_of_coincident_points_matches_dense_oracle(m, d):
 def test_mds_rejects_asymmetric():
     d = np.array([[0.0, 1.0], [2.0, 0.0]])
     with pytest.raises(NotSymmetric):
+        classical_mds(d, 1)
+
+
+def test_mds_rejects_non_finite_distances():
+    # an infinite distance used to reach ARPACK, which failed after LAPACK
+    # printed an error to stderr
+    d = np.array([[0.0, 1.0, np.inf], [1.0, 0.0, 1.0], [np.inf, 1.0, 0.0]])
+    with pytest.raises(NonFinite):
         classical_mds(d, 1)
 
 

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from scipy.spatial.distance import pdist, squareform
 
-from robust_coords.errors import NotSymmetric, TooManySimplices
+from robust_coords.errors import NonFinite, NotSymmetric, TooManySimplices
 from robust_coords.tda import (
     DEFAULT_LANDMARK_BUDGET,
     DEFAULT_MAX_SIMPLICES,
@@ -564,3 +564,40 @@ def test_invalid_inputs(rng):
         rips_from_distances(np.array([[0.0, 1.0], [2.0, 0.0]]))
     with pytest.raises(ValueError):
         rips_persistence(rng.normal(size=(5, 2)), max_radius=0.0)
+    # a NaN once made the build radius NaN, so that no edge was built
+    with pytest.raises(NonFinite):
+        rips_from_distances(np.array([[0.0, 1.0, np.nan], [1.0, 0.0, 1.0], [np.nan, 1.0, 0.0]]))
+    with pytest.raises(ValueError, match="negative"):
+        rips_from_distances(np.array([[0.0, 1.0, -1.0], [1.0, 0.0, 1.0], [-1.0, 1.0, 0.0]]))
+    # (p-1)^2 passes 2^63 just above 3,037,000,500, and the column additions
+    # multiply two coefficients in int64
+    with pytest.raises(ValueError, match="too large"):
+        rips_persistence(rng.normal(size=(5, 2)), p=3_100_000_027)
+
+
+def test_large_prime_costs_no_table_of_p_entries():
+    # each stored pivot's coefficient is inverted on its own, so neither the
+    # time nor the memory of the reduction grows with p
+    ang = np.linspace(0.0, 2.0 * np.pi, 21)[:-1]
+    circle = np.stack([np.cos(ang), np.sin(ang)], axis=1)
+    ref = rips_persistence(circle, max_dim=1, p=3, max_radius=2.0)
+    tracemalloc.start()
+    try:
+        dg = rips_persistence(circle, max_dim=1, p=100_003, max_radius=2.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+    assert dg.bars[1].shape == (1, 2)
+    for q in (0, 1):
+        assert np.array_equal(dg.bars[q], ref.bars[q])
+
+
+@pytest.mark.parametrize("p", [2_147_483_647, 3_037_000_493])
+def test_primes_up_to_the_int64_bound_match_f3(p):
+    # the column additions multiply two coefficients below p in int64
+    dmat = rounded_annulus(0, 26)
+    ours = rips_from_distances(dmat, max_dim=2, p=p, max_radius=np.inf)
+    ref = rips_from_distances(dmat, max_dim=2, p=3, max_radius=np.inf)
+    for q in ref.bars:
+        assert np.array_equal(ours.bars[q], ref.bars[q])
