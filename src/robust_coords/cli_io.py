@@ -144,11 +144,17 @@ def read_manifest(path):
 def _jsonable(value):
     """JSON-ready copy of a dataclass, dict, sequence or numpy value.
 
-    A dataclass becomes an object keyed by its field names; non-finite
-    floats (undefined diagnostics, infinite bars) become null.
+    A dataclass becomes an object keyed by its field names, leaving out
+    each field whose metadata holds ``"json": False`` (data written to
+    other files); non-finite floats (undefined diagnostics, infinite bars)
+    become null.
     """
     if dataclasses.is_dataclass(value):
-        return {f.name: _jsonable(getattr(value, f.name)) for f in dataclasses.fields(value)}
+        return {
+            f.name: _jsonable(getattr(value, f.name))
+            for f in dataclasses.fields(value)
+            if f.metadata.get("json", True)
+        }
     if isinstance(value, dict):
         return {str(k): _jsonable(v) for k, v in value.items()}
     if isinstance(value, (list, tuple, np.ndarray)):
@@ -160,12 +166,10 @@ def _jsonable(value):
     return value
 
 
-# AlignmentResult fields written to JSON; motions and mean go to the CSVs.
-_ALIGNMENT_KEYS = ("loss", "iterations", "converged", "loss_trace", "symmetry_residuals")
-
-
-def _alignment_to_json(result):
-    return _jsonable({key: getattr(result, key) for key in _ALIGNMENT_KEYS})
+def _json_text(value):
+    """The text of an output JSON document: ``_jsonable(value)``, keys
+    sorted, indented by one space, with a final newline."""
+    return json.dumps(_jsonable(value), indent=1, sort_keys=True) + "\n"
 
 
 def write_report(report, out_dir, plots=True):
@@ -176,9 +180,7 @@ def write_report(report, out_dir, plots=True):
     files written.
     """
     os.makedirs(out_dir, exist_ok=True)
-    written = []
-
-    doc = _jsonable({
+    doc = {
         "format_version": FORMAT_VERSION,
         "seed": report.config.seed,
         "config": report.config,
@@ -187,35 +189,30 @@ def write_report(report, out_dir, plots=True):
             {"subsample": a, "params": b, "n_points": n, "n_dropped": dr}
             for a, b, n, dr in report.members
         ],
-        "thresholds": {
-            "median_dissimilarity": report.median_dissimilarity,
-            "link_cutoff": report.link_cutoff,
-            "dense_cutoff": report.dense_cutoff,
-        },
+        "thresholds": report.thresholds,
         "clusters": [{**_jsonable(c), "size": c.size} for c in report.clusters],
         "good_cluster": report.good_cluster,
         "outliers": report.outliers,
-        "alignment": None
-        if report.alignment is None
-        else _alignment_to_json(report.alignment),
+        "alignment": report.alignment,
         "embedding_points": None
         if report.embedding is None
         else report.embedding.n_present,
-    })
+    }
     path = os.path.join(out_dir, "report.json")
     with open(path, "w") as fh:
-        json.dump(doc, fh, indent=1, sort_keys=True)
-        fh.write("\n")
-    written.append(path)
+        fh.write(_json_text(doc))
+    written = [path]
 
-    if report.mds_view is not None:
-        path = os.path.join(out_dir, "mds_view.csv")
-        write_points_csv(report.mds_view, path)
-        written.append(path)
+    charts = (
+        ("mds_view", report.mds_view, "ensemble dissimilarity (MDS)"),
+        ("embedding", report.embedding, "averaged embedding"),
+    )
+    for stem, chart, _ in charts:
+        if chart is not None:
+            path = os.path.join(out_dir, f"{stem}.csv")
+            write_points_csv(chart, path)
+            written.append(path)
     if report.embedding is not None:
-        path = os.path.join(out_dir, "embedding.csv")
-        write_points_csv(report.embedding, path)
-        written.append(path)
         path = os.path.join(out_dir, "outliers.csv")
         with open(path, "w", newline="") as fh:
             writer = csv.writer(fh)
@@ -224,7 +221,13 @@ def write_report(report, out_dir, plots=True):
                 writer.writerow([int(idx)])
         written.append(path)
     if plots:
-        written.extend(_write_plots(report, out_dir))
+        try:
+            for stem, chart, title in charts:
+                path = os.path.join(out_dir, f"{stem}.svg")
+                if chart is not None and _svg_scatter(chart.present_matrix(), path, title):
+                    written.append(path)
+        except Exception as exc:  # plots are best-effort diagnostics only
+            logger.warning("plot generation failed: %s", exc)
     return written
 
 
@@ -255,22 +258,6 @@ def _svg_scatter(points, path, title):
     with open(path, "w") as fh:
         fh.write("\n".join(parts))
     return True
-
-
-def _write_plots(report, out_dir):
-    written = []
-    try:
-        if report.embedding is not None:
-            path = os.path.join(out_dir, "embedding.svg")
-            if _svg_scatter(report.embedding.present_matrix(), path, "averaged embedding"):
-                written.append(path)
-        if report.mds_view is not None:
-            path = os.path.join(out_dir, "mds_view.svg")
-            if _svg_scatter(report.mds_view.present_matrix(), path, "ensemble dissimilarity (MDS)"):
-                written.append(path)
-    except Exception as exc:  # plots are best-effort diagnostics only
-        logger.warning("plot generation failed: %s", exc)
-    return written
 
 
 # ---------------------------------------------------------------------- CLI
@@ -388,8 +375,7 @@ def _cmd_gpa(args):
             cfg.transformed(motion), os.path.join(args.out, f"aligned_{i}.csv")
         )
     with open(os.path.join(args.out, "alignment.json"), "w") as fh:
-        json.dump(_alignment_to_json(result), fh, indent=1, sort_keys=True)
-        fh.write("\n")
+        fh.write(_json_text(result))
     print(f"aligned {len(configs)} configurations; loss {result.loss:.6g}")
     return 0
 
@@ -399,11 +385,10 @@ def _cmd_ph(args):
     diagram = rips_persistence(
         points, max_dim=args.max_dim, p=args.prime, max_radius=args.max_radius
     )
-    doc = _jsonable(diagram)
-    doc["max_bar_lengths"] = {
-        str(q): max_bar_length(diagram, q) for q in diagram.dims()
-    }
-    text = json.dumps(doc, indent=1, sort_keys=True) + "\n"
+    text = _json_text({
+        **_jsonable(diagram),
+        "max_bar_lengths": {q: max_bar_length(diagram, q) for q in diagram.dims()},
+    })
     if args.out:
         with open(args.out, "w") as fh:
             fh.write(text)

@@ -57,6 +57,7 @@ from .procrustes_pair import affine_procrustes
 __all__ = [
     "PipelineConfig",
     "ClusterReport",
+    "Thresholds",
     "PipelineReport",
     "generate_subsamples",
     "off_manifold_points",
@@ -188,6 +189,15 @@ class ClusterReport:
         return len(self.members)
 
 
+@dataclass(frozen=True)
+class Thresholds:
+    """The median dissimilarity and the two cutoffs derived from it."""
+
+    median_dissimilarity: float
+    link_cutoff: float
+    dense_cutoff: float
+
+
 @dataclass
 class PipelineReport:
     """Everything one run produced; ``embedding`` is None on failure."""
@@ -200,9 +210,7 @@ class PipelineReport:
     mds_view: Configuration | None
     dissimilarity: np.ndarray
     members: list
-    link_cutoff: float
-    dense_cutoff: float
-    median_dissimilarity: float
+    thresholds: Thresholds
     config: PipelineConfig
 
 
@@ -477,12 +485,14 @@ def _closed_form_dissimilarities(configs):
 
 
 def _cutoffs(d, config, scale):
-    """(median, link cutoff, dense cutoff) of the dissimilarity matrix d:
-    the median of its off-diagonal entries, and two fractions of it floored
-    at ``_CUTOFF_FLOOR`` times the members' ``scale``."""
+    """The Thresholds of the dissimilarity matrix d: the median of its
+    off-diagonal entries, and two fractions of it floored at
+    ``_CUTOFF_FLOOR`` times the members' ``scale``."""
     med = float(np.median(d[np.triu_indices(d.shape[0], 1)]))
     base = max(med, _CUTOFF_FLOOR * scale)
-    return med, config.cluster_link_fraction * base, config.dense_median_fraction * base
+    return Thresholds(
+        med, config.cluster_link_fraction * base, config.dense_median_fraction * base
+    )
 
 
 def _member_scale(ensemble):
@@ -518,8 +528,8 @@ def cluster_ensemble(d, config, scale):
     floored at ``_CUTOFF_FLOOR`` times ``scale``, the members' median RMS
     radius (0 sets no floor).
     """
-    _, link_cutoff, dense_cutoff = _cutoffs(d, config, scale)
-    _, labels = connected_components(d <= link_cutoff, directed=False)
+    thresholds = _cutoffs(d, config, scale)
+    _, labels = connected_components(d <= thresholds.link_cutoff, directed=False)
     reports = []
     for label in np.unique(labels):
         members = np.flatnonzero(labels == label)
@@ -528,7 +538,7 @@ def cluster_ensemble(d, config, scale):
             median_intra_distance=_median_intra(d, members),
         )
         if report.size >= config.min_cluster_size:
-            report.dense = report.median_intra_distance <= dense_cutoff
+            report.dense = report.median_intra_distance <= thresholds.dense_cutoff
         if not report.dense:
             report.verdict = VERDICT_SPARSE
         reports.append(report)
@@ -645,7 +655,6 @@ def run_pipeline(x, config):
     mds_view = classical_mds(d, 2) if len(ensemble) >= 3 else None
     scale = _member_scale(ensemble)
     clusters = cluster_ensemble(d, config, scale)
-    med, link_cutoff, dense_cutoff = _cutoffs(d, config, scale)
     report = PipelineReport(
         embedding=None,
         outliers=np.empty(0, dtype=int),
@@ -655,9 +664,7 @@ def run_pipeline(x, config):
         mds_view=mds_view,
         dissimilarity=d,
         members=members,
-        link_cutoff=link_cutoff,
-        dense_cutoff=dense_cutoff,
-        median_dissimilarity=med,
+        thresholds=_cutoffs(d, config, scale),
         config=config,
     )
     try:

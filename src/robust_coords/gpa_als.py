@@ -107,11 +107,12 @@ class AlignmentResult:
     ``mean`` is defined exactly on the indices covered by at least one
     input; its column at index j averages only the transformed
     configurations whose domain contains j.  ``loss_trace`` holds the loss
-    after initialization and after each sweep.
+    after initialization and after each sweep.  ``motions`` and ``mean``
+    are written as point CSVs, so they are left out of the JSON record.
     """
 
-    motions: tuple
-    mean: Configuration
+    motions: tuple = field(metadata={"json": False})
+    mean: Configuration = field(metadata={"json": False})
     loss: float
     loss_trace: np.ndarray
     iterations: int

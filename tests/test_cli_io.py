@@ -18,7 +18,7 @@ from robust_coords.cli_io import (
 )
 from robust_coords.core_types import Configuration
 from robust_coords.dimred import EmbeddingParams
-from robust_coords.ensemble import PipelineConfig, PipelineReport, generate_subsamples
+from robust_coords.ensemble import PipelineConfig, PipelineReport, Thresholds, generate_subsamples
 from robust_coords.errors import DegenerateGraph, DuplicateId, EigensolverFailed, ParseError
 from robust_coords.gpa_als import AlsOptions
 from robust_coords.procrustes_pair import procrustes_distance
@@ -212,7 +212,7 @@ def test_report_config_reads_back_as_manifest_config(tmp_path):
     report = PipelineReport(
         embedding=None, outliers=np.empty(0, dtype=int), clusters=[], good_cluster=None,
         alignment=None, mds_view=None, dissimilarity=np.zeros((0, 0)), members=[],
-        link_cutoff=nan, dense_cutoff=nan, median_dissimilarity=nan, config=config,
+        thresholds=Thresholds(nan, nan, nan), config=config,
     )
     write_report(report, tmp_path / "rep", plots=False)
     written = json.loads((tmp_path / "rep" / "report.json").read_text())

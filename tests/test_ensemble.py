@@ -660,7 +660,7 @@ def test_cluster_matches_single_linkage_oracle(ties):
         d = random_dissimilarities(rng, k, ties)
         fraction = float(rng.choice([0.25, 0.5, 1.0]))
         config = small_config(cluster_link_fraction=fraction)
-        cutoff = _cutoffs(d, config, 0.0)[1]
+        cutoff = _cutoffs(d, config, 0.0).link_cutoff
         at_entry += bool((d[np.triu_indices(k, 1)] == cutoff).any())
         ours = [list(c.members) for c in cluster_ensemble(d, config, scale=0.0)]
         assert ours == single_linkage_oracle(d, cutoff)
