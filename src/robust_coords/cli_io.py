@@ -9,9 +9,15 @@ Manifest JSON: ``{"format_version": "1", "input_path": ..., "output_dir":
 ..., "config": {...}}`` where ``config`` mirrors PipelineConfig field for
 field, each ``dimred`` entry mirrors EmbeddingParams and ``als`` mirrors
 AlsOptions.  Keys are read off the dataclass fields and absent keys take
-the dataclass defaults; unknown keys anywhere are rejected.  The report's
-``config`` section is written from the same fields, so it parses back to
-an equal PipelineConfig.
+the dataclass defaults; unknown keys anywhere are rejected.
+
+Output JSON (``report.json``, ``gpa``'s ``alignment.json``, ``ph``'s
+diagram) is derived from the dataclasses by ``_jsonable``: each dataclass
+becomes an object keyed by its field names, except the fields declared
+with ``field(metadata={"json": False})``, and all of it is written by
+``_json_text``.  So the report's ``config`` section is written from the
+fields the manifest is read by, and parses back to an equal
+PipelineConfig.
 
 Exit codes: 0 success, 1 usage or input errors, 2 when the pipeline
 terminates because no good cluster exists (diagnostics are still written,
@@ -307,11 +313,13 @@ def _build_parser():
     p_synth = sub.add_parser("synth", help="write synthetic fixtures")
     p_synth.add_argument("kind", choices=["swiss-roll", "buckyball"])
     p_synth.add_argument("--out", required=True, help="points CSV path")
-    p_synth.add_argument("--n", type=int, default=2000, help="swiss-roll size")
+    p_synth.add_argument("--n", type=int, help="swiss-roll size (default 2000)")
     p_synth.add_argument("--seed", type=int, default=0)
     p_synth.add_argument("--noise", type=float, default=0.0)
-    p_synth.add_argument("--outliers", type=int, default=0)
-    p_synth.add_argument("--intrinsic-out", help="write the ground-truth chart CSV")
+    p_synth.add_argument("--outliers", type=int, default=0, help="swiss-roll only")
+    p_synth.add_argument(
+        "--intrinsic-out", help="write the ground-truth chart CSV (swiss-roll only)"
+    )
 
     p_embed = sub.add_parser("embed", help="run one embedding on a point CSV")
     p_embed.add_argument("input")
@@ -399,7 +407,7 @@ def _cmd_ph(args):
 
 def _cmd_synth(args):
     if args.kind == "swiss-roll":
-        sample = swiss_roll(args.n, args.seed)
+        sample = swiss_roll(2000 if args.n is None else args.n, args.seed)
         points = sample.points3d
         points = add_gaussian_noise(points, args.noise, args.seed + 1)
         points, _ = add_uniform_outliers(points, args.outliers, args.seed + 2)
@@ -407,6 +415,8 @@ def _cmd_synth(args):
         if args.intrinsic_out:
             write_points_csv(sample.intrinsic, args.intrinsic_out)
     else:
+        if args.n is not None or args.outliers or args.intrinsic_out:
+            raise ValueError("buckyball takes no --n, --outliers or --intrinsic-out")
         points = buckyball(args.noise, args.seed)
         write_points_csv(points, args.out)
     print(f"wrote {points.n_present} points to {args.out}")

@@ -64,7 +64,7 @@ class EmbeddingParams:
     For ``isomap`` exactly one of ``epsilon`` (neighborhood radius) or
     ``knn`` (nearest-neighbor count, symmetrized by union) must be set.
     ``source`` points external-method params at a CSV of precomputed
-    coordinates.
+    coordinates.  A knob that the method does not use must stay None.
     """
 
     target_dim: int
@@ -85,8 +85,12 @@ class EmbeddingParams:
                 raise ValueError("epsilon must be positive")
             if self.knn is not None and self.knn < 1:
                 raise ValueError("knn must be >= 1")
+        elif self.epsilon is not None or self.knn is not None:
+            raise ValueError(f"{self.method} takes no epsilon or knn")
         if self.method == "external" and self.source is None:
             raise ValueError("external method needs a source path")
+        if self.method != "external" and self.source is not None:
+            raise ValueError(f"{self.method} takes no source")
 
 
 @dataclass

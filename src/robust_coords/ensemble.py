@@ -15,11 +15,14 @@ Stages, in order:
    Procrustes distances (residual / sqrt(#shared indices), so pairs with
    different overlap sizes are comparable), all from one batched closed
    form; each member's nearest pair, and every pair where that form loses
-   precision to cancellation, is then solved again exactly;
-3. cut single linkage at a fraction of the median dissimilarity (floored
-   at a tiny fraction of the members' scale, so that identical members
-   stay together), as the connected components of the graph of pairs
-   within the cut, without a dendrogram; both sparse verdicts are set
+   precision to cancellation, is then solved again exactly; pairs that
+   share no index read inf, and only the 2-d MDS view of the matrix gives
+   them a finite sentinel;
+3. cut single linkage at a fraction of the median finite dissimilarity
+   (floored at a tiny fraction of the members' scale, so that identical
+   members stay together), as the connected components of the graph of
+   pairs within the cut, without a dendrogram, so pairs that share no
+   index are never linked; both sparse verdicts are set
    here, on every cluster that is too small or whose median internal
    dissimilarity exceeds another fraction of that median;
 4. among the dense clusters left, sample representatives and score them by
@@ -191,7 +194,7 @@ class ClusterReport:
 
 @dataclass(frozen=True)
 class Thresholds:
-    """The median dissimilarity and the two cutoffs derived from it."""
+    """The median finite dissimilarity and the two cutoffs derived from it."""
 
     median_dissimilarity: float
     link_cutoff: float
@@ -411,10 +414,9 @@ def dissimilarity_matrix(ensemble):
     member's nearest overlapping pair and every pair whose closed-form
     residual^2 is below ``_CANCELLATION_TOL`` times the pair's squared
     norms; every other entry lies within 1e-10 relative of the exact one.
-    Pairs with no shared index get a sentinel of twice the largest finite
-    entry (and a log line); the diagonal is zero and the matrix is exactly
-    symmetric.  Raises DimensionMismatch when members differ in dim or
-    n_global.
+    Pairs with no shared index read inf (and are counted in a log line);
+    the diagonal is zero and the matrix is exactly symmetric.  Raises
+    DimensionMismatch when members differ in dim or n_global.
     """
     k = len(ensemble)
     if k < 2:
@@ -431,14 +433,16 @@ def dissimilarity_matrix(ensemble):
         d[i, j] = d[j, i] = pa.distance / np.sqrt(pa.overlap_size)
     missing = ~shared & ~np.eye(k, dtype=bool)
     if missing.any():
-        sentinel = 2.0 * d.max()
-        logger.warning(
-            "%d member pairs share no index; using sentinel %.6g",
-            np.count_nonzero(missing) // 2,
-            sentinel,
-        )
-        d[missing] = sentinel
+        logger.warning("%d member pairs share no index", np.count_nonzero(missing) // 2)
+        d[missing] = np.inf
     return d
+
+
+def _with_sentinel(d):
+    """d with its inf entries (pairs sharing no index) set to a sentinel of
+    twice the largest finite entry, so that classical MDS can place them."""
+    finite = np.isfinite(d)
+    return np.where(finite, d, 2.0 * d[finite].max())
 
 
 def _closed_form_dissimilarities(configs):
@@ -486,9 +490,11 @@ def _closed_form_dissimilarities(configs):
 
 def _cutoffs(d, config, scale):
     """The Thresholds of the dissimilarity matrix d: the median of its
-    off-diagonal entries, and two fractions of it floored at
-    ``_CUTOFF_FLOOR`` times the members' ``scale``."""
-    med = float(np.median(d[np.triu_indices(d.shape[0], 1)]))
+    finite off-diagonal entries (pairs sharing no index read inf), and two
+    fractions of it floored at ``_CUTOFF_FLOOR`` times the members'
+    ``scale``."""
+    upper = d[np.triu_indices(d.shape[0], 1)]
+    med = float(np.median(upper[np.isfinite(upper)]))
     base = max(med, _CUTOFF_FLOOR * scale)
     return Thresholds(
         med, config.cluster_link_fraction * base, config.dense_median_fraction * base
@@ -518,6 +524,8 @@ def cluster_ensemble(d, config, scale):
     A single-linkage dendrogram cut at height t has the same clusters as
     the connected components of the graph joining members i and j when
     d[i, j] <= t (Gower & Ross, 1969), so the components are found directly.
+    Pairs that share no index read inf in d, so they are never joined, and
+    the median is taken over the finite entries.
     Both sparse verdicts are set here.  Clusters smaller than
     ``min_cluster_size`` are ``rejected_sparse`` and keep ``dense`` False.
     Every other cluster is ``dense`` when its median internal dissimilarity
@@ -652,7 +660,7 @@ def run_pipeline(x, config):
         raise NoGoodCluster("no two embeddings share an index", report=None)
     d = dissimilarity_matrix(ensemble)
     # the 2-d view of the dissimilarities needs at least 3 members
-    mds_view = classical_mds(d, 2) if len(ensemble) >= 3 else None
+    mds_view = classical_mds(_with_sentinel(d), 2) if len(ensemble) >= 3 else None
     scale = _member_scale(ensemble)
     clusters = cluster_ensemble(d, config, scale)
     report = PipelineReport(

@@ -161,10 +161,11 @@ _ABSENT = object()
         ("als", {"tol": "1e-10"}),
         ("dimred", [{"method": "isomap", "target_dim": 2, "epsilon": "7"}]),
         ("input_path", 5),
+        ("dimred", [{"method": "pca", "target_dim": 2, "knn": 5}]),
     ],
     ids=["null", "missing", "als-list", "als-unknown", "dimred-int", "dimred-object",
          "dimred-unknown", "dimred-seed", "int-float", "int-integral-float", "int-bool", "int-string",
-         "float-bool", "float-string", "nested-float-string", "str-int"],
+         "float-bool", "float-string", "nested-float-string", "str-int", "dimred-unused-knn"],
 )
 def test_cli_run_rejects_malformed_manifest(tmp_path, rng, capsys, key, value):
     doc = manifest_doc(plane_cloud_csv(tmp_path, rng), tmp_path / "out")
@@ -322,6 +323,17 @@ def test_cli_ph_unit_square(tmp_path, capsys):
     assert doc["bars"]["1"] == [[1.0, np.sqrt(2.0)]]
 
 
+def test_cli_ph_out_file_holds_what_stdout_shows(tmp_path, capsys):
+    path = tmp_path / "sq.csv"
+    path.write_text("id,x0,x1\n0,0,0\n1,1,0\n2,1,1\n3,0,1\n")
+    assert run_command(["ph", str(path), "--max-dim", "1"]) == 0
+    printed = capsys.readouterr().out
+    out = tmp_path / "ph.json"
+    assert run_command(["ph", str(path), "--max-dim", "1", "--out", str(out)]) == 0
+    assert capsys.readouterr().out == ""
+    assert out.read_bytes() == printed.encode()
+
+
 def test_cli_run_writes_outputs(tmp_path, rng, capsys):
     data = plane_cloud_csv(tmp_path, rng)
     out_dir = tmp_path / "out"
@@ -336,6 +348,37 @@ def test_cli_run_writes_outputs(tmp_path, rng, capsys):
     assert emb.n_present + n_outliers == 120
     assert (out_dir / "mds_view.csv").exists()
     assert (out_dir / "embedding.svg").exists()
+
+
+def test_cli_run_3d_embedding_has_no_svg(tmp_path, rng):
+    # the scatter plot draws 2-d points only: a 3-d average gets its CSV but
+    # no SVG, while the 2-d MDS view keeps both
+    pts = rng.uniform(-1.0, 1.0, size=(120, 4))
+    pts[:, 3] *= 0.02
+    data = tmp_path / "cloud.csv"
+    write_points_csv(Configuration.from_rows(pts), data)
+    out_dir = tmp_path / "out"
+    doc = manifest_doc(data, out_dir, dimred=[{"method": "pca", "target_dim": 3}])
+    assert run_command(["run", "--manifest", str(write_manifest(tmp_path, doc))]) == 0
+    assert read_points_csv(out_dir / "embedding.csv").dim == 3
+    assert not (out_dir / "embedding.svg").exists()
+    assert (out_dir / "mds_view.svg").exists()
+
+
+def test_cli_run_plot_failure_keeps_every_csv(tmp_path, rng, monkeypatch, caplog):
+    from robust_coords import cli_io
+
+    def broken(*args, **kwargs):
+        raise RuntimeError("no canvas")
+
+    monkeypatch.setattr(cli_io, "_svg_scatter", broken)
+    out_dir = tmp_path / "out"
+    manifest = write_manifest(tmp_path, manifest_doc(plane_cloud_csv(tmp_path, rng), out_dir))
+    with caplog.at_level(logging.WARNING, logger="robust_coords.cli_io"):
+        assert run_command(["run", "--manifest", str(manifest)]) == 0
+    names = ("report.json", "mds_view.csv", "embedding.csv", "outliers.csv")
+    assert sorted(os.listdir(out_dir)) == sorted(names)
+    assert "plot generation failed: no canvas" in caplog.text
 
 
 def test_cli_run_no_good_cluster_exit_2(tmp_path, rng, capsys):
@@ -406,10 +449,15 @@ def test_cli_full_domain_variants_reject_partial_domains(tmp_path, rng, capsys, 
         ["synth", "buckyball", "--noise", "-1", "--out", "{tmp}/s.csv"],
         ["synth", "swiss-roll", "--noise", "-1", "--out", "{tmp}/s.csv"],
         ["synth", "swiss-roll", "--outliers", "-1", "--out", "{tmp}/s.csv"],
+        ["embed", "{x}", "--method", "pca", "--knn", "5", "--epsilon", "3", "--out", "{tmp}/e.csv"],
+        ["synth", "buckyball", "--n", "7", "--out", "{tmp}/s.csv"],
+        ["synth", "buckyball", "--outliers", "5", "--out", "{tmp}/s.csv"],
+        ["synth", "buckyball", "--intrinsic-out", "{tmp}/e.csv", "--out", "{tmp}/s.csv"],
     ],
     ids=["gpa-tol", "gpa-min-iter", "ph-prime", "ph-huge-prime", "ph-max-dim",
          "ph-max-radius", "embed-dim", "embed-isomap-no-graph", "synth-n",
-         "synth-bucky-noise", "synth-roll-noise", "synth-roll-outliers"],
+         "synth-bucky-noise", "synth-roll-noise", "synth-roll-outliers", "embed-pca-knn",
+         "synth-bucky-n", "synth-bucky-outliers", "synth-bucky-intrinsic-out"],
 )
 def test_cli_value_errors_exit_1(tmp_path, rng, capsys, argv):
     x = tmp_path / "x.csv"

@@ -38,6 +38,24 @@ def test_params_validation():
         EmbeddingParams(method="external", target_dim=2)
 
 
+@pytest.mark.parametrize(
+    "kwargs",
+    [
+        {"method": "pca", "epsilon": 3.0},
+        {"method": "pca", "knn": 5},
+        {"method": "pca", "source": "chart.csv"},
+        {"method": "external", "source": "chart.csv", "epsilon": 3.0},
+        {"method": "external", "source": "chart.csv", "knn": 5},
+        {"method": "isomap", "knn": 5, "source": "chart.csv"},
+    ],
+    ids=["pca-epsilon", "pca-knn", "pca-source", "external-epsilon", "external-knn",
+         "isomap-source"],
+)
+def test_params_reject_knobs_the_method_ignores(kwargs):
+    with pytest.raises(ValueError, match="takes no"):
+        EmbeddingParams(target_dim=2, **kwargs)
+
+
 def test_collinear_points_unroll_exactly():
     pts = np.array([[0, 0, 0], [1, 0, 0], [2, 0, 0], [3, 0, 0]], dtype=float)
     out = isomap(

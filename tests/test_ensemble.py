@@ -408,9 +408,8 @@ def per_pair_dissimilarity(ensemble):
                 d[i, j] = d[j, i] = pa.distance / np.sqrt(pa.overlap_size)
             except EmptyOverlap:
                 missing.append((i, j))
-    sentinel = 2.0 * d.max()
     for i, j in missing:
-        d[i, j] = d[j, i] = sentinel
+        d[i, j] = d[j, i] = np.inf
     return d
 
 
@@ -454,6 +453,8 @@ def test_dissimilarity_matches_per_pair_oracle(rng, d, kind):
 
 
 def test_dissimilarity_empty_overlap_sentinel(rng, caplog):
+    from robust_coords.ensemble import _with_sentinel
+
     coords = rng.normal(size=(2, 10))
     a = Configuration(coords, np.arange(10) < 5)
     b = Configuration(coords, np.arange(10) >= 5)
@@ -461,12 +462,14 @@ def test_dissimilarity_empty_overlap_sentinel(rng, caplog):
     ens = [wrap(a), wrap(b), wrap(c)]
     with caplog.at_level(logging.WARNING, logger="robust_coords.ensemble"):
         d = dissimilarity_matrix(ens)
-    finite_max = max(d[0, 2], d[1, 2])
-    assert d[0, 1] == 2.0 * finite_max
+    assert d[0, 1] == d[1, 0] == np.inf
     # every finite entry is some member's nearest pair, so solved exactly
     assert np.array_equal(d, per_pair_dissimilarity(ens))
+    # the MDS view places the pair at twice the largest finite entry
+    finite_max = max(d[0, 2], d[1, 2])
+    assert _with_sentinel(d)[0, 1] == 2.0 * finite_max
     (record,) = caplog.records
-    assert record.getMessage() == f"1 member pairs share no index; using sentinel {d[0, 1]:.6g}"
+    assert record.getMessage() == "1 member pairs share no index"
 
 
 @pytest.mark.parametrize(
@@ -609,6 +612,61 @@ def test_cluster_cutoffs_floored_at_member_scale():
     assert len(cluster_ensemble(d, config, scale=0.0)) == 6
     (whole,) = cluster_ensemble(d, config, scale=1.0)
     assert whole.size == 6 and whole.dense and whole.verdict is None
+
+
+def disjoint_blocks(rng, groups, sigma):
+    """Two members per group, each group on its own block of 10 ids: the
+    group's first member and a copy of it plus N(0, sigma^2)."""
+    n = 10 * groups
+    ens = []
+    for g in range(groups):
+        base = rng.normal(size=(2, n))
+        mask = np.arange(n) // 10 == g
+        for copy in (base, base + sigma * rng.normal(size=base.shape)):
+            ens.append(wrap(Configuration(copy, mask), len(ens)))
+    return ens
+
+
+def test_cluster_never_links_identical_pairs_sharing_no_index(rng):
+    # two pairs of identical members on ids 0-9 and 10-19: the cross pairs
+    # share no index, so however small the in-pair entries, the two pairs
+    # are never linked and ALS never averages unrelated charts
+    from robust_coords.ensemble import _member_scale
+
+    ens = disjoint_blocks(rng, 2, 0.0)
+    clusters = cluster_ensemble(dissimilarity_matrix(ens), small_config(), _member_scale(ens))
+    assert [list(c.members) for c in clusters] == [[0, 1], [2, 3]]
+    assert all(c.dense for c in clusters)
+
+
+def test_cluster_cutoffs_ignore_pairs_sharing_no_index(rng):
+    # three groups of near-copies on disjoint ids: 12 of the 15 pairs share
+    # no index, so they must not set the median, and no cluster spans groups
+    from robust_coords.ensemble import _cutoffs, _member_scale
+
+    ens = disjoint_blocks(rng, 3, 0.01)
+    d = dissimilarity_matrix(ens)
+    config = small_config(cluster_link_fraction=1.0, dense_median_fraction=1.0)
+    clusters = cluster_ensemble(d, config, _member_scale(ens))
+    assert all(len({m // 2 for m in c.members}) == 1 for c in clusters)
+    assert sum(c.dense for c in clusters) == 2
+    in_group = [d[0, 1], d[2, 3], d[4, 5]]
+    assert _cutoffs(d, config, _member_scale(ens)).median_dissimilarity == np.median(in_group)
+
+
+def test_pipeline_with_pairs_sharing_no_index(rng, monkeypatch):
+    # the MDS view places pairs sharing no index at a finite sentinel, and
+    # the average covers one block only
+    import robust_coords.ensemble as ens_mod
+
+    ens = disjoint_blocks(rng, 2, 0.0)
+    monkeypatch.setattr(ens_mod, "build_ensemble", lambda x, config: ens)
+    report = run_pipeline(None, small_config(ph_bar_fraction=1.0))
+    assert np.isinf(report.dissimilarity[0, 2])
+    assert np.isfinite(report.mds_view.coords).all()
+    assert [c.size for c in report.clusters] == [2, 2]
+    assert report.embedding.n_present == 10
+    assert len(report.outliers) == 10
 
 
 def test_cluster_verdicts_diffuse_cluster_sparse():

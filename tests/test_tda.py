@@ -283,6 +283,22 @@ def test_circle_dominant_loop_cross_field():
     assert_bars_equal(d2.bars[1], d3.bars[1])
 
 
+def test_default_max_radius_is_half_the_largest_distance():
+    # a regular 10-gon: its loop is born at the side 0.618 and dies at 1.902,
+    # past the default cap of half the diameter 2, so there it never dies
+    ang = 2.0 * np.pi * np.arange(10) / 10
+    dmat = squareform(pdist(np.stack([np.cos(ang), np.sin(ang)], axis=1)))
+    default = rips_from_distances(dmat, max_dim=1)
+    assert default.max_radius == 0.5 * dmat.max()
+    capped = rips_from_distances(dmat, max_dim=1, max_radius=0.5 * dmat.max())
+    for q in (0, 1):
+        assert np.array_equal(default.bars[q], capped.bars[q])
+    side = 2.0 * np.sin(np.pi / 10)
+    assert np.allclose(default.bars[1], [[side, np.inf]])
+    full = rips_from_distances(dmat, max_dim=1, max_radius=np.inf)
+    assert np.allclose(full.bars[1], [[side, 2.0 * np.sin(4 * np.pi / 10)]])
+
+
 def test_component_counting():
     pts = np.array([[0.0, 0.0], [0.1, 0.0], [10.0, 0.0], [10.1, 0.0]])
     dg = rips_persistence(pts, max_dim=1, p=2, max_radius=1.0)
