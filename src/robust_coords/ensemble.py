@@ -16,13 +16,13 @@ Stages, in order:
    different overlap sizes are comparable), all from one batched closed
    form; each member's nearest pair, and every pair where that form loses
    precision to cancellation, is then solved again exactly; pairs that
-   share no index read inf, and only the 2-d MDS view of the matrix gives
-   them a finite sentinel;
+   share fewer than ``_MIN_SHARED`` indices read inf, and only the 2-d MDS
+   view of the matrix gives them a finite sentinel;
 3. cut single linkage at a fraction of the median finite dissimilarity
    (floored at a tiny fraction of the members' scale, so that identical
    members stay together), as the connected components of the graph of
-   pairs within the cut, without a dendrogram, so pairs that share no
-   index are never linked; both sparse verdicts are set
+   pairs within the cut, without a dendrogram, so pairs that read inf are
+   never linked; both sparse verdicts are set
    here, on every cluster that is too small or whose median internal
    dissimilarity exceeds another fraction of that median;
 4. among the dense clusters left, sample representatives and score them by
@@ -44,6 +44,7 @@ import logging
 import os
 import traceback
 from dataclasses import dataclass, field
+from pathlib import Path
 
 import numpy as np
 from scipy.sparse.csgraph import connected_components
@@ -108,6 +109,10 @@ _DISSIMILARITY_ROW_BLOCK = 16
 # so where it falls below this fraction of them the pair is solved again
 # exactly; above it the error stays far below 1e-10 relative.
 _CANCELLATION_TOL = 1e-4
+# Pairs sharing fewer indices than this are not compared and read inf: one
+# shared point always aligns exactly, so it would make any two charts
+# identical; two is the least overlap whose residual can be non-zero.
+_MIN_SHARED = 2
 
 # The selection cutoffs are fractions of the median dissimilarity, which is
 # floored at this fraction of the members' scale (their median RMS radius).
@@ -320,12 +325,45 @@ def build_ensemble(x, config):
     return outputs
 
 
+# Where a process finds its own cgroup's CPU quota: a container sees its
+# cgroup at the root of this mount.
+_CGROUP_ROOT = Path("/sys/fs/cgroup")
+
+
+def _cpu_quota(root):
+    """The CPUs' worth of time a cgroup CPU quota allows, rounded up, or
+    None when the cgroup under ``root`` sets none that can be read.
+
+    On cgroup v2, ``cpu.max`` holds "<quota> <period>", or "max <period>"
+    for no quota; on v1, ``cpu/cpu.cfs_quota_us`` holds the quota, -1 for
+    none, and ``cpu/cpu.cfs_period_us`` the period.
+    """
+    try:
+        quota, period = (root / "cpu.max").read_text().split()
+    except (OSError, ValueError):
+        try:
+            quota = (root / "cpu" / "cpu.cfs_quota_us").read_text()
+            period = (root / "cpu" / "cpu.cfs_period_us").read_text()
+        except OSError:
+            return None
+    try:
+        quota, period = int(quota), int(period)
+    except ValueError:  # "max"
+        return None
+    if quota <= 0 or period <= 0:
+        return None
+    return -(-quota // period)
+
+
 def _process_count(n):
-    """The usable CPUs, capped at ``n``."""
+    """The usable CPUs, capped at the cgroup's CPU quota and at ``n``."""
     try:
         cpus = len(os.sched_getaffinity(0))
     except AttributeError:  # no affinity call on this platform
         cpus = os.cpu_count() or 1
+    quota = _cpu_quota(_CGROUP_ROOT)
+    if quota is not None:
+        cpus = min(cpus, quota)
     return max(1, min(cpus, n))
 
 
@@ -414,9 +452,10 @@ def dissimilarity_matrix(ensemble):
     member's nearest overlapping pair and every pair whose closed-form
     residual^2 is below ``_CANCELLATION_TOL`` times the pair's squared
     norms; every other entry lies within 1e-10 relative of the exact one.
-    Pairs with no shared index read inf (and are counted in a log line);
-    the diagonal is zero and the matrix is exactly symmetric.  Raises
-    DimensionMismatch when members differ in dim or n_global.
+    Pairs sharing fewer than ``_MIN_SHARED`` indices read inf (and are
+    counted in a log line); the diagonal is zero and the matrix is exactly
+    symmetric.  Raises DimensionMismatch when members differ in dim or
+    n_global.
     """
     k = len(ensemble)
     if k < 2:
@@ -433,13 +472,17 @@ def dissimilarity_matrix(ensemble):
         d[i, j] = d[j, i] = pa.distance / np.sqrt(pa.overlap_size)
     missing = ~shared & ~np.eye(k, dtype=bool)
     if missing.any():
-        logger.warning("%d member pairs share no index", np.count_nonzero(missing) // 2)
+        logger.warning(
+            "%d member pairs share fewer than %d indices",
+            np.count_nonzero(missing) // 2,
+            _MIN_SHARED,
+        )
         d[missing] = np.inf
     return d
 
 
 def _with_sentinel(d):
-    """d with its inf entries (pairs sharing no index) set to a sentinel of
+    """d with its inf entries (pairs not compared) set to a sentinel of
     twice the largest finite entry, so that classical MDS can place them."""
     finite = np.isfinite(d)
     return np.where(finite, d, 2.0 * d[finite].max())
@@ -448,9 +491,10 @@ def _with_sentinel(d):
 def _closed_form_dissimilarities(configs):
     """Closed-form dissimilarities, sharing pairs and imprecise pairs.
 
-    The dissimilarities and the mask of pairs that share an index are
-    computed on the upper triangle and mirrored, so both are exactly
-    symmetric with a zero (False) diagonal; pairs sharing no index read 0.
+    The dissimilarities and the mask of pairs that share at least
+    ``_MIN_SHARED`` indices are computed on the upper triangle and
+    mirrored, so both are exactly symmetric with a zero (False) diagonal;
+    the entries of pairs outside the mask mean nothing.
     The last mask marks, on the upper triangle only, the sharing pairs
     whose residual^2 is at most ``_CANCELLATION_TOL`` times their squared
     norms, where rounding may dominate it.  Works in blocks of
@@ -481,7 +525,7 @@ def _closed_form_dissimilarities(configs):
         centred = norm_x + norm_y - ((sum_x**2).sum(-1) + (sum_y**2).sum(-1)) * inv
         resid2 = np.maximum(centred - 2.0 * nuclear, 0.0)
         d[rows, cols] = np.sqrt(resid2 * inv)
-        shared[rows, cols] = count > 0
+        shared[rows, cols] = count >= _MIN_SHARED
         cancelled = resid2 <= _CANCELLATION_TOL * (norm_x + norm_y)
         imprecise[rows, cols] = shared[rows, cols] & cancelled
     d, shared = np.triu(d, 1), np.triu(shared, 1)
@@ -490,7 +534,7 @@ def _closed_form_dissimilarities(configs):
 
 def _cutoffs(d, config, scale):
     """The Thresholds of the dissimilarity matrix d: the median of its
-    finite off-diagonal entries (pairs sharing no index read inf), and two
+    finite off-diagonal entries (pairs not compared read inf), and two
     fractions of it floored at ``_CUTOFF_FLOOR`` times the members'
     ``scale``."""
     upper = d[np.triu_indices(d.shape[0], 1)]
@@ -524,8 +568,9 @@ def cluster_ensemble(d, config, scale):
     A single-linkage dendrogram cut at height t has the same clusters as
     the connected components of the graph joining members i and j when
     d[i, j] <= t (Gower & Ross, 1969), so the components are found directly.
-    Pairs that share no index read inf in d, so they are never joined, and
-    the median is taken over the finite entries.
+    Pairs not compared (sharing fewer than ``_MIN_SHARED`` indices) read
+    inf in d, so they are never joined, and the median is taken over the
+    finite entries.
     Both sparse verdicts are set here.  Clusters smaller than
     ``min_cluster_size`` are ``rejected_sparse`` and keep ``dense`` False.
     Every other cluster is ``dense`` when its median internal dissimilarity
@@ -642,8 +687,9 @@ def run_pipeline(x, config):
 
     Raises NoGoodCluster when selection fails; the exception carries the
     partial report (clusters, verdicts, dissimilarity view) for writing
-    diagnostics.  With fewer than two embeddings, or none sharing an index
-    with another, there is nothing to compare, and it carries no report.
+    diagnostics.  With fewer than two embeddings, or no pair of them
+    sharing ``_MIN_SHARED`` indices, there is nothing to compare, and it
+    carries no report.
     The dissimilarity view is None for ensembles of two.
     """
     ensemble = build_ensemble(x, config)
@@ -656,9 +702,11 @@ def run_pipeline(x, config):
             f"only {len(ensemble)} embeddings succeeded; nothing to compare",
             report=None,
         )
-    if np.sum([out.config.mask for out in ensemble], axis=0).max() < 2:
-        raise NoGoodCluster("no two embeddings share an index", report=None)
     d = dissimilarity_matrix(ensemble)
+    if not np.isfinite(d[np.triu_indices(len(d), 1)]).any():
+        raise NoGoodCluster(
+            f"no two embeddings share {_MIN_SHARED} or more indices", report=None
+        )
     # the 2-d view of the dissimilarities needs at least 3 members
     mds_view = classical_mds(_with_sentinel(d), 2) if len(ensemble) >= 3 else None
     scale = _member_scale(ensemble)

@@ -6,6 +6,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.linalg import LinAlgError
 from scipy.sparse.linalg import ArpackNoConvergence
 
 from robust_coords import dimred
@@ -483,6 +484,10 @@ def _eigensolver_never_converges(*args, **kwargs):
     raise ArpackNoConvergence("no convergence", np.empty(0), np.empty((0, 0)))
 
 
+def _lapack_never_converges(*args, **kwargs):
+    raise LinAlgError("the algorithm failed to converge")
+
+
 @pytest.mark.parametrize(
     "epsilon, error",
     [(0.5, EigensolverFailed), (0.01, DegenerateGraph)],
@@ -492,7 +497,9 @@ def test_cli_run_all_embeddings_failed_exit_2(
     tmp_path, rng, capsys, caplog, monkeypatch, epsilon, error
 ):
     if error is EigensolverFailed:
+        # both solvers fail, whichever size a member has
         monkeypatch.setattr(dimred, "eigsh", _eigensolver_never_converges)
+        monkeypatch.setattr(dimred, "eigh", _lapack_never_converges)
     out_dir = tmp_path / "out"
     doc = manifest_doc(plane_cloud_csv(tmp_path, rng), out_dir,
                        dimred=[{"method": "isomap", "target_dim": 2, "epsilon": epsilon}])
@@ -527,7 +534,7 @@ def test_cli_run_members_sharing_no_index_exit_2(tmp_path, rng, capsys):
         for i, a in enumerate(subsamples) for b in subsamples[i + 1:]
     )
     assert run_command(["run", "--manifest", str(write_manifest(tmp_path, doc))]) == 2
-    assert "no two embeddings share an index" in capsys.readouterr().err
+    assert "no two embeddings share 2 or more indices" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
 
 

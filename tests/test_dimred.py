@@ -1,9 +1,18 @@
+import os
+import subprocess
+import sys
+from collections import Counter
+from pathlib import Path
+
 import numpy as np
 import pytest
+from scipy.linalg import LinAlgError
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components, shortest_path
+from scipy.sparse.linalg import ArpackNoConvergence
 from scipy.spatial.distance import pdist, squareform
 
+import robust_coords
 from robust_coords import dimred
 from robust_coords.core_types import Configuration
 from robust_coords.dimred import (
@@ -16,6 +25,7 @@ from robust_coords.dimred import (
 from robust_coords.errors import (
     DegenerateGraph,
     DimensionMismatch,
+    EigensolverFailed,
     EmptyOverlap,
     NonFinite,
     NotSymmetric,
@@ -267,7 +277,11 @@ def test_mds_centered_output(rng):
 
 
 # -------------------------------------------------------- MDS oracle
-# A full dense eigendecomposition: the Lanczos solve must reproduce it.
+# A full dense eigendecomposition: both solvers of _top_eigpairs, the
+# dense top-d solve up to _DENSE_EIG_MAX points and Lanczos above it, must
+# reproduce it.
+
+LIMIT = dimred._DENSE_EIG_MAX
 
 
 def dense_top_eigpairs(b, d):
@@ -275,11 +289,39 @@ def dense_top_eigpairs(b, d):
     return vals[::-1][:d], vecs[:, ::-1][:, :d]
 
 
-def lanczos_and_dense(monkeypatch, embed_fn):
+def library_and_oracle(monkeypatch, embed_fn):
     """Coordinates from the library solver, then from the dense oracle."""
     ours = embed_fn()
     monkeypatch.setattr(dimred, "_top_eigpairs", dense_top_eigpairs)
     return ours, embed_fn()
+
+
+def solvers_called(monkeypatch):
+    """Count the calls into the two solvers that _top_eigpairs chooses from."""
+    calls = Counter()
+    for name in ("eigh", "eigsh"):
+        def spy(*args, _name=name, _fn=getattr(dimred, name), **kwargs):
+            calls[_name] += 1
+            return _fn(*args, **kwargs)
+
+        monkeypatch.setattr(dimred, name, spy)
+    return calls
+
+
+def solver_and_oracle(monkeypatch, solver, embed_fn):
+    """Coordinates from ``solver`` ("eigh" or "eigsh"), made the library's
+    choice at every size by moving the limit, then from the dense oracle."""
+    calls = solvers_called(monkeypatch)
+    monkeypatch.setattr(dimred, "_DENSE_EIG_MAX", np.inf if solver == "eigh" else 0)
+    ours = embed_fn()
+    assert calls == {solver: 1}
+    monkeypatch.setattr(dimred, "_top_eigpairs", dense_top_eigpairs)
+    return ours, embed_fn()
+
+
+# the sizes of bucky-rp2's members, homology balls and MDS view, both
+# sides of the limit, and the 250-point members of the larger workloads
+SOLVER_SIZES = [48, 60, 100, LIMIT, LIMIT + 1, 250]
 
 
 @pytest.mark.parametrize(
@@ -293,7 +335,7 @@ def lanczos_and_dense(monkeypatch, embed_fn):
 def test_mds_matches_dense_oracle_with_eigengap(monkeypatch, points, knn):
     # an eigengap at d, so the coordinates themselves are defined
     params = EmbeddingParams(target_dim=2, knn=knn)
-    ours, ref = lanczos_and_dense(monkeypatch, lambda: isomap(points, params).config.coords)
+    ours, ref = library_and_oracle(monkeypatch, lambda: isomap(points, params).config.coords)
     assert np.abs(ours - ref).max() <= 1e-11 * np.abs(ref).max()
 
 
@@ -316,10 +358,93 @@ def test_mds_matches_dense_oracle_on_repeated_eigenvalues(monkeypatch, points, d
     # defined only up to a rotation of that eigenspace, so compare the
     # eigenvalues and, when the whole eigenspace is embedded, the distances
     dmat = squareform(pdist(points))
-    ours, ref = lanczos_and_dense(monkeypatch, lambda: classical_mds(dmat, d).coords)
+    ours, ref = library_and_oracle(monkeypatch, lambda: classical_mds(dmat, d).coords)
     assert np.allclose(np.sum(ours**2, axis=1), np.sum(ref**2, axis=1), rtol=1e-12)
     if d == block:
         assert np.abs(pdist(ours.T) - pdist(ref.T)).max() <= 1e-11 * np.abs(ref).max()
+
+
+@pytest.mark.parametrize("solver", ["eigh", "eigsh"])
+@pytest.mark.parametrize("m", SOLVER_SIZES)
+def test_each_solver_matches_dense_oracle_with_eigengap(monkeypatch, solver, m):
+    # a kNN graph on a roll keeps every point, so the Gram matrix has m rows
+    points = swiss_roll(m, seed=m).points3d
+    params = EmbeddingParams(target_dim=2, knn=8)
+    assert isomap(points, params).dropped.size == 0
+    ours, ref = solver_and_oracle(
+        monkeypatch, solver, lambda: isomap(points, params).config.coords
+    )
+    assert np.abs(ours - ref).max() <= 1e-11 * np.abs(ref).max()
+
+
+@pytest.mark.parametrize("solver", ["eigh", "eigsh"])
+@pytest.mark.parametrize(
+    "points, d, block",
+    [(regular_polygon(m), 2, 2) for m in SOLVER_SIZES if m != 60]
+    + [
+        (buckyball(0.0, seed=0).present_matrix().T, 3, 3),
+        (buckyball(0.0, seed=0).present_matrix().T, 2, 3),
+    ],
+    ids=[f"{m}-gon" for m in SOLVER_SIZES if m != 60] + ["buckyball-d3", "buckyball-d2"],
+)
+def test_each_solver_matches_dense_oracle_on_repeated_eigenvalues(
+    monkeypatch, solver, points, d, block
+):
+    dmat = squareform(pdist(points))
+    ours, ref = solver_and_oracle(monkeypatch, solver, lambda: classical_mds(dmat, d).coords)
+    assert np.allclose(np.sum(ours**2, axis=1), np.sum(ref**2, axis=1), rtol=1e-12)
+    if d == block:
+        assert np.abs(pdist(ours.T) - pdist(ref.T)).max() <= 1e-11 * np.abs(ref).max()
+
+
+@pytest.mark.parametrize("m, solver", [(LIMIT, "eigh"), (LIMIT + 1, "eigsh")])
+def test_solver_is_chosen_by_size(monkeypatch, m, solver):
+    calls = solvers_called(monkeypatch)
+    classical_mds(squareform(pdist(regular_polygon(m))), 2)
+    assert calls == {solver: 1}
+
+
+def _lapack_fails(*args, **kwargs):
+    raise LinAlgError("the algorithm failed to converge")
+
+
+def _arpack_fails(*args, **kwargs):
+    raise ArpackNoConvergence("no convergence", np.empty(0), np.empty((0, 0)))
+
+
+@pytest.mark.parametrize(
+    "m, solver, failure", [(LIMIT, "eigh", _lapack_fails), (LIMIT + 1, "eigsh", _arpack_fails)]
+)
+def test_solver_failure_is_eigensolver_failed(monkeypatch, m, solver, failure):
+    monkeypatch.setattr(dimred, solver, failure)
+    with pytest.raises(EigensolverFailed, match="MDS eigensolver failed"):
+        classical_mds(squareform(pdist(regular_polygon(m))), 2)
+
+
+DENSE_BITS_SCRIPT = """
+import hashlib
+from scipy.spatial.distance import pdist, squareform
+from robust_coords import dimred
+from robust_coords.synth import swiss_roll
+points = swiss_roll(dimred._DENSE_EIG_MAX, seed=7).points3d.present_matrix().T
+coords = dimred.classical_mds(squareform(pdist(points)), 2).coords
+print(hashlib.sha256(coords.tobytes()).hexdigest())
+"""
+
+
+def test_dense_solver_independent_of_blas_threads():
+    # the largest Gram matrix the dense solver takes, solved in fresh
+    # processes at 1 and 2 OpenBLAS threads, gives the same bits
+    src = str(Path(robust_coords.__file__).resolve().parents[1])
+    digests = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        proc = subprocess.run([sys.executable, "-c", DENSE_BITS_SCRIPT], env=env,
+                              capture_output=True, text=True, timeout=300, check=True)
+        digests.append(proc.stdout.strip())
+    assert len(digests[0]) == 64
+    assert digests[0] == digests[1]
 
 
 @pytest.mark.parametrize("m, d", [(3, 1), (3, 2), (5, 1), (5, 2)])

@@ -334,9 +334,10 @@ def test_map_in_processes_runs_share_k_in_process_k(monkeypatch):
     assert len(set(pids)) == 3
 
 
-def test_map_in_processes_caps_processes_at_tasks(monkeypatch, caplog):
+def test_map_in_processes_caps_processes_at_tasks(tmp_path, monkeypatch, caplog):
     from robust_coords import ensemble
 
+    monkeypatch.setattr(ensemble, "_CGROUP_ROOT", tmp_path)  # no CPU quota
     assert ensemble._process_count(1) == 1
     assert ensemble._process_count(10**6) == len(os.sched_getaffinity(0))
     set_process_count(monkeypatch, 3)
@@ -345,6 +346,41 @@ def test_map_in_processes_caps_processes_at_tasks(monkeypatch, caplog):
     assert caplog.messages == ["2 tasks in 2 processes, 1 of them in the parent"]
     assert [a for a, _ in results] == [0, 1]
     assert results[0][1] == os.getpid() != results[1][1]
+
+
+@pytest.mark.parametrize(
+    "files, quota",
+    [
+        ({"cpu.max": "200000 100000\n"}, 2),
+        ({"cpu.max": "150000 100000\n"}, 2),
+        ({"cpu.max": "50000 100000\n"}, 1),
+        ({"cpu.max": "max 100000\n"}, None),
+        ({"cpu/cpu.cfs_quota_us": "250000\n", "cpu/cpu.cfs_period_us": "100000\n"}, 3),
+        ({"cpu/cpu.cfs_quota_us": "-1\n", "cpu/cpu.cfs_period_us": "100000\n"}, None),
+        ({"cpu/cpu.cfs_quota_us": "100000\n"}, None),
+        ({}, None),
+    ],
+    ids=["v2-2", "v2-1.5", "v2-0.5", "v2-max", "v1-2.5", "v1-none", "v1-no-period", "none"],
+)
+def test_cpu_quota_read_from_cgroup_files(tmp_path, files, quota):
+    from robust_coords import ensemble
+
+    for name, text in files.items():
+        (tmp_path / name).parent.mkdir(exist_ok=True)
+        (tmp_path / name).write_text(text)
+    assert ensemble._cpu_quota(tmp_path) == quota
+
+
+def test_process_count_capped_at_cpu_quota(tmp_path, monkeypatch):
+    from robust_coords import ensemble
+
+    cpus = len(os.sched_getaffinity(0))
+    monkeypatch.setattr(ensemble, "_CGROUP_ROOT", tmp_path)
+    (tmp_path / "cpu.max").write_text("100000 100000\n")
+    assert ensemble._process_count(10**6) == 1
+    (tmp_path / "cpu.max").write_text(f"{100000 * (cpus + 1)} 100000\n")
+    assert ensemble._process_count(10**6) == cpus
+    assert ensemble._process_count(1) == 1
 
 
 LAYERING_SCRIPT = """
@@ -397,7 +433,8 @@ def test_dissimilarity_rigid_invariance_and_outlier(rng):
 
 
 def per_pair_dissimilarity(ensemble):
-    """The reference: one exact ``affine_procrustes`` solve per pair."""
+    """The reference: one exact ``affine_procrustes`` solve per pair, and
+    inf for pairs sharing fewer than two indices."""
     k = len(ensemble)
     d = np.zeros((k, k))
     missing = []
@@ -407,6 +444,9 @@ def per_pair_dissimilarity(ensemble):
                 pa = affine_procrustes(ensemble[i].config, ensemble[j].config)
                 d[i, j] = d[j, i] = pa.distance / np.sqrt(pa.overlap_size)
             except EmptyOverlap:
+                missing.append((i, j))
+                continue
+            if pa.overlap_size < 2:
                 missing.append((i, j))
     for i, j in missing:
         d[i, j] = d[j, i] = np.inf
@@ -469,7 +509,7 @@ def test_dissimilarity_empty_overlap_sentinel(rng, caplog):
     finite_max = max(d[0, 2], d[1, 2])
     assert _with_sentinel(d)[0, 1] == 2.0 * finite_max
     (record,) = caplog.records
-    assert record.getMessage() == "1 member pairs share no index"
+    assert record.getMessage() == "1 member pairs share fewer than 2 indices"
 
 
 @pytest.mark.parametrize(
@@ -652,6 +692,59 @@ def test_cluster_cutoffs_ignore_pairs_sharing_no_index(rng):
     assert sum(c.dense for c in clusters) == 2
     in_group = [d[0, 1], d[2, 3], d[4, 5]]
     assert _cutoffs(d, config, _member_scale(ens)).median_dissimilarity == np.median(in_group)
+
+
+def charts_sharing(rng, shared):
+    """Two near-copies (sigma 1e-3) of one chart on ids 0-9, and two of an
+    unrelated chart five times larger on the 10 ids from 10 - shared on,
+    so that the cross pairs share ``shared`` ids."""
+    n = 20 - shared
+    ens = []
+    for scale, first in ((1.0, 0), (5.0, 10 - shared)):
+        base = scale * rng.normal(size=(2, n))
+        mask = (np.arange(n) >= first) & (np.arange(n) < first + 10)
+        for copy in (base, base + 1e-3 * rng.normal(size=base.shape)):
+            ens.append(wrap(Configuration(copy, mask), len(ens)))
+    return ens
+
+
+@pytest.mark.parametrize("shared", [1, 2, 3])
+def test_pairs_sharing_one_index_are_not_compared(rng, caplog, shared):
+    # one shared point always aligns exactly, so with one shared id the
+    # cross pairs would read 0 and link the unrelated charts; they read inf
+    # instead, and with two or three shared ids they are compared
+    from robust_coords.ensemble import _member_scale
+
+    ens = charts_sharing(rng, shared)
+    with caplog.at_level(logging.WARNING, logger="robust_coords.ensemble"):
+        d = dissimilarity_matrix(ens)
+    want = per_pair_dissimilarity(ens)
+    finite = np.isfinite(want)
+    assert np.array_equal(np.isfinite(d), finite)
+    assert np.allclose(d[finite], want[finite], rtol=1e-10, atol=0.0)
+    assert np.isinf(d[:2, 2:]).all() == (shared == 1)
+    assert np.isfinite(d[:2, 2:]).all() == (shared > 1)
+    messages = [r.getMessage() for r in caplog.records]
+    assert messages == (["4 member pairs share fewer than 2 indices"] if shared == 1 else [])
+    clusters = cluster_ensemble(d, small_config(), _member_scale(ens))
+    assert all(len({m // 2 for m in c.members}) == 1 for c in clusters)
+    if shared > 1:
+        assert [list(c.members) for c in clusters] == [[0, 1], [2, 3]]
+
+
+def test_pipeline_with_no_pair_sharing_two_indices(rng, monkeypatch):
+    # three members on ids 0-9, 9-18 and 18-27: some pairs share an index,
+    # none shares two, so there is nothing to compare
+    import robust_coords.ensemble as ens_mod
+
+    ens = []
+    for first in (0, 9, 18):
+        mask = (np.arange(28) >= first) & (np.arange(28) < first + 10)
+        ens.append(wrap(Configuration(rng.normal(size=(2, 28)), mask), len(ens)))
+    monkeypatch.setattr(ens_mod, "build_ensemble", lambda x, config: ens)
+    with pytest.raises(NoGoodCluster, match="no two embeddings share 2 or more indices") as info:
+        run_pipeline(None, small_config())
+    assert info.value.report is None
 
 
 def test_pipeline_with_pairs_sharing_no_index(rng, monkeypatch):
