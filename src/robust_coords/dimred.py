@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import LinAlgError, eigh
 from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import connected_components, shortest_path
+from scipy.sparse.csgraph import shortest_path
 from scipy.sparse.linalg import ArpackError, eigsh
 from scipy.spatial.distance import pdist, squareform
 
@@ -45,13 +45,16 @@ _METHODS = ("isomap", "pca", "external")
 # Entries up to this fraction of max(1, largest magnitude) count as zero.
 _SIGN_EPS = 1e-12
 
-# Gram matrices of at most this many points get one dense LAPACK solve
-# (``eigh``, driver evr) instead of Lanczos: per call, evr is faster below
-# a crossover measured at 120-124 points (1 OpenBLAS thread, 2-d target),
-# where ARPACK's fixed cost of reverse communication still dominates.  Up
-# to this size evr's bits do not depend on the BLAS thread count; at 256
-# points they do, so the limit may not be raised that far.
-_DENSE_EIG_MAX = 120
+# Inputs of at most this many points take the dense path of both solvers
+# in ``isomap``: Floyd-Warshall geodesics instead of Dijkstra, and one dense
+# LAPACK eigensolve (``eigh``, driver evr) of the Gram matrix instead of
+# Lanczos.  Per call, each dense solver is faster below a crossover measured
+# on 1 OpenBLAS thread: evr against ARPACK at 120-124 points (2-d target),
+# where ARPACK's fixed cost of reverse communication still dominates, and
+# Floyd-Warshall against Dijkstra at about 150-200 points on kNN and epsilon
+# graphs.  Up to this size evr's bits do not depend on the BLAS thread
+# count; at 256 points they do, so the limit may not be raised that far.
+_DENSE_MAX = 120
 
 
 def _column_signs(vecs):
@@ -160,20 +163,26 @@ def _placed(x, chart, kept, params):
 
 
 def _neighborhood_graph(dmat, params):
-    """Boolean adjacency under the epsilon or union-kNN rule."""
+    """Boolean adjacency under the epsilon or union-kNN rule.
+
+    Under kNN each point takes its ell = min(knn, m - 1) nearest other
+    points, ties broken towards the lower index, so an exact duplicate is
+    taken like any other point at distance 0.  One partition per row finds
+    the ell-th distance; every point nearer than it is taken, and the points
+    at that distance in index order until ell are, so no row is sorted.
+    """
     m = dmat.shape[0]
     if params.epsilon is not None:
         adj = dmat <= params.epsilon
     else:
         ell = min(params.knn, m - 1)
-        order = np.argsort(dmat, axis=1, kind="stable")[:, : ell + 1]
-        is_self = order == np.arange(m)[:, None]
-        # exact duplicates, also at distance 0, can crowd a point out of its
-        # own first ell + 1; it then gives up its farthest candidate instead
-        is_self[~is_self.any(axis=1), -1] = True
-        adj = np.zeros((m, m), dtype=bool)
-        rows = np.repeat(np.arange(m), ell)
-        adj[rows, order[~is_self]] = True
+        others = dmat.copy()
+        np.fill_diagonal(others, np.inf)
+        cut = np.partition(others, ell - 1, axis=1)[:, ell - 1 : ell]
+        adj = others < cut
+        tied = others == cut
+        free = ell - adj.sum(axis=1, keepdims=True)
+        adj |= tied & (np.cumsum(tied, axis=1) <= free)
         adj |= adj.T
     np.fill_diagonal(adj, False)
     return adj
@@ -197,8 +206,11 @@ def isomap(x, params):
 
     Edge weights are ambient distances, and the graph's CSR arrays are
     filled straight from the adjacency's rows (``_geodesic_graph``).
-    Shortest paths are computed on the largest connected component only,
-    which is cut out of the graph only when there is more than one; the
+    Shortest paths run on the whole graph: by Floyd-Warshall up to
+    ``_DENSE_MAX`` points and by Dijkstra above.  The largest connected
+    component, of several that large the one holding the lowest vertex, is
+    read off the geodesics' finite pattern: the vertices that the first
+    vertex of largest reach reaches.  Only its points are embedded, and the
     remaining input points come back in ``dropped``.  Raises
     DegenerateGraph when that component has fewer than target_dim + 2
     vertices.
@@ -209,20 +221,20 @@ def isomap(x, params):
     points = x.present_matrix().T
     dmat = squareform(pdist(points))
     graph = _geodesic_graph(dmat, _neighborhood_graph(dmat, params))
-    kept = x.present_indices()
-    n_comp, labels = connected_components(graph, directed=False)
-    if n_comp > 1:
-        in_comp = labels == np.bincount(labels).argmax()
-        if in_comp.sum() < d + 2:
-            raise DegenerateGraph(
-                f"largest graph component has {int(in_comp.sum())} < {d + 2} vertices"
-            )
-        graph = graph[in_comp][:, in_comp]
-        kept = kept[in_comp]
-
     # the graph is exactly symmetric, so each edge is relaxed once, in the
     # direction it is stored, with the same geodesics as directed=False
-    geo = shortest_path(graph, method="D", directed=True)
+    method = "FW" if graph.shape[0] <= _DENSE_MAX else "D"
+    geo = shortest_path(graph, method=method, directed=True)
+    kept = x.present_indices()
+    reached = np.isfinite(geo)
+    in_comp = reached[reached.sum(axis=1).argmax()]
+    if not in_comp.all():
+        n = int(in_comp.sum())
+        if n < d + 2:
+            raise DegenerateGraph(f"largest graph component has {n} < {d + 2} vertices")
+        # one flat mask copies the block faster than indexing rows and columns
+        geo = geo[np.outer(in_comp, in_comp)].reshape(n, n)
+        kept = kept[in_comp]
     embedded = classical_mds(geo, d)
     return _placed(x, embedded.present_matrix(), kept, params)
 
@@ -231,7 +243,7 @@ def _top_eigpairs(b, d):
     """Top d eigenpairs of a double-centred Gram matrix, largest first;
     needs d < b.shape[0].
 
-    Up to ``_DENSE_EIG_MAX`` points, one dense LAPACK solve (evr) of the
+    Up to ``_DENSE_MAX`` points, one dense LAPACK solve (evr) of the
     top d eigenpairs; above it, one Lanczos solve (ARPACK) from a fixed
     start vector, for reproducibility, which is centred: the constant
     vector lies in the kernel of a double-centred matrix, so it would leave
@@ -240,7 +252,7 @@ def _top_eigpairs(b, d):
     """
     m = b.shape[0]
     try:
-        if m <= _DENSE_EIG_MAX:
+        if m <= _DENSE_MAX:
             vals, vecs = eigh(b, subset_by_index=[m - d, m - 1], driver="evr")
         else:
             v0 = np.random.default_rng(0).standard_normal(m)
@@ -256,11 +268,14 @@ def classical_mds(dmat, d):
     """Embed a distance matrix by double centering and top eigenpairs.
 
     The matrix must be square, finite (else NonFinite) and symmetric within
-    1e-8 times the larger of 1 and its largest magnitude.  Its squares are
-    double-centred in place, in one buffer.  The top d eigenpairs come from
-    one solve (``_top_eigpairs``): dense LAPACK up to ``_DENSE_EIG_MAX``
-    points, Lanczos from a fixed, centred start vector above; it raises
-    EigensolverFailed if it fails.
+    1e-8 times the larger of 1 and its largest magnitude.  Its squares must
+    sum without overflow: entries above sqrt(largest float) / m are refused
+    as NonFinite before anything is squared.  It is double-centred in two
+    m x m buffers: the squares, centred in place, and the symmetry check's
+    buffer, which then takes the symmetrised Gram matrix.  The top d
+    eigenpairs come from one solve (``_top_eigpairs``): dense LAPACK up to
+    ``_DENSE_MAX`` points, Lanczos from a fixed, centred start vector
+    above; it raises EigensolverFailed if it fails.
     Negative eigenvalues are clamped to zero, so coordinates past the rank
     of the Gram matrix are identically zero, and coincident points (a zero
     Gram matrix) embed at the origin without a solve.  The output
@@ -272,14 +287,21 @@ def classical_mds(dmat, d):
     m = dmat.shape[0]
     if m < d + 1:
         raise TooFewPoints(f"MDS into {d} dimensions needs at least {d + 1} points")
-    if not np.isfinite(dmat).all():
+    # a NaN propagates into both extremes, and an infinity into one of them
+    top, bottom = float(dmat.max()), float(dmat.min())
+    if not (np.isfinite(top) and np.isfinite(bottom)):
         raise NonFinite("distance matrix has a NaN or infinite entry")
-    scale = max(1.0, float(np.abs(dmat).max()))
-    if np.abs(dmat - dmat.T).max() > 1e-8 * scale:
+    scale = max(1.0, top, -bottom)
+    # the Gram matrix's grand mean sums m * m squares
+    if scale > np.sqrt(np.finfo(float).max) / m:
+        raise NonFinite(f"distance matrix entries up to {scale:.3g} overflow when squared")
+    buf = np.subtract(dmat, dmat.T, out=np.empty((m, m)))
+    np.abs(buf, out=buf)
+    if buf.max() > 1e-8 * scale:
         raise NotSymmetric("distance matrix is not symmetric")
 
     # in the order -0.5 * (sq - row - col + mean), then 0.5 * (b + b.T)
-    b = dmat**2
+    b = np.square(dmat)
     row = b.mean(axis=1, keepdims=True)
     col = b.mean(axis=0, keepdims=True)
     total = b.mean()
@@ -287,7 +309,7 @@ def classical_mds(dmat, d):
     b -= col
     b += total
     b *= -0.5
-    b += b.T
+    b = np.add(b, b.T, out=buf)
     b *= 0.5
     if not b.any():
         # coincident points: a zero Gram matrix, on which Lanczos fails

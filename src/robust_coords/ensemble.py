@@ -8,9 +8,9 @@ Stages, in order:
    scoring above ``_REJECT_MEDIAN_MULTIPLE`` times the median score;
    then draw index subsamples of the input, remove the rejected points
    from each, and embed each one under every parameter setting in the
-   mesh; one process map spreads the subsample indices over forked worker
-   processes (failures, an all-rejected subsample among them, are logged
-   and skipped);
+   mesh; one process map spreads the (subsample, setting) pairs over
+   forked worker processes (failures, an all-rejected subsample among
+   them, are logged and skipped);
 2. fill the pairwise dissimilarity matrix with overlap-normalized
    Procrustes distances (residual / sqrt(#shared indices), so pairs with
    different overlap sizes are comparable), all from one batched closed
@@ -278,11 +278,13 @@ def build_ensemble(x, config):
     logged and skipped rather than aborting the run.  Each ``external``
     source is read once.
 
-    One task embeds one subsample under every parameter setting in order,
-    and ``_map_in_processes`` runs the tasks in as many processes as there
-    are usable CPUs, capped at the number of subsamples.  The members are
-    ordered by subsample, then parameter setting; they, their order and the
-    log lines do not depend on the number of processes.
+    One task embeds one subsample under one parameter setting, and
+    ``_map_in_processes`` runs the A * B tasks of A subsamples and B
+    settings in as many processes as there are usable CPUs, capped at the
+    number of tasks.  Task k embeds subsample k % A under setting k // A,
+    so that every process's share mixes the settings, whose costs differ.
+    The members are ordered by subsample, then parameter setting; they,
+    their order and the log lines do not depend on the number of processes.
     """
     present = x.present_indices()
     subsamples = generate_subsamples(
@@ -295,29 +297,31 @@ def build_ensemble(x, config):
         p.source: read_points_csv(p.source) for p in config.dimred if p.method == "external"
     }
 
-    def members(a):
-        """Subsample a embedded under each parameter setting in order: the
-        member, or the RobustCoordsError that stopped it, returned."""
+    n_sub = len(subsamples)
+
+    def member(k):
+        """Task k embedded: the member, or the RobustCoordsError that
+        stopped it, returned."""
+        a, b = k % n_sub, k // n_sub
+        params = config.dimred[b]
         keep = np.zeros(x.n_global, dtype=bool)
         keep[present[subsamples[a]]] = True
         left_out = rejected[keep[rejected]]
         keep[rejected] = False
-        outs = []
-        for b, params in enumerate(config.dimred):
-            try:
-                out = embed(x.restrict(keep), params, chart=charts.get(params.source))
-            except RobustCoordsError as exc:
-                out = exc.with_traceback(None)  # its frames would hold the arrays
-            else:
-                out.dropped = np.union1d(out.dropped, left_out)
-                out.subsample_index = a
-                out.params_index = b
-            outs.append(out)
-        return outs
+        try:
+            out = embed(x.restrict(keep), params, chart=charts.get(params.source))
+        except RobustCoordsError as exc:
+            return exc.with_traceback(None)  # its frames would hold the arrays
+        out.dropped = np.union1d(out.dropped, left_out)
+        out.subsample_index = a
+        out.params_index = b
+        return out
 
+    results = _map_in_processes(member, n_sub * len(config.dimred))
     outputs = []
-    for a, outs in enumerate(_map_in_processes(members, len(subsamples))):
-        for b, out in enumerate(outs):
+    for a in range(n_sub):
+        for b in range(len(config.dimred)):
+            out = results[b * n_sub + a]
             if isinstance(out, RobustCoordsError):
                 logger.warning("embedding failed for subsample %d, params %d: %s", a, b, out)
             else:

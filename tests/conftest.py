@@ -34,7 +34,7 @@ def random_config(rng, d=2, n=20, mask_prob=None):
 
 
 def set_process_count(monkeypatch, w):
-    """Embed ensembles in w processes (capped at the subsamples) instead of
+    """Embed ensembles in w processes (capped at the tasks) instead of
     one per usable CPU."""
     from robust_coords import ensemble
 

@@ -69,8 +69,12 @@ def test_traced_layers_are_called_through_module_attributes(monkeypatch, rng):
                          (dimred, "classical_mds"), (tda, "rips_from_distances")):
         monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
 
-    dimred.embed(swiss_roll(60, seed=0).points3d, EmbeddingParams(target_dim=2, knn=6))
-    assert calls == {"pdist": 1, "shortest_path": 1, "classical_mds": 1}
+    # Floyd-Warshall below dimred._DENSE_MAX points and Dijkstra above, both
+    # through the one attribute that dimred.dijkstra_s times
+    for m in (60, 150):
+        calls.clear()
+        dimred.embed(swiss_roll(m, seed=0).points3d, EmbeddingParams(target_dim=2, knn=6))
+        assert calls == {"pdist": 1, "shortest_path": 1, "classical_mds": 1}
 
     # rigid copies of a disk and of a ring: two dense clusters, both scored
     calls.clear()

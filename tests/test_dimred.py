@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+import warnings
 from collections import Counter
 from pathlib import Path
 
@@ -35,6 +36,9 @@ from robust_coords.procrustes_pair import procrustes_distance
 from robust_coords.synth import buckyball, swiss_roll
 
 from conftest import random_config, random_motion
+
+# the largest input that isomap's dense solvers take
+LIMIT = dimred._DENSE_MAX
 
 
 def test_params_validation():
@@ -217,6 +221,19 @@ def test_isomap_matches_coo_graph_oracle_bit_for_bit(kind):
     assert np.array_equal(out.config.coords, ref.config.coords)
 
 
+def spy_on_shortest_path(monkeypatch):
+    """Record each call into dimred.shortest_path: the graph, the keyword
+    arguments and the geodesics returned."""
+    seen = []
+
+    def spy(graph, **kw):
+        seen.append((graph, kw, shortest_path(graph, **kw)))
+        return seen[-1][2]
+
+    monkeypatch.setattr(dimred, "shortest_path", spy)
+    return seen
+
+
 @pytest.mark.parametrize("params", [
     EmbeddingParams(target_dim=2, knn=5),
     EmbeddingParams(target_dim=2, epsilon=1.5),
@@ -226,21 +243,16 @@ def test_isomap_exact_duplicate_is_at_geodesic_distance_zero(rng, monkeypatch, p
     # copies is kept, so their geodesics agree and the copies embed together
     points = rng.normal(size=(30, 3))
     points = np.vstack([points, points[:1]])
-    seen = []
-
-    def spy(graph, **kw):
-        seen.append((graph, shortest_path(graph, **kw)))
-        return seen[-1][1]
-
-    monkeypatch.setattr(dimred, "shortest_path", spy)
+    seen = spy_on_shortest_path(monkeypatch)
     out = isomap(Configuration.from_rows(points), params)
-    ((graph, geo),) = seen
+    # the whole graph, before any component is cut out
+    ((graph, kw, geo),) = seen
+    assert graph.shape == (31, 31)
+    assert geo[0, 30] == geo[30, 0] == 0.0
+    assert np.array_equal(geo[0], geo[30])
+    assert np.array_equal(geo, shortest_path(graph, method=kw["method"], directed=False))
     kept = out.config.present_indices()
     assert kept[0] == 0 and kept[-1] == 30
-    twin = kept.size - 1
-    assert geo[0, twin] == geo[twin, 0] == 0.0
-    assert np.array_equal(geo[0], geo[twin])
-    assert np.array_equal(geo, shortest_path(graph, method="D", directed=False))
     coords = out.config.coords
     assert np.abs(coords[:, 0] - coords[:, 30]).max() <= 1e-12 * np.abs(coords).max()
     if params.knn is not None:
@@ -248,6 +260,144 @@ def test_isomap_exact_duplicate_is_at_geodesic_distance_zero(rng, monkeypatch, p
         adj = dimred._neighborhood_graph(squareform(pdist(points)), params)
         assert adj[0, 30] and adj[30, 0]
         assert adj.sum(axis=1).min() >= params.knn
+
+
+# ------------------------------------------ dense shortest paths
+# Up to _DENSE_MAX points, isomap's geodesics come from Floyd-Warshall.
+# Dijkstra, which it uses above, is the oracle: both sum the edge weights
+# along shortest paths, in different orders, so they agree up to rounding.
+
+
+def split_case(m, kind):
+    """m roll points and Isomap params that give one kind of graph."""
+    points = swiss_roll(m, seed=m).points3d.present_matrix().T
+    # the radius grows as the roll thins out, so that few points are cut off
+    params = EmbeddingParams(target_dim=2, epsilon=6.0 * np.sqrt(150 / m))
+    if kind == "union-knn":
+        params = EmbeddingParams(target_dim=2, knn=6)
+    elif kind == "duplicate":
+        points[-1] = points[0]
+    elif kind == "two-component":
+        points[-8:] = 0.01 * points[-8:] + 1000.0
+    return points, params
+
+
+def dijkstra_everywhere(graph, method, directed):
+    return shortest_path(graph, method="D", directed=directed)
+
+
+SPLIT_KINDS = ["epsilon", "union-knn", "duplicate", "two-component"]
+
+
+@pytest.mark.parametrize("kind", SPLIT_KINDS)
+@pytest.mark.parametrize("m", [31, 60, LIMIT])
+def test_dense_geodesics_match_dijkstra_oracle(monkeypatch, m, kind):
+    points, params = split_case(m, kind)
+    x = Configuration.from_rows(points, np.arange(5, 5 + m), n_global=m + 10)
+    seen = spy_on_shortest_path(monkeypatch)
+    out = isomap(x, params)
+    ((graph, kw, geo),) = seen
+    assert kw == {"method": "FW", "directed": True}
+    assert (graph.data == 0).any() == (kind == "duplicate")
+    ref = shortest_path(graph, method="D", directed=True)
+    assert np.array_equal(np.isinf(geo), np.isinf(ref))
+    finite = np.isfinite(ref)
+    assert np.abs(geo[finite] - ref[finite]).max() <= 1e-14 * ref[finite].max()
+
+    monkeypatch.setattr(dimred, "shortest_path", dijkstra_everywhere)
+    oracle = isomap(x, params)
+    if kind == "two-component":
+        assert np.array_equal(out.dropped, np.arange(m - 3, m + 5))
+    assert np.array_equal(out.dropped, oracle.dropped)
+    assert np.array_equal(out.config.mask, oracle.config.mask)
+    ref = oracle.config.coords
+    assert np.abs(out.config.coords - ref).max() <= 1e-11 * np.abs(ref).max()
+
+
+@pytest.mark.parametrize("m, method", [(LIMIT, "FW"), (LIMIT + 1, "D")])
+def test_shortest_path_method_is_chosen_by_size(monkeypatch, m, method):
+    seen = spy_on_shortest_path(monkeypatch)
+    isomap(swiss_roll(m, seed=m).points3d, EmbeddingParams(target_dim=2, knn=8))
+    assert [kw for _, kw, _ in seen] == [{"method": method, "directed": True}]
+
+
+@pytest.mark.parametrize("m", [45, LIMIT + 45])
+def test_isomap_keeps_largest_component_as_connected_components_labels_it(rng, m):
+    # a 5-point cluster holding vertex 0, then two equal clusters of the
+    # rest, interleaved and far apart: the largest component read off the
+    # geodesics is the one bincount(labels).argmax() picks, the lower label
+    half = (m - 5) // 2
+    points = np.empty((m, 3))
+    points[:5] = rng.normal(size=(5, 3)) - 1000.0
+    points[5::2] = rng.normal(size=(half, 3))
+    points[6::2] = rng.normal(size=(half, 3)) + 1000.0
+    params = EmbeddingParams(target_dim=2, knn=4)
+    graph = _geodesic_graph(points, params)
+    labels = connected_components(graph, directed=False)[1]
+    assert np.array_equal(np.bincount(labels), [5, half, half])
+    out = isomap(Configuration.from_rows(points), params)
+    assert np.array_equal(out.config.present_indices(), np.arange(5, m, 2))
+    assert np.array_equal(labels[out.config.present_indices()], np.ones(half))
+
+
+@pytest.mark.parametrize("kind", SPLIT_KINDS)
+def test_floyd_warshall_geodesics_are_exactly_symmetric(kind):
+    # on an exactly symmetric graph, relaxing the stored direction alone
+    # gives the undirected call's bits, as it does for Dijkstra
+    graph = _geodesic_graph(*split_case(LIMIT, kind))
+    assert (graph != graph.T).nnz == 0
+    geo = shortest_path(graph, method="FW", directed=True)
+    assert np.array_equal(geo, geo.T)
+    assert np.array_equal(geo, shortest_path(graph, method="FW", directed=False))
+
+
+# ------------------------------------------------------- kNN oracle
+# The union-kNN rule as it was built before rows were partitioned: each row
+# sorted in full, stably, so that ties go to the lower index; a point that
+# exact duplicates crowd out of its own first ell + 1 gives up its farthest
+# candidate instead.
+
+
+def stable_sort_knn_graph(dmat, knn):
+    m = dmat.shape[0]
+    ell = min(knn, m - 1)
+    order = np.argsort(dmat, axis=1, kind="stable")[:, : ell + 1]
+    is_self = order == np.arange(m)[:, None]
+    is_self[~is_self.any(axis=1), -1] = True
+    adj = np.zeros((m, m), dtype=bool)
+    adj[np.repeat(np.arange(m), ell), order[~is_self]] = True
+    adj |= adj.T
+    np.fill_diagonal(adj, False)
+    return adj
+
+
+def knn_case(kind):
+    rng = np.random.default_rng(11)
+    if kind == "lattice":
+        return np.argwhere(np.ones((5, 6))).astype(float)
+    if kind == "shuffled-lattice-3d":
+        return rng.permutation(np.argwhere(np.ones((3, 3, 4))).astype(float))
+    if kind == "lattice-with-repeats":
+        return rng.integers(0, 3, size=(40, 2)).astype(float)
+    if kind == "duplicates":
+        cloud = rng.normal(size=(15, 3))
+        return rng.permutation(np.vstack([cloud, cloud, cloud[:4]]))
+    return np.zeros((6, 2))  # every point coincident
+
+
+@pytest.mark.parametrize(
+    "kind",
+    ["lattice", "shuffled-lattice-3d", "lattice-with-repeats", "duplicates", "coincident"],
+)
+def test_knn_graph_matches_stable_sort_oracle(kind):
+    points = knn_case(kind)
+    m = len(points)
+    dmat = squareform(pdist(points))
+    for knn in sorted({1, 2, 3, 5, 8, m - 2, m - 1, m, m + 4} - {0}):
+        ours = dimred._neighborhood_graph(dmat, EmbeddingParams(target_dim=2, knn=knn))
+        assert np.array_equal(ours, stable_sort_knn_graph(dmat, knn)), knn
+        if knn >= m - 1:
+            assert ours.sum() == m * (m - 1)
 
 
 def test_mds_345_triangle():
@@ -278,10 +428,8 @@ def test_mds_centered_output(rng):
 
 # -------------------------------------------------------- MDS oracle
 # A full dense eigendecomposition: both solvers of _top_eigpairs, the
-# dense top-d solve up to _DENSE_EIG_MAX points and Lanczos above it, must
+# dense top-d solve up to _DENSE_MAX points and Lanczos above it, must
 # reproduce it.
-
-LIMIT = dimred._DENSE_EIG_MAX
 
 
 def dense_top_eigpairs(b, d):
@@ -312,7 +460,7 @@ def solver_and_oracle(monkeypatch, solver, embed_fn):
     """Coordinates from ``solver`` ("eigh" or "eigsh"), made the library's
     choice at every size by moving the limit, then from the dense oracle."""
     calls = solvers_called(monkeypatch)
-    monkeypatch.setattr(dimred, "_DENSE_EIG_MAX", np.inf if solver == "eigh" else 0)
+    monkeypatch.setattr(dimred, "_DENSE_MAX", np.inf if solver == "eigh" else 0)
     ours = embed_fn()
     assert calls == {solver: 1}
     monkeypatch.setattr(dimred, "_top_eigpairs", dense_top_eigpairs)
@@ -426,15 +574,18 @@ import hashlib
 from scipy.spatial.distance import pdist, squareform
 from robust_coords import dimred
 from robust_coords.synth import swiss_roll
-points = swiss_roll(dimred._DENSE_EIG_MAX, seed=7).points3d.present_matrix().T
-coords = dimred.classical_mds(squareform(pdist(points)), 2).coords
+points = swiss_roll(dimred._DENSE_MAX, seed=7).points3d
+coords = dimred.classical_mds(squareform(pdist(points.present_matrix().T)), 2).coords
 print(hashlib.sha256(coords.tobytes()).hexdigest())
+out = dimred.isomap(points, dimred.EmbeddingParams(target_dim=2, knn=8))
+print(hashlib.sha256(out.config.coords.tobytes()).hexdigest())
 """
 
 
 def test_dense_solver_independent_of_blas_threads():
-    # the largest Gram matrix the dense solver takes, solved in fresh
-    # processes at 1 and 2 OpenBLAS threads, gives the same bits
+    # the largest input the dense solvers take, as a Gram matrix and through
+    # isomap, solved in fresh processes at 1 and 2 OpenBLAS threads, gives
+    # the same bits
     src = str(Path(robust_coords.__file__).resolve().parents[1])
     digests = []
     for threads in ("1", "2"):
@@ -442,8 +593,8 @@ def test_dense_solver_independent_of_blas_threads():
                    PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
         proc = subprocess.run([sys.executable, "-c", DENSE_BITS_SCRIPT], env=env,
                               capture_output=True, text=True, timeout=300, check=True)
-        digests.append(proc.stdout.strip())
-    assert len(digests[0]) == 64
+        digests.append(proc.stdout.split())
+    assert [len(digest) for digest in digests[0]] == [64, 64]
     assert digests[0] == digests[1]
 
 
@@ -471,6 +622,20 @@ def test_mds_rejects_non_finite_distances():
     d = np.array([[0.0, 1.0, np.inf], [1.0, 0.0, 1.0], [np.inf, 1.0, 0.0]])
     with pytest.raises(NonFinite):
         classical_mds(d, 1)
+
+
+@pytest.mark.parametrize("m", [5, 130])
+def test_mds_refuses_distances_whose_squares_overflow(capfd, m):
+    # finite distances past ~1.3e154 square to inf: 5 points used to fail in
+    # eigh with a ValueError that is no RobustCoordsError, and 130 points in
+    # ARPACK after LAPACK printed errors to stderr
+    p = np.random.default_rng(m).standard_normal(m) * 1e156
+    dmat = np.abs(p[:, None] - p[None, :])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NonFinite, match="overflow when squared"):
+            classical_mds(dmat, 2)
+    assert capfd.readouterr().err == ""
 
 
 def test_pca_plane_reconstruction(rng):

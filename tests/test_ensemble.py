@@ -286,17 +286,25 @@ def test_build_ensemble_skips_all_rejected_subsample(rng, caplog, monkeypatch):
         assert np.array_equal(p.dropped, q.dropped)
 
 
-def test_build_ensemble_caps_processes_at_subsamples(rng, caplog):
-    # the share key is the subsample, so one subsample needs one process
+def test_build_ensemble_caps_processes_at_items(rng, caplog, tmp_path, monkeypatch):
+    # the share key is the (subsample, setting) item, so one subsample under
+    # two settings fills two processes, however many CPUs there are
+    from robust_coords import ensemble
+
+    monkeypatch.setattr(ensemble, "_CGROUP_ROOT", tmp_path)  # no quota
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)), raising=False)
     x = Configuration.from_rows(rng.normal(size=(20, 2)))
     config = PipelineConfig(n_subsamples=1, subsample_size=10, dimred=(PCA_PARAMS, PCA_PARAMS))
     with caplog.at_level(logging.INFO, logger="robust_coords.ensemble"):
-        assert len(build_ensemble(x, config)) == 2
-    assert "1 tasks in 1 processes, 1 of them in the parent" in caplog.messages
+        members = build_ensemble(x, config)
+    assert "2 tasks in 2 processes, 1 of them in the parent" in caplog.messages
+    assert [(m.subsample_index, m.params_index) for m in members] == [(0, 0), (0, 1)]
+    assert np.array_equal(members[0].config.coords, members[1].config.coords)
 
 
 def test_build_ensemble_same_members_at_three_workers(tmp_path, rng, caplog, monkeypatch):
-    # 8 subsamples in 3 processes: shares of 3, 3 and 2 subsamples
+    # 8 subsamples under 2 settings in 3 processes: shares of 6, 5 and 5
+    # tasks, each mixing both settings
     x, config = roll_with_partial_chart(tmp_path, rng)
     runs = []
     for workers in (1, 3):
@@ -309,8 +317,8 @@ def test_build_ensemble_same_members_at_three_workers(tmp_path, rng, caplog, mon
                   if r.levelno == logging.WARNING]
         runs.append((members, shares, warned))
     (one, share_one, warned_one), (three, share_three, warned_three) = runs
-    assert share_one == ["8 tasks in 1 processes, 8 of them in the parent"]
-    assert share_three == ["8 tasks in 3 processes, 3 of them in the parent"]
+    assert share_one == ["16 tasks in 1 processes, 16 of them in the parent"]
+    assert share_three == ["16 tasks in 3 processes, 6 of them in the parent"]
     assert warned_one == warned_three
     assert any(kind is EmptyOverlap for _, kind in warned_one)
     assert len(one) == len(three)
