@@ -53,8 +53,6 @@ from .gpa_als import (
     gradient_form,
     hessian_form,
     hessian_matrix,
-    normalize_first_fixed,
-    symmetry_residual,
 )
 from .procrustes_pair import (
     PairAlignment,

@@ -21,7 +21,8 @@ PipelineConfig.
 
 Exit codes: 0 success, 1 usage or input errors, 2 when the pipeline
 terminates because no good cluster exists (diagnostics are still written,
-unless fewer than two embeddings succeeded).
+unless fewer than two embeddings succeeded or no two of them share two or
+more indices).
 """
 
 from __future__ import annotations
@@ -42,7 +43,7 @@ from .core_types import Configuration, _fmt, read_points_csv, write_points_csv
 from .dimred import EmbeddingParams, embed
 from .ensemble import PipelineConfig, run_pipeline
 from .errors import NoGoodCluster, ParseError, RobustCoordsError
-from .gpa_als import AlsOptions, GpaProblem, als_align, normalize_first_fixed
+from .gpa_als import AlsOptions, GpaProblem, als_align
 from .procrustes_pair import procrustes_distance
 from .synth import add_gaussian_noise, add_uniform_outliers, buckyball, swiss_roll
 from .tda import max_bar_length, rips_persistence
@@ -375,7 +376,7 @@ def _cmd_dist(args):
 def _cmd_gpa(args):
     configs = _read_on_common_index_set(args.inputs)
     options = AlsOptions(tol=args.tol, max_iter=args.max_iter, min_iter=args.min_iter)
-    result = normalize_first_fixed(als_align(GpaProblem(configs, options)))
+    result = als_align(GpaProblem(configs, options))
     os.makedirs(args.out, exist_ok=True)
     write_points_csv(result.mean, os.path.join(args.out, "mean.csv"))
     for i, (cfg, motion) in enumerate(zip(configs, result.motions)):

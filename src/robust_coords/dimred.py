@@ -110,12 +110,12 @@ class EmbeddingOutput:
     """An embedded configuration plus the input indices it excluded.
 
     ``subsample_index`` and ``params_index`` locate the output inside an
-    ensemble; they stay None for standalone embeddings.
+    ensemble, the latter as the position of its EmbeddingParams in the
+    pipeline's mesh; they stay None for standalone embeddings.
     """
 
     config: Configuration
     dropped: np.ndarray
-    params: EmbeddingParams
     subsample_index: int | None = None
     params_index: int | None = None
 
@@ -136,7 +136,7 @@ def embed(x, params, chart=None):
     if params.method == "isomap":
         return isomap(x, params)
     if params.method == "pca":
-        return pca_embed(x, params.target_dim, params=params)
+        return pca_embed(x, params.target_dim)
     if chart is None:
         chart = read_points_csv(params.source)
     if chart.dim != params.target_dim:
@@ -151,15 +151,15 @@ def embed(x, params, chart=None):
         raise EmptyOverlap(
             f"external embedding {params.source} covers none of the input's indices"
         )
-    return _placed(x, chart.coords[:, kept], kept, params)
+    return _placed(x, chart.coords[:, kept], kept)
 
 
-def _placed(x, chart, kept, params):
+def _placed(x, chart, kept):
     """The (d, len(kept)) chart placed at global indices ``kept`` of the
     input ``x``; the input's other present indices come back in ``dropped``."""
     config = Configuration.from_rows(chart.T, kept, n_global=x.n_global)
     present = x.present_indices()
-    return EmbeddingOutput(config=config, dropped=present[~config.mask[present]], params=params)
+    return EmbeddingOutput(config=config, dropped=present[~config.mask[present]])
 
 
 def _neighborhood_graph(dmat, params):
@@ -236,7 +236,7 @@ def isomap(x, params):
         geo = geo[np.outer(in_comp, in_comp)].reshape(n, n)
         kept = kept[in_comp]
     embedded = classical_mds(geo, d)
-    return _placed(x, embedded.present_matrix(), kept, params)
+    return _placed(x, embedded.present_matrix(), kept)
 
 
 def _top_eigpairs(b, d):
@@ -279,8 +279,11 @@ def classical_mds(dmat, d):
     Negative eigenvalues are clamped to zero, so coordinates past the rank
     of the Gram matrix are identically zero, and coincident points (a zero
     Gram matrix) embed at the origin without a solve.  The output
-    configuration is centered at the origin and indexed 0..m-1.
+    configuration is centered at the origin and indexed 0..m-1.  Raises
+    ValueError when d < 1.
     """
+    if d < 1:
+        raise ValueError(f"d must be >= 1, got {d}")
     dmat = np.asarray(dmat, dtype=float)
     if dmat.ndim != 2 or dmat.shape[0] != dmat.shape[1]:
         raise NotSymmetric("distance matrix must be square")
@@ -326,8 +329,12 @@ def classical_mds(dmat, d):
     return Configuration(coords)
 
 
-def pca_embed(x, d, params=None):
-    """Project the centered configuration onto its top principal directions."""
+def pca_embed(x, d):
+    """Project the centered configuration onto its top d principal
+    directions; the output keeps the input's indices and drops none.
+    Raises ValueError when d < 1."""
+    if d < 1:
+        raise ValueError(f"d must be >= 1, got {d}")
     if x.n_present < d + 1:
         raise TooFewPoints(f"PCA into {d} dimensions needs at least {d + 1} points")
     if d > x.dim:
@@ -336,6 +343,4 @@ def pca_embed(x, d, params=None):
     m = m - m.mean(axis=1, keepdims=True)
     u, _, _ = np.linalg.svd(m, full_matrices=False)
     u = u[:, :d] * _column_signs(u[:, :d])
-    if params is None:
-        params = EmbeddingParams(method="pca", target_dim=d)
-    return _placed(x, u.T @ m, x.present_indices(), params)
+    return _placed(x, u.T @ m, x.present_indices())

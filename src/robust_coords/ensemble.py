@@ -29,8 +29,8 @@ Stages, in order:
    essential dimensionality and the largest finite bar of degree-1 Rips
    persistent homology, run to the enclosing radius so that every 1-cycle
    dies; the good cluster minimizes that bar;
-5. align the good cluster's members by missing-points ALS, pin the first
-   rotation, and average per index;
+5. align the good cluster's members by missing-points ALS, which pins the
+   first member's frame and averages per index;
 6. report the averaged embedding plus the indices it never covered
    (rejected points among them, since no member holds them).
 
@@ -55,7 +55,7 @@ from . import tda
 from .core_types import Configuration, _check_compatible, read_points_csv
 from .dimred import EmbeddingParams, classical_mds, embed
 from .errors import NoGoodCluster, RobustCoordsError, SizeTooLarge
-from .gpa_als import AlsOptions, GpaProblem, als_align, essential_dimension, normalize_first_fixed
+from .gpa_als import AlsOptions, GpaProblem, als_align, essential_dimension
 from .procrustes_pair import affine_procrustes
 
 __all__ = [
@@ -456,10 +456,11 @@ def dissimilarity_matrix(ensemble):
     member's nearest overlapping pair and every pair whose closed-form
     residual^2 is below ``_CANCELLATION_TOL`` times the pair's squared
     norms; every other entry lies within 1e-10 relative of the exact one.
-    Pairs sharing fewer than ``_MIN_SHARED`` indices read inf (and are
-    counted in a log line); the diagonal is zero and the matrix is exactly
-    symmetric.  Raises DimensionMismatch when members differ in dim or
-    n_global.
+    Pairs sharing fewer than ``_MIN_SHARED`` indices read inf, which is
+    the only record of them: a member's nearest pair is its least entry off
+    the diagonal, and the inf entries are counted in a log line.  The
+    diagonal is zero and the matrix is exactly symmetric.  Raises
+    DimensionMismatch when members differ in dim or n_global.
     """
     k = len(ensemble)
     if k < 2:
@@ -467,21 +468,18 @@ def dissimilarity_matrix(ensemble):
     configs = [out.config for out in ensemble]
     for c in configs[1:]:
         _check_compatible(configs[0], c)
-    d, shared, redo = _closed_form_dissimilarities(configs)
-    nearest = np.where(shared, d, np.inf).argmin(axis=1)
-    has_pair = np.flatnonzero(shared.any(axis=1))
+    d, redo = _closed_form_dissimilarities(configs)
+    off_diagonal = d.copy()
+    np.fill_diagonal(off_diagonal, np.inf)
+    nearest = off_diagonal.argmin(axis=1)
+    has_pair = np.flatnonzero(np.isfinite(off_diagonal.min(axis=1)))
     redo[has_pair, nearest[has_pair]] = True
     for i, j in zip(*np.nonzero(np.triu(redo | redo.T, 1))):
         pa = affine_procrustes(configs[i], configs[j])
         d[i, j] = d[j, i] = pa.distance / np.sqrt(pa.overlap_size)
-    missing = ~shared & ~np.eye(k, dtype=bool)
-    if missing.any():
-        logger.warning(
-            "%d member pairs share fewer than %d indices",
-            np.count_nonzero(missing) // 2,
-            _MIN_SHARED,
-        )
-        d[missing] = np.inf
+    missing = np.count_nonzero(np.isinf(d)) // 2
+    if missing:
+        logger.warning("%d member pairs share fewer than %d indices", missing, _MIN_SHARED)
     return d
 
 
@@ -493,26 +491,23 @@ def _with_sentinel(d):
 
 
 def _closed_form_dissimilarities(configs):
-    """Closed-form dissimilarities, sharing pairs and imprecise pairs.
+    """Closed-form dissimilarities and the mask of imprecise pairs.
 
-    The dissimilarities and the mask of pairs that share at least
-    ``_MIN_SHARED`` indices are computed on the upper triangle and
-    mirrored, so both are exactly symmetric with a zero (False) diagonal;
-    the entries of pairs outside the mask mean nothing.
-    The last mask marks, on the upper triangle only, the sharing pairs
-    whose residual^2 is at most ``_CANCELLATION_TOL`` times their squared
-    norms, where rounding may dominate it.  Works in blocks of
-    ``_DISSIMILARITY_ROW_BLOCK`` rows, each against the columns from its
-    first row on, so the temporaries stay O(block * k * d^2).  Every product
-    is an ``einsum`` without BLAS, whose sums do not depend on the BLAS
-    thread count.
+    The dissimilarities are computed on the upper triangle and mirrored,
+    so they are exactly symmetric with a zero diagonal; pairs that share
+    fewer than ``_MIN_SHARED`` indices read inf.  The mask marks, on the
+    upper triangle only, the other pairs whose residual^2 is at most
+    ``_CANCELLATION_TOL`` times their squared norms, where rounding may
+    dominate it.  Works in blocks of ``_DISSIMILARITY_ROW_BLOCK`` rows,
+    each against the columns from its first row on, so the temporaries stay
+    O(block * k * d^2).  Every product is an ``einsum`` without BLAS, whose
+    sums do not depend on the BLAS thread count.
     """
     k = len(configs)
     x = np.stack([c.coords for c in configs])  # (k, d, n), absent columns 0
     m = np.stack([c.mask for c in configs]).astype(float)  # (k, n)
     sq = np.einsum("idn,idn->in", x, x, optimize=False)
     d = np.zeros((k, k))
-    shared = np.zeros((k, k), dtype=bool)
     imprecise = np.zeros((k, k), dtype=bool)
     for start in range(0, k, _DISSIMILARITY_ROW_BLOCK):
         rows = slice(start, min(start + _DISSIMILARITY_ROW_BLOCK, k))
@@ -528,21 +523,29 @@ def _closed_form_dissimilarities(configs):
         nuclear = np.linalg.svd(cross, compute_uv=False).sum(axis=-1)
         centred = norm_x + norm_y - ((sum_x**2).sum(-1) + (sum_y**2).sum(-1)) * inv
         resid2 = np.maximum(centred - 2.0 * nuclear, 0.0)
-        d[rows, cols] = np.sqrt(resid2 * inv)
-        shared[rows, cols] = count >= _MIN_SHARED
+        shared = count >= _MIN_SHARED
+        d[rows, cols] = np.where(shared, np.sqrt(resid2 * inv), np.inf)
         cancelled = resid2 <= _CANCELLATION_TOL * (norm_x + norm_y)
-        imprecise[rows, cols] = shared[rows, cols] & cancelled
-    d, shared = np.triu(d, 1), np.triu(shared, 1)
-    return d + d.T, shared | shared.T, np.triu(imprecise, 1)
+        imprecise[rows, cols] = shared & cancelled
+    d = np.triu(d, 1)
+    return d + d.T, np.triu(imprecise, 1)
 
 
 def _cutoffs(d, config, scale):
-    """The Thresholds of the dissimilarity matrix d: the median of its
-    finite off-diagonal entries (pairs not compared read inf), and two
-    fractions of it floored at ``_CUTOFF_FLOOR`` times the members'
-    ``scale``."""
+    """The Thresholds of the dissimilarity matrix d.
+
+    The median is taken over the finite off-diagonal entries (pairs not
+    compared read inf); ValueError when there is none.  Single linkage is
+    cut at ``cluster_link_fraction`` times that median, and a cluster is
+    dense up to ``dense_median_fraction`` times it, where under both
+    fractions the median is floored at ``_CUTOFF_FLOOR`` times ``scale``,
+    the members' median RMS radius (0 sets no floor).
+    """
     upper = d[np.triu_indices(d.shape[0], 1)]
-    med = float(np.median(upper[np.isfinite(upper)]))
+    finite = upper[np.isfinite(upper)]
+    if not finite.size:
+        raise ValueError("the dissimilarity matrix d has no finite off-diagonal entry")
+    med = float(np.median(finite))
     base = max(med, _CUTOFF_FLOOR * scale)
     return Thresholds(
         med, config.cluster_link_fraction * base, config.dense_median_fraction * base
@@ -566,26 +569,22 @@ def _median_intra(d, members):
     return float(np.median(block[iu]))
 
 
-def cluster_ensemble(d, config, scale):
-    """Single-linkage clusters cut at link_fraction * median dissimilarity.
+def cluster_ensemble(d, thresholds, min_cluster_size):
+    """Single-linkage clusters of d cut at ``thresholds.link_cutoff``.
 
     A single-linkage dendrogram cut at height t has the same clusters as
     the connected components of the graph joining members i and j when
     d[i, j] <= t (Gower & Ross, 1969), so the components are found directly.
     Pairs not compared (sharing fewer than ``_MIN_SHARED`` indices) read
-    inf in d, so they are never joined, and the median is taken over the
-    finite entries.
+    inf in d, so they are never joined.
     Both sparse verdicts are set here.  Clusters smaller than
     ``min_cluster_size`` are ``rejected_sparse`` and keep ``dense`` False.
     Every other cluster is ``dense`` when its median internal dissimilarity
-    is at most ``dense_median_fraction`` times the overall median, and
-    ``rejected_sparse`` otherwise.  The verdicts of dense clusters stay
-    unset for ``select_good_cluster``.  Clusters are ordered by decreasing
-    size, then lowest member index.  The median under both fractions is
-    floored at ``_CUTOFF_FLOOR`` times ``scale``, the members' median RMS
-    radius (0 sets no floor).
+    is at most ``thresholds.dense_cutoff``, and ``rejected_sparse``
+    otherwise.  The verdicts of dense clusters stay unset for
+    ``select_good_cluster``.  Clusters are ordered by decreasing size, then
+    lowest member index.
     """
-    thresholds = _cutoffs(d, config, scale)
     _, labels = connected_components(d <= thresholds.link_cutoff, directed=False)
     reports = []
     for label in np.unique(labels):
@@ -594,7 +593,7 @@ def cluster_ensemble(d, config, scale):
             members=members,
             median_intra_distance=_median_intra(d, members),
         )
-        if report.size >= config.min_cluster_size:
+        if report.size >= min_cluster_size:
             report.dense = report.median_intra_distance <= thresholds.dense_cutoff
         if not report.dense:
             report.verdict = VERDICT_SPARSE
@@ -674,16 +673,13 @@ def select_good_cluster(clusters, ensemble, config):
 def average_cluster(ensemble, cluster, config):
     """Align the cluster's members and average them per index.
 
-    Returns (averaged configuration, indices covered by no member, the
-    alignment result).  The average at index j uses exactly the members
-    whose domain contains j.
+    Returns the AlignmentResult of ``als_align``, in the first member's
+    frame.  Its ``mean`` at index j averages exactly the members whose
+    domain contains j, and the indices that no member covers are those
+    outside ``mean.mask``.
     """
     configs = tuple(ensemble[i].config for i in cluster.members)
-    problem = GpaProblem(configs, config.als)
-    result = normalize_first_fixed(als_align(problem))
-    mean = result.mean
-    outliers = np.flatnonzero(~mean.mask)
-    return mean, outliers, result
+    return als_align(GpaProblem(configs, config.als))
 
 
 def run_pipeline(x, config):
@@ -713,8 +709,8 @@ def run_pipeline(x, config):
         )
     # the 2-d view of the dissimilarities needs at least 3 members
     mds_view = classical_mds(_with_sentinel(d), 2) if len(ensemble) >= 3 else None
-    scale = _member_scale(ensemble)
-    clusters = cluster_ensemble(d, config, scale)
+    thresholds = _cutoffs(d, config, _member_scale(ensemble))
+    clusters = cluster_ensemble(d, thresholds, config.min_cluster_size)
     report = PipelineReport(
         embedding=None,
         outliers=np.empty(0, dtype=int),
@@ -724,7 +720,7 @@ def run_pipeline(x, config):
         mds_view=mds_view,
         dissimilarity=d,
         members=members,
-        thresholds=_cutoffs(d, config, scale),
+        thresholds=thresholds,
         config=config,
     )
     try:
@@ -732,8 +728,8 @@ def run_pipeline(x, config):
     except NoGoodCluster as exc:
         exc.report = report
         raise
-    report.embedding, report.outliers, report.alignment = average_cluster(
-        ensemble, winner, config
-    )
+    report.alignment = average_cluster(ensemble, winner, config)
+    report.embedding = report.alignment.mean
+    report.outliers = np.flatnonzero(~report.embedding.mask)
     report.good_cluster = next(i for i, c in enumerate(clusters) if c is winner)
     return report

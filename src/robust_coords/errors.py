@@ -34,7 +34,8 @@ class DegenerateGraph(RobustCoordsError):
 
 
 class EigensolverFailed(RobustCoordsError):
-    """The Lanczos eigensolver of classical MDS failed or did not converge."""
+    """The eigensolver of classical MDS, dense LAPACK (evr) on small Gram
+    matrices or Lanczos (ARPACK) on larger ones, failed or did not converge."""
 
 
 class NotSymmetric(RobustCoordsError):

@@ -13,15 +13,15 @@ and a per-configuration translation, and the mean is updated after every
 single rotation.  This solves two configurations exactly and, unlike the
 frozen-mean sweep, does not stall at the antipodal saddle.
 
-The module also houses the post-hoc diagnostics: symmetry residuals of the
-mean/input cross-covariances (zero at critical points), the second-derivative
-quadratic form along one-parameter rotation subgroups, and essential
-dimensionality of a configuration.
+The module also houses the diagnostics: the symmetry residuals of the
+mean/input cross-covariances that ``als_align`` records (zero at critical
+points), the first- and second-derivative forms along one-parameter rotation
+subgroups, and essential dimensionality of a configuration.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -40,8 +40,6 @@ __all__ = [
     "AlignmentResult",
     "gpa_loss",
     "als_align",
-    "normalize_first_fixed",
-    "symmetry_residual",
     "gradient_form",
     "hessian_form",
     "hessian_matrix",
@@ -104,11 +102,16 @@ class GpaProblem:
 class AlignmentResult:
     """Motions, masked mean, and convergence record of one ALS run.
 
-    ``mean`` is defined exactly on the indices covered by at least one
-    input; its column at index j averages only the transformed
-    configurations whose domain contains j.  ``loss_trace`` holds the loss
-    after initialization and after each sweep.  ``motions`` and ``mean``
-    are written as point CSVs, so they are left out of the JSON record.
+    The solution is in the first input's frame: the first motion's rotation
+    is the identity, up to rounding.  ``mean`` is defined exactly on the
+    indices covered by at least one input; its column at index j averages
+    only the transformed configurations whose domain contains j.
+    ``loss_trace`` holds the loss after initialization and after each
+    sweep, and ``symmetry_residuals[i]`` the relative asymmetry of the
+    cross-covariance of the mean and the i-th transformed input over its
+    domain, which vanishes at critical points of the loss.  ``motions``
+    and ``mean`` are written as point CSVs, so they are left out of the
+    JSON record.
     """
 
     motions: tuple = field(metadata={"json": False})
@@ -174,11 +177,14 @@ def _check_finite_loss(value):
 
 
 def als_align(problem):
-    """Run the ALS sweeps to termination.
+    """Run the ALS sweeps to termination and pin the first input's frame.
 
     Terminates when the loss changes by less than ``tol`` after at least
-    ``min_iter`` sweeps, or at ``max_iter`` sweeps.  Raises NonFinite if
-    the loss leaves the reals (degenerate input data).
+    ``min_iter`` sweeps, or at ``max_iter`` sweeps.  The loss is invariant
+    under one global rigid motion, so the solution is then rotated by the
+    inverse of the first rotation, unless that is already the identity
+    within 1e-15.  Raises NonFinite if the loss leaves the reals
+    (degenerate input data).
     """
     opts = problem.options
     k, d, n = problem.k, problem.dim, problem.n_global
@@ -236,6 +242,13 @@ def als_align(problem):
             for i in range(k)
         ]
     )
+    # the pin leaves the residuals as they are: ||Q^T M Q - (Q^T M Q)^T||
+    # = ||M - M^T|| for orthogonal Q
+    q1 = motions[0].rotation
+    if not np.allclose(q1, np.eye(d), atol=1e-15):
+        head = RigidMotion(q1.T, np.zeros(d))
+        motions = tuple(head.compose(g) for g in motions)
+        mean_cfg = mean_cfg.transformed(head)
     return AlignmentResult(
         motions=motions,
         mean=mean_cfg,
@@ -247,37 +260,9 @@ def als_align(problem):
     )
 
 
-def normalize_first_fixed(result):
-    """Rotate the whole solution so the first motion's rotation is Id.
-
-    Applies the inverse of the first rotation to every motion and to the
-    mean; the loss and all pairwise relations are unchanged.
-    """
-    q1 = result.motions[0].rotation
-    if np.allclose(q1, np.eye(q1.shape[0]), atol=1e-15):
-        return result
-    head = RigidMotion(q1.T, np.zeros(q1.shape[0]))
-    motions = tuple(head.compose(g) for g in result.motions)
-    mean = result.mean.transformed(head)
-    return replace(result, motions=motions, mean=mean)
-
-
 def _symmetry_residual_matrices(mean_block, transformed_block):
     m = mean_block @ transformed_block.T
     return float(np.linalg.norm(m - m.T) / max(1.0, np.linalg.norm(m)))
-
-
-def symmetry_residual(problem, result, i):
-    """Relative asymmetry of Z (transformed X_i)^T over the shared indices.
-
-    Vanishes at critical points of the alignment loss; large values flag a
-    run that terminated away from criticality.
-    """
-    cfg = problem.configs[i]
-    block = result.motions[i].apply(cfg.present_matrix())
-    return _symmetry_residual_matrices(
-        result.mean.coords[:, cfg.present_indices()], block
-    )
 
 
 def _transformed_stack(problem, result):

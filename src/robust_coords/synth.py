@@ -34,7 +34,6 @@ class SwissRollSample:
 
     points3d: Configuration
     intrinsic: Configuration
-    seed: int
 
 
 def _spiral_arclength(t):
@@ -58,11 +57,7 @@ def swiss_roll(n, seed):
     h = rng.uniform(0.0, ROLL_HEIGHT, size=n)
     points = np.stack([t * np.cos(t), h, t * np.sin(t)])
     chart = np.stack([_spiral_arclength(t), h])
-    return SwissRollSample(
-        points3d=Configuration(points),
-        intrinsic=Configuration(chart),
-        seed=seed,
-    )
+    return SwissRollSample(points3d=Configuration(points), intrinsic=Configuration(chart))
 
 
 def add_gaussian_noise(x, sigma, seed):

@@ -322,11 +322,14 @@ def rips_from_distances(
     ``max_simplices`` as if built: TooManySimplices is raised where
     building them would pass the budget, and also when their keys (times p
     in the reduction) would overflow int64.  The prime p must satisfy
-    (p-1)^2 < 2^63, else ValueError.
+    (p-1)^2 < 2^63, and ``landmark_budget`` must be at least 1, else
+    ValueError.
     """
     _check_prime(p)
     if not 0 <= max_dim <= 2:
         raise ValueError("max_dim must be 0, 1, or 2")
+    if landmark_budget < 1:
+        raise ValueError(f"landmark_budget must be >= 1, got {landmark_budget}")
     dmat = np.asarray(dmat, dtype=float)
     if dmat.ndim != 2 or dmat.shape[0] != dmat.shape[1]:
         raise NotSymmetric("distance matrix must be square")
@@ -396,7 +399,8 @@ def rips_persistence(
     landmark_budget=DEFAULT_LANDMARK_BUDGET,
     max_simplices=DEFAULT_MAX_SIMPLICES,
 ):
-    """Rips persistence of a point set (Configuration or row array)."""
+    """Rips persistence of a point set (Configuration or row array); the
+    other arguments are those of ``rips_from_distances``."""
     if isinstance(points, Configuration):
         rows = points.present_matrix().T
     else:

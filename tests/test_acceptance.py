@@ -26,6 +26,7 @@ from robust_coords.core_types import Configuration, RigidMotion
 from robust_coords.dimred import EmbeddingParams, isomap
 from robust_coords.ensemble import (
     PipelineConfig,
+    _cutoffs,
     cluster_ensemble,
     dissimilarity_matrix,
     generate_subsamples,
@@ -38,7 +39,6 @@ from robust_coords.gpa_als import (
     als_align,
     gpa_loss,
     hessian_form,
-    normalize_first_fixed,
 )
 from robust_coords.procrustes_pair import affine_procrustes, procrustes_distance
 from robust_coords.synth import add_gaussian_noise, add_uniform_outliers, buckyball, swiss_roll
@@ -240,7 +240,7 @@ def perturbation_slopes(rng, isometric):
     else:
         cfgs = tuple(Configuration(rng.normal(size=(d, n))) for _ in range(k))
     opts = AlsOptions(tol=1e-15, max_iter=3000)
-    clean = normalize_first_fixed(als_align(GpaProblem(cfgs, opts)))
+    clean = als_align(GpaProblem(cfgs, opts))
     directions = [rng.normal(size=(d, n)) for _ in range(k)]
     directions = [e / np.linalg.norm(e) for e in directions]
     loss_resp, mean_disp = [], []
@@ -248,7 +248,7 @@ def perturbation_slopes(rng, isometric):
         bumped = tuple(
             Configuration(c.coords + eps * e) for c, e in zip(cfgs, directions)
         )
-        res = normalize_first_fixed(als_align(GpaProblem(bumped, opts)))
+        res = als_align(GpaProblem(bumped, opts))
         loss_resp.append(abs(res.loss - clean.loss))
         mean_disp.append(procrustes_distance(res.mean, clean.mean))
     le = np.log(eps_values)
@@ -450,7 +450,7 @@ def test_criterion_07_parameter_sweep():
     ensemble = build_ensemble(sample.points3d, config)
     assert len(ensemble) == 30
     d = dissimilarity_matrix(ensemble)
-    clusters = cluster_ensemble(d, config, scale=0.0)
+    clusters = cluster_ensemble(d, _cutoffs(d, config, 0.0), config.min_cluster_size)
     assert len(clusters) >= 2
 
     eps_index = np.array([out.params_index for out in ensemble])

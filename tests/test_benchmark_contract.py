@@ -27,6 +27,7 @@ from robust_coords.core_types import Configuration
 from robust_coords.dimred import EmbeddingOutput, EmbeddingParams
 from robust_coords.ensemble import (
     PipelineConfig,
+    _cutoffs,
     cluster_ensemble,
     dissimilarity_matrix,
     select_good_cluster,
@@ -88,11 +89,12 @@ def test_traced_layers_are_called_through_module_attributes(monkeypatch, rng):
             theta = rng.uniform(0.0, 2.0 * np.pi)
             turned = points @ np.array([[np.cos(theta), -np.sin(theta)],
                                         [np.sin(theta), np.cos(theta)]])
-            ensemble.append(EmbeddingOutput(Configuration.from_rows(turned), [], pca,
+            ensemble.append(EmbeddingOutput(Configuration.from_rows(turned), [],
                                             subsample_index=len(ensemble), params_index=0))
     config = PipelineConfig(n_subsamples=4, subsample_size=8, dimred=(pca,),
                             min_cluster_size=2, ph_representatives=2, seed=5)
-    clusters = cluster_ensemble(dissimilarity_matrix(ensemble), config, scale=0.0)
+    d = dissimilarity_matrix(ensemble)
+    clusters = cluster_ensemble(d, _cutoffs(d, config, 0.0), config.min_cluster_size)
     with suppress(NoGoodCluster):
         select_good_cluster(clusters, ensemble, config)
     representatives = sum(c.representatives.size for c in clusters)

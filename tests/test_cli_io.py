@@ -613,11 +613,23 @@ def test_write_report_embedding_round_trip(tmp_path, rng):
     assert np.array_equal(emb.coords, report.embedding.coords)
     assert np.array_equal(emb.mask, report.embedding.mask)
     doc = json.loads((tmp_path / "rep" / "report.json").read_text())
+    # the schema, pinned key set by key set
+    assert set(doc) == {
+        "format_version", "seed", "config", "n_members", "members", "thresholds",
+        "clusters", "good_cluster", "outliers", "alignment", "embedding_points",
+    }
+    assert doc["members"]
+    assert all(set(m) == {"subsample", "params", "n_points", "n_dropped"} for m in doc["members"])
     cluster_keys = {
         "members", "size", "median_intra_distance", "dense", "representatives",
         "ph1_max_bars", "essential_dims", "rep_diameter", "ph_bar_threshold", "verdict",
     }
-    assert all(cluster_keys <= set(c) for c in doc["clusters"])
+    assert doc["clusters"]
+    assert all(set(c) == cluster_keys for c in doc["clusters"])
+    assert set(doc["thresholds"]) == {"median_dissimilarity", "link_cutoff", "dense_cutoff"}
+    assert set(doc["alignment"]) == {
+        "loss", "loss_trace", "iterations", "converged", "symmetry_residuals",
+    }
     assert len(doc["outliers"]) == len(report.outliers)
 
 

@@ -196,7 +196,7 @@ def isomap_oracle(x, params):
     vals[vals < 1e-12 * vals[0]] = 0.0
     coords = (vecs * np.sqrt(vals)).T
     coords = coords - coords.mean(axis=1, keepdims=True)
-    return dimred._placed(x, coords, x.present_indices()[in_comp], params), graph
+    return dimred._placed(x, coords, x.present_indices()[in_comp]), graph
 
 
 @pytest.mark.parametrize("kind", ["epsilon", "two-component", "union-knn", "duplicate"])
@@ -614,6 +614,19 @@ def test_mds_rejects_asymmetric():
     d = np.array([[0.0, 1.0], [2.0, 0.0]])
     with pytest.raises(NotSymmetric):
         classical_mds(d, 1)
+
+
+@pytest.mark.parametrize("m", [6, 130])
+@pytest.mark.parametrize("d", [0, -1])
+def test_mds_and_pca_refuse_target_dimension_below_one(m, d):
+    # d < 1 used to reach MDS's eigensolver, whose error named no argument
+    # ("Requested eigenvalue indices are not valid" from eigh); PCA failed
+    # on an empty configuration at 0, and at -1 kept all but the last axis
+    points = np.random.default_rng(m).normal(size=(m, 3))
+    with pytest.raises(ValueError, match="d must be >= 1"):
+        classical_mds(squareform(pdist(points)), d)
+    with pytest.raises(ValueError, match="d must be >= 1"):
+        pca_embed(Configuration.from_rows(points), d)
 
 
 def test_mds_rejects_non_finite_distances():

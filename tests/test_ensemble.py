@@ -15,6 +15,7 @@ from robust_coords.dimred import EmbeddingOutput, EmbeddingParams
 from robust_coords.ensemble import (
     ClusterReport,
     PipelineConfig,
+    _cutoffs,
     average_cluster,
     build_ensemble,
     cluster_ensemble,
@@ -45,10 +46,15 @@ def wrap(config, index=0):
     return EmbeddingOutput(
         config=config,
         dropped=np.empty(0, dtype=int),
-        params=PCA_PARAMS,
         subsample_index=index,
         params_index=0,
     )
+
+
+def clusters_of(d, config, scale=0.0):
+    """cluster_ensemble at the thresholds that run_pipeline derives from
+    config and the members' scale."""
+    return cluster_ensemble(d, _cutoffs(d, config, scale), config.min_cluster_size)
 
 
 def small_config(**kw):
@@ -127,7 +133,7 @@ def test_build_ensemble_skips_failures(rng, caplog):
     )
     outs = build_ensemble(x, config)
     assert len(outs) == 2
-    assert all(o.params.method == "pca" for o in outs)
+    assert all(config.dimred[o.params_index].method == "pca" for o in outs)
 
 
 def roll_with_partial_chart(tmp_path, rng):
@@ -567,14 +573,12 @@ def test_dissimilarity_near_identical_triple(rng, sigma):
 BITS_SCRIPT = """
 import hashlib, numpy as np
 from robust_coords.core_types import Configuration
-from robust_coords.dimred import EmbeddingOutput, EmbeddingParams
+from robust_coords.dimred import EmbeddingOutput
 from robust_coords.ensemble import dissimilarity_matrix
 rng = np.random.default_rng(11)
-params = EmbeddingParams(method="pca", target_dim=2)
 ens = [
     EmbeddingOutput(config=Configuration(rng.normal(size=(2, 2000)), rng.random(2000) < 0.6),
-                    dropped=np.empty(0, dtype=int), params=params,
-                    subsample_index=i, params_index=0)
+                    dropped=np.empty(0, dtype=int), subsample_index=i, params_index=0)
     for i in range(64)
 ]
 print(hashlib.sha256(dissimilarity_matrix(ens).tobytes()).hexdigest())
@@ -625,7 +629,7 @@ def test_cluster_two_blobs():
         for j in other:
             d[i, j] = d[j, i] = 10.0
     config = small_config()
-    clusters = cluster_ensemble(d, config, scale=0.0)
+    clusters = clusters_of(d, config)
     assert len(clusters) == 2
     sets = sorted(tuple(c.members) for c in clusters)
     assert sets == [tuple(blob), tuple(other)]
@@ -633,7 +637,7 @@ def test_cluster_two_blobs():
 
 def test_cluster_all_zero_distances():
     d = np.zeros((6, 6))
-    clusters = cluster_ensemble(d, small_config(), scale=0.0)
+    clusters = clusters_of(d, small_config())
     assert len(clusters) == 1
     assert clusters[0].size == 6
 
@@ -645,7 +649,7 @@ def test_cluster_uniform_chain_splits_into_singletons():
     d = np.abs(pos[:, None] - pos[None, :])
     config = small_config(cluster_link_fraction=0.4)
     # median off-diagonal distance of the chain is 2.0 -> cut at 0.8 < 1
-    clusters = cluster_ensemble(d, config, scale=0.0)
+    clusters = clusters_of(d, config)
     assert len(clusters) == n
     assert all(c.verdict == "rejected_sparse" for c in clusters)
 
@@ -657,9 +661,19 @@ def test_cluster_cutoffs_floored_at_member_scale():
     pos = np.arange(6, dtype=float) * 1e-15
     d = np.abs(pos[:, None] - pos[None, :])
     config = small_config(cluster_link_fraction=0.4)
-    assert len(cluster_ensemble(d, config, scale=0.0)) == 6
-    (whole,) = cluster_ensemble(d, config, scale=1.0)
+    assert len(clusters_of(d, config)) == 6
+    (whole,) = clusters_of(d, config, scale=1.0)
     assert whole.size == 6 and whole.dense and whole.verdict is None
+
+
+@pytest.mark.parametrize("k", [1, 3])
+def test_cutoffs_refuse_a_matrix_with_no_finite_pair(k):
+    # no pair was compared, so there is no median to cut at; the cutoffs
+    # used to come out NaN after a "Mean of empty slice" warning
+    d = np.full((k, k), np.inf)
+    np.fill_diagonal(d, 0.0)
+    with pytest.raises(ValueError, match="no finite off-diagonal entry"):
+        _cutoffs(d, small_config(), 1.0)
 
 
 def disjoint_blocks(rng, groups, sigma):
@@ -682,7 +696,7 @@ def test_cluster_never_links_identical_pairs_sharing_no_index(rng):
     from robust_coords.ensemble import _member_scale
 
     ens = disjoint_blocks(rng, 2, 0.0)
-    clusters = cluster_ensemble(dissimilarity_matrix(ens), small_config(), _member_scale(ens))
+    clusters = clusters_of(dissimilarity_matrix(ens), small_config(), _member_scale(ens))
     assert [list(c.members) for c in clusters] == [[0, 1], [2, 3]]
     assert all(c.dense for c in clusters)
 
@@ -690,12 +704,12 @@ def test_cluster_never_links_identical_pairs_sharing_no_index(rng):
 def test_cluster_cutoffs_ignore_pairs_sharing_no_index(rng):
     # three groups of near-copies on disjoint ids: 12 of the 15 pairs share
     # no index, so they must not set the median, and no cluster spans groups
-    from robust_coords.ensemble import _cutoffs, _member_scale
+    from robust_coords.ensemble import _member_scale
 
     ens = disjoint_blocks(rng, 3, 0.01)
     d = dissimilarity_matrix(ens)
     config = small_config(cluster_link_fraction=1.0, dense_median_fraction=1.0)
-    clusters = cluster_ensemble(d, config, _member_scale(ens))
+    clusters = clusters_of(d, config, _member_scale(ens))
     assert all(len({m // 2 for m in c.members}) == 1 for c in clusters)
     assert sum(c.dense for c in clusters) == 2
     in_group = [d[0, 1], d[2, 3], d[4, 5]]
@@ -734,7 +748,7 @@ def test_pairs_sharing_one_index_are_not_compared(rng, caplog, shared):
     assert np.isfinite(d[:2, 2:]).all() == (shared > 1)
     messages = [r.getMessage() for r in caplog.records]
     assert messages == (["4 member pairs share fewer than 2 indices"] if shared == 1 else [])
-    clusters = cluster_ensemble(d, small_config(), _member_scale(ens))
+    clusters = clusters_of(d, small_config(), _member_scale(ens))
     assert all(len({m // 2 for m in c.members}) == 1 for c in clusters)
     if shared > 1:
         assert [list(c.members) for c in clusters] == [[0, 1], [2, 3]]
@@ -780,14 +794,14 @@ def test_cluster_verdicts_diffuse_cluster_sparse():
     d[6:, 6:] = np.abs(pos[:, None] - pos[None, :])
     np.fill_diagonal(d, 0.0)
     config = small_config(dense_median_fraction=0.1)
-    blob, chain = cluster_ensemble(d, config, scale=0.0)
+    blob, chain = clusters_of(d, config)
     assert list(blob.members) == list(range(6))
     assert blob.dense and blob.verdict is None
     assert list(chain.members) == list(range(6, 12))
     assert not chain.dense and chain.verdict == "rejected_sparse"
     # below the size limit density is not tested: dense stays False
     config = small_config(dense_median_fraction=0.1, min_cluster_size=7)
-    small = cluster_ensemble(d, config, scale=0.0)
+    small = clusters_of(d, config)
     assert [(c.dense, c.verdict) for c in small] == [(False, "rejected_sparse")] * 2
 
 
@@ -810,8 +824,6 @@ def random_dissimilarities(rng, k, ties):
 
 @pytest.mark.parametrize("ties", [False, True])
 def test_cluster_matches_single_linkage_oracle(ties):
-    from robust_coords.ensemble import _cutoffs
-
     rng = np.random.default_rng(31 + ties)
     at_entry = 0
     for trial in range(300):
@@ -821,7 +833,7 @@ def test_cluster_matches_single_linkage_oracle(ties):
         config = small_config(cluster_link_fraction=fraction)
         cutoff = _cutoffs(d, config, 0.0).link_cutoff
         at_entry += bool((d[np.triu_indices(k, 1)] == cutoff).any())
-        ours = [list(c.members) for c in cluster_ensemble(d, config, scale=0.0)]
+        ours = [list(c.members) for c in clusters_of(d, config)]
         assert ours == single_linkage_oracle(d, cutoff)
     assert at_entry >= 40
 
@@ -881,7 +893,7 @@ def test_select_prefers_disk_over_ring(rng):
     ens += [wrap(ring.transformed(random_motion(rng, 2)), 6 + i) for i in range(6)]
     d = dissimilarity_matrix(ens)
     config = small_config(seed=5)
-    clusters = cluster_ensemble(d, config, scale=0.0)
+    clusters = clusters_of(d, config)
     winner = select_good_cluster(clusters, ens, config)
     assert set(winner.members) == set(range(6))
     assert winner.verdict == "good"
@@ -899,7 +911,7 @@ def test_uncapped_scoring_matches_capped_oracle(rng):
     ens += [wrap(ring.transformed(random_motion(rng, 2)), 6 + i) for i in range(6)]
     d = dissimilarity_matrix(ens)
     config = small_config(seed=5)
-    clusters = cluster_ensemble(d, config, scale=0.0)
+    clusters = clusters_of(d, config)
     select_good_cluster(clusters, ens, config)
     scored = [c for c in clusters if c.representatives.size]
     assert scored
@@ -927,7 +939,7 @@ def test_select_rejects_flat_clusters(rng):
         ens.append(wrap(random_config(rng, n=60), 6 + i))
     d = dissimilarity_matrix(ens)
     config = small_config(seed=6)
-    clusters = cluster_ensemble(d, config, scale=0.0)
+    clusters = clusters_of(d, config)
     with pytest.raises(NoGoodCluster):
         select_good_cluster(clusters, ens, config)
     assert any(c.verdict == "rejected_dim" for c in clusters)
@@ -940,7 +952,7 @@ def test_select_prefers_dense_over_diffuse(rng):
     ens = dense + diffuse
     d = dissimilarity_matrix(ens)
     config = small_config(seed=7)
-    clusters = cluster_ensemble(d, config, scale=0.0)
+    clusters = clusters_of(d, config)
     winner = select_good_cluster(clusters, ens, config)
     assert set(winner.members) == set(range(6))
 
@@ -953,7 +965,7 @@ def test_select_ring_only_bar_exceeds_threshold(rng):
     config = small_config(
         seed=8, cluster_link_fraction=1.0, dense_median_fraction=1.0, ph_bar_fraction=0.1
     )
-    clusters = cluster_ensemble(d, config, scale=0.0)
+    clusters = clusters_of(d, config)
     rings = clusters[0]
     assert rings.dense and rings.size >= 2
     with pytest.raises(NoGoodCluster, match="exceeds threshold"):
@@ -968,9 +980,9 @@ def test_select_ring_only_bar_exceeds_threshold(rng):
 def test_average_single_member(rng):
     cfg = random_config(rng, n=20, mask_prob=0.7)
     cluster = ClusterReport(members=np.array([0]), median_intra_distance=0.0)
-    mean, outliers, result = average_cluster([wrap(cfg)], cluster, small_config())
-    assert np.allclose(mean.present_matrix(), result.motions[0].apply(cfg.present_matrix()), atol=1e-12)
-    assert np.array_equal(outliers, np.flatnonzero(~cfg.mask))
+    result = average_cluster([wrap(cfg)], cluster, small_config())
+    assert np.allclose(result.mean.present_matrix(), result.motions[0].apply(cfg.present_matrix()), atol=1e-12)
+    assert np.array_equal(result.mean.mask, cfg.mask)
 
 
 def test_average_rigid_copies_recovers_shape(rng):
@@ -979,8 +991,8 @@ def test_average_rigid_copies_recovers_shape(rng):
     base = random_config(rng, n=25)
     ens = [wrap(base.transformed(random_motion(rng, 2)), i) for i in range(5)]
     cluster = ClusterReport(members=np.arange(5), median_intra_distance=0.0)
-    mean, outliers, _ = average_cluster(ens, cluster, small_config(als=AlsOptions(tol=1e-16, max_iter=4000)))
-    assert outliers.size == 0
+    mean = average_cluster(ens, cluster, small_config(als=AlsOptions(tol=1e-16, max_iter=4000))).mean
+    assert mean.mask.all()
     assert procrustes_distance(mean, base) <= 1e-8
 
 
@@ -994,13 +1006,13 @@ def test_average_uses_only_covering_members(rng):
             mask[0] = False
         members.append(wrap(Configuration(coords, mask), i))
     cluster = ClusterReport(members=np.arange(5), median_intra_distance=0.0)
-    mean, outliers, result = average_cluster(members, cluster, small_config())
+    result = average_cluster(members, cluster, small_config())
     blocks = []
     for out, motion in zip(members, result.motions):
         if out.config.mask[0]:
             blocks.append(motion.apply(out.config.coords[:, [0]]))
-    assert np.allclose(mean.coords[:, 0], np.mean(blocks, axis=0).ravel(), atol=1e-9)
-    assert outliers.size == 0
+    assert np.allclose(result.mean.coords[:, 0], np.mean(blocks, axis=0).ravel(), atol=1e-9)
+    assert result.mean.mask.all()
 
 
 # ------------------------------------------------------------ run_pipeline

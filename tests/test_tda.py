@@ -589,6 +589,15 @@ def test_invalid_inputs(rng):
     # multiply two coefficients in int64
     with pytest.raises(ValueError, match="too large"):
         rips_persistence(rng.normal(size=(5, 2)), p=3_100_000_027)
+    # a budget below 1 used to keep one landmark: the default radius then
+    # came out 0 ("max_radius must be positive"), and an infinite radius
+    # gave the diagram of one point
+    pts = rng.normal(size=(8, 2))
+    for budget, radius in ((0, None), (0, np.inf), (-3, None), (-3, np.inf)):
+        with pytest.raises(ValueError, match="landmark_budget must be >= 1"):
+            rips_persistence(pts, max_radius=radius, landmark_budget=budget)
+        with pytest.raises(ValueError, match="landmark_budget must be >= 1"):
+            rips_from_distances(squareform(pdist(pts)), max_radius=radius, landmark_budget=budget)
 
 
 def test_large_prime_costs_no_table_of_p_entries():
