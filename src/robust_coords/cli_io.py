@@ -182,9 +182,10 @@ def _json_text(value):
 def write_report(report, out_dir, plots=True):
     """Write report.json, embedding/outliers/mds_view CSVs, and SVG plots.
 
-    On a failed run (no good cluster) the embedding and outlier files are
-    skipped but the JSON diagnostics are complete.  Returns the list of
-    files written.
+    Every record goes through ``_jsonable``; each cluster also gets its
+    derived ``size`` and ``dense``.  On a failed run (no good cluster) the
+    embedding and outlier files are skipped but the JSON diagnostics are
+    complete.  Returns the list of files written.
     """
     os.makedirs(out_dir, exist_ok=True)
     doc = {
@@ -192,18 +193,13 @@ def write_report(report, out_dir, plots=True):
         "seed": report.config.seed,
         "config": report.config,
         "n_members": len(report.members),
-        "members": [
-            {"subsample": a, "params": b, "n_points": n, "n_dropped": dr}
-            for a, b, n, dr in report.members
-        ],
+        "members": report.members,
         "thresholds": report.thresholds,
-        "clusters": [{**_jsonable(c), "size": c.size} for c in report.clusters],
+        "clusters": [{**_jsonable(c), "size": c.size, "dense": c.dense} for c in report.clusters],
         "good_cluster": report.good_cluster,
         "outliers": report.outliers,
         "alignment": report.alignment,
-        "embedding_points": None
-        if report.embedding is None
-        else report.embedding.n_present,
+        "embedding_points": None if report.embedding is None else report.embedding.n_present,
     }
     path = os.path.join(out_dir, "report.json")
     with open(path, "w") as fh:

@@ -14,6 +14,8 @@ written with 17 significant digits so a write/read round trip is exact.
 from __future__ import annotations
 
 import csv
+import numbers
+import typing
 from dataclasses import dataclass
 
 import numpy as np
@@ -216,6 +218,19 @@ def _check_compatible(x, y):
         raise DimensionMismatch(f"dim {x.dim} != {y.dim}")
     if x.n_global != y.n_global:
         raise DimensionMismatch(f"n_global {x.n_global} != {y.n_global}")
+
+
+def _check_int_fields(obj):
+    """Raise ValueError, naming the field, when a field of dataclass ``obj``
+    typed ``int`` (or ``int | None``, which also takes None) holds a bool or
+    a value that is not an integer; numpy integers are integers."""
+    for name, hint in typing.get_type_hints(type(obj)).items():
+        allowed = typing.get_args(hint) or (hint,)
+        value = getattr(obj, name)
+        if int not in allowed or (value is None and type(None) in allowed):
+            continue
+        if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+            raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
 def _common_domain(x, y):

@@ -18,7 +18,7 @@ from scipy.sparse.csgraph import shortest_path
 from scipy.sparse.linalg import ArpackError, eigsh
 from scipy.spatial.distance import pdist, squareform
 
-from .core_types import Configuration, read_points_csv
+from .core_types import Configuration, _check_int_fields, read_points_csv
 from .errors import (
     DegenerateGraph,
     DimensionMismatch,
@@ -86,6 +86,7 @@ class EmbeddingParams:
     source: str | None = None
 
     def __post_init__(self):
+        _check_int_fields(self)
         if self.method not in _METHODS:
             raise ValueError(f"unknown method {self.method!r}; expected {_METHODS}")
         if self.target_dim < 1:

@@ -22,9 +22,9 @@ Stages, in order:
    (floored at a tiny fraction of the members' scale, so that identical
    members stay together), as the connected components of the graph of
    pairs within the cut, without a dendrogram, so pairs that read inf are
-   never linked; both sparse verdicts are set
-   here, on every cluster that is too small or whose median internal
-   dissimilarity exceeds another fraction of that median;
+   never linked; the sparse verdict is set here, on every cluster that is
+   too small or whose median internal dissimilarity exceeds another
+   fraction of that median;
 4. among the dense clusters left, sample representatives and score them by
    essential dimensionality and the largest finite bar of degree-1 Rips
    persistent homology, run to the enclosing radius so that every 1-cycle
@@ -52,16 +52,17 @@ from scipy.spatial import KDTree
 from scipy.spatial.distance import pdist, squareform
 
 from . import tda
-from .core_types import Configuration, _check_compatible, read_points_csv
+from .core_types import Configuration, _check_compatible, _check_int_fields, read_points_csv
 from .dimred import EmbeddingParams, classical_mds, embed
 from .errors import NoGoodCluster, RobustCoordsError, SizeTooLarge
-from .gpa_als import AlsOptions, GpaProblem, als_align, essential_dimension
+from .gpa_als import AlignmentResult, AlsOptions, GpaProblem, als_align, essential_dimension
 from .procrustes_pair import affine_procrustes
 
 __all__ = [
     "PipelineConfig",
     "ClusterReport",
     "Thresholds",
+    "MemberRecord",
     "PipelineReport",
     "generate_subsamples",
     "off_manifold_points",
@@ -147,6 +148,7 @@ class PipelineConfig:
     als: AlsOptions = field(default_factory=AlsOptions)
 
     def __post_init__(self):
+        _check_int_fields(self)
         dimred = tuple(self.dimred)
         if not dimred:
             raise ValueError("need at least one embedding parameter setting")
@@ -158,20 +160,16 @@ class PipelineConfig:
         object.__setattr__(self, "dimred", dimred)
         if self.seed < 0:
             raise ValueError("seed must be >= 0")
-        if self.n_subsamples < 1:
-            raise ValueError("n_subsamples must be >= 1")
+        for name in ("n_subsamples", "min_cluster_size", "ph_representatives"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1")
         if self.subsample_size < self.target_dim + 2:
             raise ValueError("subsample_size must be >= target_dim + 2")
-        for name in ("cluster_link_fraction", "dense_median_fraction", "ph_bar_fraction"):
-            v = getattr(self, name)
-            if not 0 < v <= 1:
+        for name in (
+            "cluster_link_fraction", "dense_median_fraction", "ph_bar_fraction", "essdim_rel_tol"
+        ):
+            if not 0 < getattr(self, name) <= 1:
                 raise ValueError(f"{name} must lie in (0, 1]")
-        if not 0 < self.essdim_rel_tol <= 1:
-            raise ValueError("essdim_rel_tol must lie in (0, 1]")
-        if self.min_cluster_size < 1:
-            raise ValueError("min_cluster_size must be >= 1")
-        if self.ph_representatives < 1:
-            raise ValueError("ph_representatives must be >= 1")
 
     @property
     def target_dim(self):
@@ -180,11 +178,11 @@ class PipelineConfig:
 
 @dataclass
 class ClusterReport:
-    """One cluster of ensemble members plus its selection diagnostics."""
+    """One cluster of ensemble members plus its selection diagnostics; it
+    is ``dense`` unless its verdict is ``rejected_sparse``."""
 
     members: np.ndarray
     median_intra_distance: float
-    dense: bool = False
     representatives: np.ndarray = field(default_factory=lambda: np.empty(0, dtype=int))
     ph1_max_bars: tuple = ()
     essential_dims: tuple = ()
@@ -196,6 +194,10 @@ class ClusterReport:
     def size(self):
         return len(self.members)
 
+    @property
+    def dense(self):
+        return self.verdict != VERDICT_SPARSE
+
 
 @dataclass(frozen=True)
 class Thresholds:
@@ -206,20 +208,46 @@ class Thresholds:
     dense_cutoff: float
 
 
+@dataclass(frozen=True)
+class MemberRecord:
+    """Where one ensemble member came from: its subsample and the position
+    of its EmbeddingParams in the mesh, with its point and drop counts."""
+
+    subsample: int
+    params: int
+    n_points: int
+    n_dropped: int
+
+
 @dataclass
 class PipelineReport:
-    """Everything one run produced; ``embedding`` is None on failure."""
+    """Everything one run produced; ``alignment`` is None on failure.
 
-    embedding: Configuration | None
-    outliers: np.ndarray
+    ``embedding`` is the alignment's mean, ``outliers`` the indices outside
+    its mask, and ``good_cluster`` the position of the cluster whose
+    verdict is ``good``: None, empty and None on failure.
+    """
+
     clusters: list
-    good_cluster: int | None
-    alignment: object
     mds_view: Configuration | None
     dissimilarity: np.ndarray
     members: list
     thresholds: Thresholds
     config: PipelineConfig
+    alignment: AlignmentResult | None = None
+
+    @property
+    def embedding(self):
+        return None if self.alignment is None else self.alignment.mean
+
+    @property
+    def outliers(self):
+        mean = self.embedding
+        return np.empty(0, dtype=int) if mean is None else np.flatnonzero(~mean.mask)
+
+    @property
+    def good_cluster(self):
+        return next((i for i, c in enumerate(self.clusters) if c.verdict == VERDICT_GOOD), None)
 
 
 def generate_subsamples(n, size, count, seed):
@@ -577,27 +605,19 @@ def cluster_ensemble(d, thresholds, min_cluster_size):
     d[i, j] <= t (Gower & Ross, 1969), so the components are found directly.
     Pairs not compared (sharing fewer than ``_MIN_SHARED`` indices) read
     inf in d, so they are never joined.
-    Both sparse verdicts are set here.  Clusters smaller than
-    ``min_cluster_size`` are ``rejected_sparse`` and keep ``dense`` False.
-    Every other cluster is ``dense`` when its median internal dissimilarity
-    is at most ``thresholds.dense_cutoff``, and ``rejected_sparse``
-    otherwise.  The verdicts of dense clusters stay unset for
-    ``select_good_cluster``.  Clusters are ordered by decreasing size, then
-    lowest member index.
+    A cluster is ``rejected_sparse`` when it is smaller than
+    ``min_cluster_size`` or its median internal dissimilarity is above
+    ``thresholds.dense_cutoff``; the other (dense) clusters' verdicts stay
+    unset for ``select_good_cluster``, which sets them on the returned
+    list.  Clusters are ordered by decreasing size, then lowest member.
     """
     _, labels = connected_components(d <= thresholds.link_cutoff, directed=False)
     reports = []
     for label in np.unique(labels):
         members = np.flatnonzero(labels == label)
-        report = ClusterReport(
-            members=members,
-            median_intra_distance=_median_intra(d, members),
-        )
-        if report.size >= min_cluster_size:
-            report.dense = report.median_intra_distance <= thresholds.dense_cutoff
-        if not report.dense:
-            report.verdict = VERDICT_SPARSE
-        reports.append(report)
+        median = _median_intra(d, members)
+        sparse = members.size < min_cluster_size or not median <= thresholds.dense_cutoff
+        reports.append(ClusterReport(members, median, verdict=VERDICT_SPARSE if sparse else None))
     reports.sort(key=lambda r: (-r.size, int(r.members[0])))
     return reports
 
@@ -614,8 +634,6 @@ def select_good_cluster(clusters, ensemble, config):
     the larger, then tighter, cluster.  Raises NoGoodCluster (verdicts
     filled in) otherwise.
     """
-    d_target = config.target_dim
-
     survivors = []
     for pos, cluster in enumerate(clusters):
         if cluster.verdict is not None:
@@ -625,10 +643,7 @@ def select_good_cluster(clusters, ensemble, config):
         reps = np.sort(rng.choice(cluster.members, size=n_rep, replace=False))
         cluster.representatives = reps
 
-        ess = tuple(
-            essential_dimension(ensemble[r].config, config.essdim_rel_tol)
-            for r in reps
-        )
+        ess = tuple(essential_dimension(ensemble[r].config, config.essdim_rel_tol) for r in reps)
         cluster.essential_dims = ess
         bars = []
         diam = 0.0
@@ -644,7 +659,7 @@ def select_good_cluster(clusters, ensemble, config):
         cluster.ph1_max_bars = tuple(bars)
         cluster.rep_diameter = diam
         cluster.ph_bar_threshold = config.ph_bar_fraction * diam
-        if any(e < d_target for e in ess):
+        if any(e < config.target_dim for e in ess):
             cluster.verdict = VERDICT_DIM
             continue
         survivors.append(pos)
@@ -685,43 +700,33 @@ def average_cluster(ensemble, cluster, config):
 def run_pipeline(x, config):
     """Execute the whole pipeline and assemble the report.
 
-    Raises NoGoodCluster when selection fails; the exception carries the
-    partial report (clusters, verdicts, dissimilarity view) for writing
-    diagnostics.  With fewer than two embeddings, or no pair of them
-    sharing ``_MIN_SHARED`` indices, there is nothing to compare, and it
-    carries no report.
+    The report is built once, before selection, and only its
+    ``alignment`` is set on success.  Raises NoGoodCluster when selection fails; the exception
+    carries that report (clusters, verdicts, dissimilarity view) for
+    writing diagnostics.  With fewer than two embeddings, or no pair of
+    them sharing ``_MIN_SHARED`` indices, there is nothing to compare, and
+    it carries no report.
     The dissimilarity view is None for ensembles of two.
     """
     ensemble = build_ensemble(x, config)
     members = [
-        (out.subsample_index, out.params_index, out.config.n_present, len(out.dropped))
-        for out in ensemble
+        MemberRecord(o.subsample_index, o.params_index, o.config.n_present, len(o.dropped))
+        for o in ensemble
     ]
     if len(ensemble) < 2:
         raise NoGoodCluster(
-            f"only {len(ensemble)} embeddings succeeded; nothing to compare",
-            report=None,
+            f"only {len(ensemble)} embeddings succeeded; nothing to compare", report=None
         )
     d = dissimilarity_matrix(ensemble)
     if not np.isfinite(d[np.triu_indices(len(d), 1)]).any():
-        raise NoGoodCluster(
-            f"no two embeddings share {_MIN_SHARED} or more indices", report=None
-        )
+        raise NoGoodCluster(f"no two embeddings share {_MIN_SHARED} or more indices", report=None)
     # the 2-d view of the dissimilarities needs at least 3 members
     mds_view = classical_mds(_with_sentinel(d), 2) if len(ensemble) >= 3 else None
     thresholds = _cutoffs(d, config, _member_scale(ensemble))
     clusters = cluster_ensemble(d, thresholds, config.min_cluster_size)
     report = PipelineReport(
-        embedding=None,
-        outliers=np.empty(0, dtype=int),
-        clusters=clusters,
-        good_cluster=None,
-        alignment=None,
-        mds_view=mds_view,
-        dissimilarity=d,
-        members=members,
-        thresholds=thresholds,
-        config=config,
+        clusters=clusters, mds_view=mds_view, dissimilarity=d, members=members,
+        thresholds=thresholds, config=config,
     )
     try:
         winner = select_good_cluster(clusters, ensemble, config)
@@ -729,7 +734,4 @@ def run_pipeline(x, config):
         exc.report = report
         raise
     report.alignment = average_cluster(ensemble, winner, config)
-    report.embedding = report.alignment.mean
-    report.outliers = np.flatnonzero(~report.embedding.mask)
-    report.good_cluster = next(i for i, c in enumerate(clusters) if c is winner)
     return report

@@ -16,7 +16,9 @@ frozen-mean sweep, does not stall at the antipodal saddle.
 The module also houses the diagnostics: the symmetry residuals of the
 mean/input cross-covariances that ``als_align`` records (zero at critical
 points), the first- and second-derivative forms along one-parameter rotation
-subgroups, and essential dimensionality of a configuration.
+subgroups and the Hessian matrix, all three read off one gradient vector and
+Hessian matrix in the antisymmetric basis of ``hessian_matrix``, and
+essential dimensionality of a configuration.
 """
 
 from __future__ import annotations
@@ -24,14 +26,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.linalg import block_diag
 
-from .core_types import Configuration, RigidMotion, _check_compatible, centroid
-from .errors import (
-    DimensionMismatch,
-    DroppedAllIndices,
-    NonFinite,
-    NotAntisymmetric,
-)
+from .core_types import Configuration, RigidMotion, _check_compatible, _check_int_fields, centroid
+from .errors import DimensionMismatch, DroppedAllIndices, NonFinite, NotAntisymmetric
 from .procrustes_pair import _nearest_orthogonal
 
 __all__ = [
@@ -60,6 +58,7 @@ class AlsOptions:
     min_iter: int = 3
 
     def __post_init__(self):
+        _check_int_fields(self)
         if not self.tol > 0:
             raise ValueError("tol must be positive")
         if not (self.max_iter >= self.min_iter >= 0):
@@ -265,19 +264,36 @@ def _symmetry_residual_matrices(mean_block, transformed_block):
     return float(np.linalg.norm(m - m.T) / max(1.0, np.linalg.norm(m)))
 
 
-def _transformed_stack(problem, result):
+def _derivatives(problem, result):
+    """The gradient vector and Hessian matrix of the loss at ``result``.
+
+    Full-domain case.  With Y_i the transformed inputs and Z their mean,
+    E = (1/k) sum_i ||Y_i||^2 - ||Z||^2, so along Q_i(t) = exp(A_i t),
+    dE = -2 <Z, V> / k and d2E = -2 (||V||^2 / k + <Z, C>) / k for
+    V = sum_i A_i Y_i and C = sum_i A_i^2 Y_i (Gower & Dijksterhuis 2004),
+    in the coordinates that ``hessian_matrix`` documents.
+    """
     if not problem.masks().all():
         raise DimensionMismatch(
             "the gradient and Hessian diagnostics require full-domain configurations"
         )
-    stack = np.stack([c.coords for c in problem.configs])
-    out = np.empty_like(stack)
-    for i, g in enumerate(result.motions):
-        out[i] = g.apply(stack[i])
-    return out
+    k, d, n = problem.k, problem.dim, problem.n_global
+    y = np.stack([g.apply(c.coords) for c, g in zip(problem.configs, result.motions)])
+    z = result.mean.coords
+    u, v = np.triu_indices(d, 1)
+    basis = np.einsum("bd,be->bde", np.eye(d)[u], np.eye(d)[v])
+    basis -= basis.transpose(0, 2, 1)  # E_uv - E_vu
+    moved = np.einsum("bde,ien->ibdn", basis, y[1:])  # E_b Y_i
+    flat = moved.reshape(-1, d * n)
+    # <Z, E_b E_c Y_i> = -<E_b Z, E_c Y_i>, symmetrised over b and c
+    turned = np.einsum("ibdn,cdn->ibc", moved, np.einsum("bde,en->bdn", basis, z))
+    curvature = block_diag(*(turned + turned.transpose(0, 2, 1))) / 2
+    return -(2.0 / k) * (flat @ z.ravel()), -(2.0 / k) * (flat @ flat.T / k - curvature)
 
 
-def _validate_directions(directions, k, d):
+def _coordinates(problem, directions):
+    """The checked directions' coordinates in the basis of ``_derivatives``."""
+    k, d = problem.k, problem.dim
     a = np.asarray(directions, dtype=float)
     if a.shape != (k, d, d):
         raise DimensionMismatch(f"need {k} direction matrices of shape ({d},{d})")
@@ -285,20 +301,20 @@ def _validate_directions(directions, k, d):
         raise NotAntisymmetric("direction matrices must be antisymmetric")
     if np.abs(a[0]).max() != 0.0:
         raise ValueError("the first direction matrix must be zero")
-    return a
+    u, v = np.triu_indices(d, 1)
+    return a[1:, u, v].ravel()
 
 
 def gradient_form(problem, result, directions):
     """First derivative of the loss along rotations Q_i(t) = exp(A_i t).
 
-    Full-domain case.  Vanishes (for every antisymmetric choice) exactly at
-    critical points of the constrained loss.
+    Full-domain case; ``directions`` is as for ``hessian_form``.  Vanishes
+    (for every antisymmetric choice) exactly at critical points of the
+    constrained loss.
     """
-    a = _validate_directions(directions, problem.k, problem.dim)
-    y = _transformed_stack(problem, result)
-    z = result.mean.coords
-    velocity = np.einsum("kde,ken->dn", a, y)
-    return float(-(2.0 / problem.k) * np.sum(z * velocity))
+    a = _coordinates(problem, directions)
+    gradient, _ = _derivatives(problem, result)
+    return float(gradient @ a)
 
 
 def hessian_form(problem, result, directions):
@@ -306,59 +322,24 @@ def hessian_form(problem, result, directions):
 
     Full-domain case.  ``directions`` is a length-k sequence of
     antisymmetric d x d matrices whose first entry is zero (the first
-    configuration's frame is pinned).  Positive values in every direction
-    certify an isolated local minimum.
+    frame is pinned); the form is ``hessian_matrix`` at their coordinates.
+    Positive values in every direction certify an isolated local minimum.
     """
-    a = _validate_directions(directions, problem.k, problem.dim)
-    y = _transformed_stack(problem, result)
-    z = result.mean.coords
-    k = problem.k
-    velocity = np.einsum("kde,ken->dn", a, y)
-    curvature = np.einsum("kde,ken->dn", a @ a, y)
-    return float(
-        -(2.0 / k) * (np.sum(velocity**2) / k + np.sum(z * curvature))
-    )
-
-
-def _antisym_basis(d):
-    basis = []
-    for u in range(d):
-        for v in range(u + 1, d):
-            e = np.zeros((d, d))
-            e[u, v] = 1.0
-            e[v, u] = -1.0
-            basis.append(e)
-    return basis
+    a = _coordinates(problem, directions)
+    _, hessian = _derivatives(problem, result)
+    return float(a @ hessian @ a)
 
 
 def hessian_matrix(problem, result):
-    """Assemble the Hessian in the standard antisymmetric basis.
+    """The Hessian in the standard antisymmetric basis, and its eigenvalues.
 
-    Coordinates run over configurations i = 2..k (the first is pinned) and
-    basis elements E_uv - E_vu with u < v in lexicographic order, giving a
-    symmetric matrix of size (k-1) * d*(d-1)/2.  Returns (H, eigenvalues).
+    Full-domain case.  Coordinates run over configurations i = 2..k (the
+    first is pinned) and basis elements E_uv - E_vu with u < v in
+    lexicographic order, giving a symmetric matrix of size
+    (k-1) * d*(d-1)/2.  Returns (H, eigenvalues).
     """
-    k, d = problem.k, problem.dim
-    basis = _antisym_basis(d)
-    m = (k - 1) * len(basis)
-    units = []
-    for i in range(1, k):
-        for e in basis:
-            a = np.zeros((k, d, d))
-            a[i] = e
-            units.append(a)
-
-    def q(a):
-        return hessian_form(problem, result, a)
-
-    q_single = [q(a) for a in units]
-    h = np.empty((m, m))
-    for p in range(m):
-        h[p, p] = q_single[p]
-        for r in range(p + 1, m):
-            q_pair = q(units[p] + units[r])
-            h[p, r] = h[r, p] = 0.5 * (q_pair - q_single[p] - q_single[r])
-    return h, np.linalg.eigvalsh(h)
+    _, hessian = _derivatives(problem, result)
+    return hessian, np.linalg.eigvalsh(hessian)
 
 
 def essential_dimension(x, rel_tol):

@@ -313,31 +313,36 @@ def rips_from_distances(
     within 1e-9 times the larger of 1 and its largest entry.  Above
     ``landmark_budget`` points it is first cut to its maxmin landmarks, and
     it is then read from its upper triangle.  Simplices of dimension
-    0..max(max_dim, 1) are built up to the smaller of ``max_radius``
-    (default: half the largest distance) and the enclosing radius; the
-    edges always are, for H0.  Each is keyed by the rank of its diameter
-    among the distinct distances, times m^(q+1), plus its vertex code, and
-    every value is read back through that rank.  At max_dim 1 or 2 the
+    0..max(max_dim, 1) are built up to the smaller of ``max_radius`` (if
+    passed, positive; by default half the largest distance, 0 for one or
+    coincident points) and the enclosing radius; the edges always are, for
+    H0.  Each is keyed by the rank of its diameter among the distinct
+    distances, times m^(q+1), plus its vertex code, and every value is read
+    back through that rank.  At max_dim 1 or 2 the
     (max_dim+1)-simplices are only counted, but count towards
     ``max_simplices`` as if built: TooManySimplices is raised where
     building them would pass the budget, and also when their keys (times p
     in the reduction) would overflow int64.  The prime p must satisfy
-    (p-1)^2 < 2^63, and ``landmark_budget`` must be at least 1, else
-    ValueError.
+    (p-1)^2 < 2^63, ``landmark_budget`` must be at least 1 and the matrix
+    must not be empty, else ValueError.
     """
     _check_prime(p)
     if not 0 <= max_dim <= 2:
         raise ValueError("max_dim must be 0, 1, or 2")
     if landmark_budget < 1:
         raise ValueError(f"landmark_budget must be >= 1, got {landmark_budget}")
+    if max_radius is not None and not max_radius > 0:
+        raise ValueError("max_radius must be positive")
     dmat = np.asarray(dmat, dtype=float)
     if dmat.ndim != 2 or dmat.shape[0] != dmat.shape[1]:
         raise NotSymmetric("distance matrix must be square")
+    if dmat.shape[0] < 1:
+        raise ValueError("need at least one point")
     if not np.isfinite(dmat).all():
         raise NonFinite("distance matrix has a NaN or infinite entry")
     if (dmat < 0).any():
         raise ValueError("distance matrix has a negative entry")
-    if dmat.size and np.abs(dmat - dmat.T).max() > 1e-9 * max(1.0, dmat.max()):
+    if np.abs(dmat - dmat.T).max() > 1e-9 * max(1.0, dmat.max()):
         raise NotSymmetric("distance matrix is not symmetric")
 
     if dmat.shape[0] > landmark_budget:
@@ -348,8 +353,6 @@ def rips_from_distances(
     dmat = np.triu(dmat) + np.triu(dmat, 1).T
     if max_radius is None:
         max_radius = 0.5 * float(dmat.max())
-    if not max_radius > 0:
-        raise ValueError("max_radius must be positive")
 
     # Above the enclosing radius, the smallest row maximum, every Rips
     # complex is a cone on that row's point: no bar is born or dies there,

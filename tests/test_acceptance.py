@@ -326,7 +326,7 @@ def member_ph1(config):
 
 def re_embed_member(x, config, record):
     """Recompute one ensemble member from its (subsample, params) record."""
-    subsample_index, params_index = record[0], record[1]
+    subsample_index, params_index = record.subsample, record.params
     present = x.present_indices()
     subsets = generate_subsamples(
         present.size, config.subsample_size, config.n_subsamples, config.seed
@@ -366,7 +366,7 @@ def test_criterion_05_swiss_roll_noise():
         key=lambda c: c.size,
     )
     coiled_pool = np.asarray(
-        [m for m in coiled_cluster.members if report.members[m][1] == 1]
+        [m for m in coiled_cluster.members if report.members[m].params == 1]
     )
     assert coiled_pool.size >= 100
     for rep in rng.choice(np.asarray(good.members), size=5, replace=False):

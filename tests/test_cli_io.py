@@ -212,9 +212,8 @@ def test_report_config_reads_back_as_manifest_config(tmp_path):
             assert getattr(obj, f.name) != getattr(base, f.name), f.name
     nan = float("nan")
     report = PipelineReport(
-        embedding=None, outliers=np.empty(0, dtype=int), clusters=[], good_cluster=None,
-        alignment=None, mds_view=None, dissimilarity=np.zeros((0, 0)), members=[],
-        thresholds=Thresholds(nan, nan, nan), config=config,
+        clusters=[], alignment=None, mds_view=None, dissimilarity=np.zeros((0, 0)),
+        members=[], thresholds=Thresholds(nan, nan, nan), config=config,
     )
     write_report(report, tmp_path / "rep", plots=False)
     written = json.loads((tmp_path / "rep" / "report.json").read_text())
@@ -322,6 +321,16 @@ def test_cli_ph_unit_square(tmp_path, capsys):
     assert run_command(["ph", str(path), "--max-dim", "1", "--max-radius", "2.0"]) == 0
     doc = json.loads(capsys.readouterr().out)
     assert doc["bars"]["1"] == [[1.0, np.sqrt(2.0)]]
+
+
+def test_cli_ph_of_one_point(tmp_path, capsys):
+    # no radius is given, and the default for one point is 0
+    path = tmp_path / "one.csv"
+    path.write_text("id,x0,x1\n0,0.5,2\n")
+    assert run_command(["ph", str(path), "--max-dim", "1"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["max_radius"] == 0.0
+    assert doc["bars"] == {"0": [[0.0, None]], "1": []}
 
 
 def test_cli_ph_out_file_holds_what_stdout_shows(tmp_path, capsys):

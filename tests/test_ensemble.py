@@ -14,6 +14,7 @@ from robust_coords.core_types import Configuration
 from robust_coords.dimred import EmbeddingOutput, EmbeddingParams
 from robust_coords.ensemble import (
     ClusterReport,
+    MemberRecord,
     PipelineConfig,
     _cutoffs,
     average_cluster,
@@ -93,6 +94,32 @@ def test_generate_subsamples_invalid_sizes():
         generate_subsamples(10, 11, 1, seed=0)
     with pytest.raises(SizeTooLarge):
         generate_subsamples(10, 0, 1, seed=0)
+
+
+def test_integer_settings_refuse_non_integers():
+    # these once reached numpy and died there with a TypeError
+    def pipeline(**kw):
+        return PipelineConfig(**{"n_subsamples": 2, "subsample_size": 8, "dimred": (PCA_PARAMS,), **kw})
+
+    def isomap(**kw):
+        return EmbeddingParams(**{"target_dim": 2, "knn": 6, **kw})
+
+    cases = [
+        (pipeline, "n_subsamples", 2.5), (pipeline, "subsample_size", 8.0),
+        (pipeline, "seed", 1.5), (pipeline, "seed", True),
+        (pipeline, "min_cluster_size", 5.0), (pipeline, "ph_representatives", "3"),
+        (isomap, "knn", 6.0), (isomap, "knn", np.float64(6.0)), (isomap, "target_dim", 2.0),
+        (AlsOptions, "max_iter", 5.5), (AlsOptions, "min_iter", False),
+    ]
+    for make, name, value in cases:
+        with pytest.raises(ValueError, match=f"{name} must be an integer"):
+            make(**{name: value})
+    # numpy integers are integers, and None stays allowed where the hint has it
+    config = pipeline(seed=np.int64(3), min_cluster_size=np.int32(2))
+    assert config.seed == 3
+    assert isomap(knn=np.int64(6)).knn == 6
+    assert isomap(epsilon=1.0, knn=None).knn is None
+    assert AlsOptions(max_iter=np.uint8(9)).max_iter == 9
 
 
 # ----------------------------------------------------------- build_ensemble
@@ -1097,7 +1124,8 @@ def test_off_sheet_points_left_out_of_every_member(rng):
     report = run_pipeline(x, config)
     assert np.isin(far, report.outliers).all()
     assert report.members == [
-        (o.subsample_index, o.params_index, o.config.n_present, o.dropped.size) for o in outs
+        MemberRecord(o.subsample_index, o.params_index, o.config.n_present, o.dropped.size)
+        for o in outs
     ]
 
 
@@ -1134,3 +1162,40 @@ def test_run_pipeline_no_good_cluster_carries_report(rng):
     assert report is not None
     assert report.embedding is None
     assert all(c.verdict is not None for c in report.clusters)
+
+
+def test_report_reads_results_off_alignment_and_verdicts(rng, monkeypatch):
+    import robust_coords.ensemble as ens_mod
+
+    # failure: flat charts (rejected_dim), rigid copies of a ring whose
+    # bar exceeds the gate (rejected_ph), and scattered singletons
+    # (rejected_sparse)
+    line = rng.uniform(-1.0, 1.0, 60)
+    ring = ring_config(rng)
+    ens = []
+    for _ in range(6):
+        flat = np.stack([line + 1e-5 * rng.normal(size=60), 1e-6 * rng.normal(size=60)])
+        ens.append(wrap(Configuration(flat).transformed(random_motion(rng, 2)), len(ens)))
+    for _ in range(6):
+        ens.append(wrap(ring.transformed(random_motion(rng, 2)), len(ens)))
+    for _ in range(4):
+        ens.append(wrap(random_config(rng, n=60), len(ens)))
+    monkeypatch.setattr(ens_mod, "build_ensemble", lambda x, config: ens)
+    with pytest.raises(NoGoodCluster) as info:
+        run_pipeline(None, small_config(seed=6, min_cluster_size=3))
+    report = info.value.report
+    verdicts = [c.verdict for c in report.clusters]
+    assert {"rejected_sparse", "rejected_dim", "rejected_ph"} == set(verdicts)
+    assert [c.dense for c in report.clusters] == [v != "rejected_sparse" for v in verdicts]
+    assert report.alignment is None and report.embedding is None
+    assert report.good_cluster is None
+    assert report.outliers.dtype.kind == "i" and report.outliers.size == 0
+
+    # success: two disjoint blocks, the average covers one of them
+    monkeypatch.setattr(ens_mod, "build_ensemble", lambda x, config: disjoint_blocks(rng, 2, 0.0))
+    report = run_pipeline(None, small_config(ph_bar_fraction=1.0))
+    assert [c.verdict for c in report.clusters].count("good") == 1
+    assert report.clusters[report.good_cluster].verdict == "good"
+    assert report.embedding is report.alignment.mean
+    assert np.array_equal(report.outliers, np.flatnonzero(~report.embedding.mask))
+    assert report.outliers.size == 10

@@ -373,6 +373,77 @@ def test_hessian_matrix_positive_definite_at_minima(rng):
         assert eig.min() > 0
 
 
+# The direct formulas of the forms and the polarisation that assembled the
+# Hessian from them, kept as oracles for the one gradient and Hessian that
+# the diagnostics now share.  Agreement is measured against the size of
+# the terms (Cauchy-Schwarz bounds of the forms), since the gradient
+# vanishes at termination.
+
+
+def oracle_terms(problem, res, a):
+    y = np.stack([g.apply(c.coords) for c, g in zip(problem.configs, res.motions)])
+    z = res.mean.coords
+    velocity = np.einsum("kde,ken->dn", a, y)
+    curvature = np.einsum("kde,ken->dn", a @ a, y)
+    return z, velocity, curvature
+
+
+def gradient_oracle(problem, res, a):
+    z, velocity, _ = oracle_terms(problem, res, a)
+    scale = (2.0 / problem.k) * np.linalg.norm(z) * np.linalg.norm(velocity)
+    return float(-(2.0 / problem.k) * np.sum(z * velocity)), scale
+
+
+def hessian_oracle(problem, res, a):
+    k = problem.k
+    z, velocity, curvature = oracle_terms(problem, res, a)
+    scale = (2.0 / k) * (
+        np.sum(velocity**2) / k + np.linalg.norm(z) * np.linalg.norm(curvature)
+    )
+    return float(-(2.0 / k) * (np.sum(velocity**2) / k + np.sum(z * curvature))), scale
+
+
+def polarised_hessian(problem, res):
+    k, d = problem.k, problem.dim
+    units = []
+    for i in range(1, k):
+        for u in range(d):
+            for v in range(u + 1, d):
+                a = np.zeros((k, d, d))
+                a[i, u, v], a[i, v, u] = 1.0, -1.0
+                units.append(a)
+    m = len(units)
+    single = [hessian_oracle(problem, res, a)[0] for a in units]
+    h = np.empty((m, m))
+    for p in range(m):
+        h[p, p] = single[p]
+        for r in range(p + 1, m):
+            pair = hessian_oracle(problem, res, units[p] + units[r])[0]
+            h[p, r] = h[r, p] = 0.5 * (pair - single[p] - single[r])
+    return h
+
+
+@pytest.mark.parametrize("converged", [False, True])
+def test_diagnostics_agree_with_direct_formulas_and_polarisation(rng, converged):
+    for _ in range(12):
+        k = int(rng.integers(2, 7))
+        d = int(rng.integers(2, 5))
+        opts = dict(tol=1e-13, max_iter=3000) if converged else dict(max_iter=1, min_iter=1)
+        problem = full_problem(rng, k=k, d=d, n=20, **opts)
+        res = als_align(problem)
+        h, eig = hessian_matrix(problem, res)
+        oracle = polarised_hessian(problem, res)
+        assert h.shape == ((k - 1) * d * (d - 1) // 2,) * 2
+        assert np.abs(h - oracle).max() <= 1e-12 * np.abs(oracle).max()
+        assert np.array_equal(eig, np.linalg.eigvalsh(h))
+        for _ in range(3):
+            a = random_antisym_directions(rng, k, d)
+            want, scale = gradient_oracle(problem, res, a)
+            assert abs(gradient_form(problem, res, a) - want) <= 1e-12 * scale
+            want, scale = hessian_oracle(problem, res, a)
+            assert abs(hessian_form(problem, res, a) - want) <= 1e-12 * scale
+
+
 # ---------------------------------------------------- essential dimension
 
 

@@ -600,6 +600,28 @@ def test_invalid_inputs(rng):
             rips_from_distances(squareform(pdist(pts)), max_radius=radius, landmark_budget=budget)
 
 
+def test_one_point_and_coincident_points_have_one_infinite_bar():
+    # their default radius, half the largest distance, is 0; it used to be
+    # refused as if the caller had passed it
+    for pts in (np.zeros((1, 3)), np.full((3, 2), 1.5)):
+        for max_dim in (0, 1, 2):
+            dg = rips_persistence(pts, max_dim=max_dim)
+            assert dg.max_radius == 0.0
+            assert dg.bars[0].tolist() == [[0.0, np.inf]]
+            assert all(dg.bars[q].size == 0 for q in range(1, max_dim + 1))
+    # a radius that the caller passes must still be positive
+    for radius in (0, 0.0, -1.0):
+        with pytest.raises(ValueError, match="max_radius must be positive"):
+            rips_persistence(np.full((3, 2), 1.5), max_radius=radius)
+        with pytest.raises(ValueError, match="max_radius must be positive"):
+            rips_from_distances(np.zeros((3, 3)), max_radius=radius)
+
+
+def test_empty_distance_matrix_is_refused():
+    with pytest.raises(ValueError, match="need at least one point"):
+        rips_from_distances(np.zeros((0, 0)))
+
+
 def test_large_prime_costs_no_table_of_p_entries():
     # each stored pivot's coefficient is inverted on its own, so neither the
     # time nor the memory of the reduction grows with p
