@@ -112,13 +112,17 @@ def _bucky_vertices():
     return verts
 
 
+# the 60 vertices on the unit sphere, one per row; built once, read-only
+_UNIT_BUCKY = _bucky_vertices()
+_UNIT_BUCKY /= np.linalg.norm(_UNIT_BUCKY[0])
+_UNIT_BUCKY.flags.writeable = False
+
+
 def buckyball(sigma, seed):
     """The 60 truncated-icosahedron vertices on the unit sphere, plus noise."""
     if sigma < 0:
         raise ValueError("sigma must be >= 0")
-    verts = _bucky_vertices()
-    verts /= np.linalg.norm(verts[0])
-    config = Configuration(verts.T)
+    config = Configuration(_UNIT_BUCKY.T)
     if sigma > 0:
         config = add_gaussian_noise(config, sigma, seed)
     return config

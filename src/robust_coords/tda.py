@@ -16,7 +16,12 @@ already paired one dimension down are skipped (clearing).  Cohomology reads
 off the same persistence pairs as homology (de Silva, Morozov &
 Vejdemo-Johansson, "Dualities in persistent (co)homology", 2011), and on
 Rips filtrations most columns need no addition at all (Bauer, "Ripser",
-J. Appl. Comput. Topol. 2021).
+J. Appl. Comput. Topol. 2021).  The columns are computed a chunk at a time,
+and the reduction keeps only the current chunk's, a table of the pivots
+owned so far and their columns, and the entries of the few columns that
+needed an addition.  Any other owner that an addition needs is read off the
+current chunk or, when older, recomputed from its simplex, as in Ripser's
+implicit matrix; so the memory no longer grows with every coboundary entry.
 
 Every simplex, built or not, is keyed by one integer: the dense rank of
 its diameter among the distinct distances, times m^(q+1) for a
@@ -54,7 +59,10 @@ __all__ = [
 
 DEFAULT_LANDMARK_BUDGET = 150
 DEFAULT_MAX_SIMPLICES = 10_000_000
-_CHUNK = 1 << 16  # entries of one (simplices x vertices) neighbour mask
+# entries of one (simplices x vertices) neighbour mask; a chunk's coboundaries
+# are the reduction's largest arrays, and 1 << 15 keeps them small at no
+# cost in time where 1 << 14 costs some
+_CHUNK = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -208,42 +216,49 @@ def _summed(rows, vals, p):
     return rows[vals != 0], vals[vals != 0]
 
 
-def _coboundary_reduce(simplices, adj, ranks, q, p, cleared):
-    """Reduce the coboundary columns of the q-simplices over F_p.
+def _entries(keys, vals, factor, p):
+    """Heap entries ``key * p + coefficient`` of a column scaled by ``factor``
+    over F_p; their order is the keys'."""
+    return (keys * p + vals.astype(np.int64) * factor % p).tolist()
+
+
+class _Coboundary:
+    """The coboundary columns of the q-simplices over F_p, computed on demand.
 
     The (q+1)-simplices are never built.  A column's entries are the
     cofacets ``v + w`` for the common neighbours w of the simplex v, each
     under its filtration key ``rank * m**(q+2) + code``, as the built
     simplices are: ``rank`` is the largest of the simplex's own rank, read
-    off its key, and the ranks (``ranks``) of the distances from w to v.
-
-    Columns run in reverse filtration order and skip ``cleared`` (the
-    q-simplices paired one dimension down).  A column's pivot is its
-    earliest cofacet, the smallest key.  Columns are computed chunk by
-    chunk; each pivot's column is kept as its slice (bounds) of its chunk's
-    arrays, or as its reduced entries when it needed an addition, so no
-    coboundary is computed twice.  Returns (pairs: list of (column, pivot key),
-    columns that reduce to zero).
+    off its key, and the ranks of the distances from w to v.  The
+    coefficient of a cofacet is (-1)^t, t being the position of w in it.
     """
-    verts = simplices[q][0]
-    m = adj.shape[0]
-    own = simplices[q][1] // m ** (q + 1)
-    flat_ranks = ranks.ravel()
-    powers = m ** np.arange(q + 1, -1, -1, dtype=np.int64)
-    scale = m * powers[0]
-    sign = np.array([1, p - 1], dtype=np.int8 if p < 128 else np.int64)
 
-    def coboundaries(js):
+    def __init__(self, simplices, adj, ranks, q, p):
+        self.verts, self.adj = simplices[q][0], adj
+        self.m = m = adj.shape[0]
+        self.q = q
+        self.own = simplices[q][1] // m ** (q + 1)
+        self.ranks, self.flat_ranks = ranks, ranks.ravel()
+        self.powers = m ** np.arange(q + 1, -1, -1, dtype=np.int64)
+        self.scale = m * self.powers[0]
+        self.places = self.powers[:, None] * np.arange(m)  # w at position t: places[t, w]
+        self.sign = np.array([1, p - 1], dtype=np.int8 if p < 128 else np.int64)
+
+    def columns(self, js):
         """Keys and coefficients of the columns js, grouped by column, with
         each column's bounds and pivot (key, coefficient); pivot -1 marks an
         empty column.  Entries are gathered by flat ``take``, which is much
         faster than 2-d fancy indexing."""
-        v = verts[js]
-        col, ws = np.nonzero(_common_neighbours(adj, v))
-        rank, t = own[js].take(col), 0
+        v = self.verts[js]
+        m, q, powers = self.m, self.q, self.powers
+        # a flat nonzero is several times faster than a 2-d one
+        ws = np.flatnonzero(_common_neighbours(self.adj, v))
+        col = ws // m
+        ws -= col * m
+        rank, t = self.own[js].take(col), 0
         for c in range(q + 1):
             vc = v[:, c].take(col)
-            np.maximum(rank, flat_ranks.take(vc * m + ws), out=rank)
+            np.maximum(rank, self.flat_ranks.take(vc * m + ws), out=rank)
             t = t + (vc < ws)
         # w enters the cofacet at position t: vertices before it keep their
         # place value in the code, vertices after it drop one place
@@ -251,9 +266,9 @@ def _coboundary_reduce(simplices, adj, ranks, q, p, cleared):
         before = np.cumsum(np.hstack([zero, v * powers[:-1]]), axis=1)
         after = np.cumsum(np.hstack([v * powers[1:], zero])[:, ::-1], axis=1)[:, ::-1]
         code = (before + after).ravel().take(col * (q + 2) + t) + ws * powers.take(t)
-        keys = rank * scale + code
+        keys = rank * self.scale + code
         # [cofacet : simplex] = (-1)^t
-        vals = sign.take(t & 1)
+        vals = self.sign.take(t & 1)
         bounds = np.searchsorted(col, np.arange(len(js) + 1))
         lo = bounds[:-1]
         full = bounds[1:] > lo
@@ -264,39 +279,129 @@ def _coboundary_reduce(simplices, adj, ranks, q, p, cleared):
             pivot_vals[full] = vals[keys == np.repeat(pivots, np.diff(bounds))]
         return keys, vals, bounds, pivots, pivot_vals
 
-    owners = {}  # pivot key -> (keys, coefficients, lo, hi, inverse of pivot coefficient)
-    pairs, zeros = [], []
-    todo = np.ones(len(verts), dtype=bool)
+    def column(self, j):
+        """Keys and coefficients of the one column j, as ``columns`` gives
+        them.  They are formed for every vertex w, one run of w between two
+        vertices of the simplex at a time, and then masked: one column is too
+        short for the gathers of ``columns`` to pay."""
+        v = self.verts[j].tolist()
+        common, rank = self.adj[v[0]], self.ranks[v[0]]
+        for a in v[1:]:
+            common = common & self.adj[a]
+            rank = np.maximum(rank, self.ranks[a])
+        code = np.empty(self.m, dtype=np.int64)
+        vals = np.empty(self.m, dtype=self.sign.dtype)
+        ends = [0, *v, self.m]
+        powers = self.powers.tolist()
+        # the code of the simplex's vertices when w comes first
+        rest = sum(a * pw for a, pw in zip(v, powers[1:]))
+        for t in range(len(v) + 1):
+            # w in this run enters the cofacet at position t
+            run = slice(ends[t], ends[t + 1])
+            np.add(self.places[t, run], rest, out=code[run])
+            vals[run] = self.sign[t & 1]
+            if t < len(v):
+                rest += v[t] * (powers[t] - powers[t + 1])
+        keys = np.maximum(rank, self.own[j]) * self.scale + code
+        return keys[common], vals[common]
+
+
+def _coboundary_reduce(simplices, adj, ranks, q, p, cleared):
+    """Reduce the coboundary columns of the q-simplices over F_p.
+
+    Columns (``_Coboundary``) run in reverse filtration order and skip
+    ``cleared`` (the q-simplices paired one dimension down).  A column's
+    pivot is its earliest cofacet, the smallest key.  Columns are computed
+    chunk by chunk, and only the current chunk's arrays are kept.  What
+    outlives a chunk is the pivot table (each pivot key owned so far and its
+    column, as two sorted arrays, merged once per chunk) and the reduced
+    entries of the columns that needed an addition.  Where an addition needs
+    any other owner, a column of the current chunk that starts at the same
+    pivot stands in for it, read off its slice; failing that, the owner is
+    recomputed from its simplex by ``_Coboundary.column``.
+
+    A column whose pivot is new (not owned before the chunk, and first in
+    the chunk) is paired in bulk.  The others collide and are reduced one by
+    one, in order; a reduction that ends on a pivot that a later column of
+    the chunk holds first makes that column collide too.  Returns the
+    columns and pivot keys of the pairs, sorted by pivot, and the columns
+    that reduce to zero, as int64 arrays.
+    """
+    cob = _Coboundary(simplices, adj, ranks, q, p)
+    m = adj.shape[0]
+    todo = np.ones(len(simplices[q][0]), dtype=bool)
     todo[cleared] = False
     todo = np.flatnonzero(todo)[::-1]
+    owned, owners = np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
+    reduced = {}  # pivot key -> (keys, coefficients, inverse of pivot coefficient)
+    zeros = [np.empty(0, dtype=np.int64)]
+
+    def owner(pivot, i):
+        """A column before column i of the current chunk whose pivot is
+        ``pivot``, as (keys, coefficients, inverse of pivot coefficient), or
+        None when no column owns ``pivot``.  The reduced column that owns it
+        comes first; then any unreduced column of the chunk that starts at
+        it, which serves as well, since adding either removes the pivot and
+        adds only earlier columns; else the owner, recomputed."""
+        if pivot in reduced:
+            return reduced[pivot]
+        s = held.searchsorted(pivot)
+        if s < len(held) and held[s] == pivot and order[s] < i:
+            lo, hi = bounds[order[s]], bounds[order[s] + 1]
+            return keys[lo:hi], vals[lo:hi], pow(int(pivot_vals[order[s]]), p - 2, p)
+        s = owned.searchsorted(pivot)
+        if s < len(owned) and owned[s] == pivot:
+            okeys, ovals = cob.column(owners[s])
+            return okeys, ovals, pow(int(ovals[okeys.argmin()]), p - 2, p)
+        return None
+
     for part in _chunks(len(todo), m):
-        keys, vals, bounds, pivots, pivot_vals = coboundaries(todo[part])
-        for j, lo, hi, pivot, val in zip(
-            todo[part].tolist(), bounds[:-1].tolist(), bounds[1:].tolist(),
-            pivots.tolist(), pivot_vals.tolist(),
-        ):
-            column = (keys, vals, lo, hi)
-            if pivot in owners:
-                # entries ``key * p + coefficient``, whose order is the keys';
-                # the entries of one key are summed lazily as they reach the top
-                heap = [k * p + x for k, x in zip(keys[lo:hi].tolist(), vals[lo:hi].tolist())]
-                heapq.heapify(heap)
-                while pivot in owners:
-                    okeys, ovals, olo, ohi, inv = owners[pivot]
-                    factor = p - val * inv % p
-                    added = okeys[olo:ohi] * p + ovals[olo:ohi].astype(np.int64) * factor % p
-                    for entry in added.tolist():
-                        heapq.heappush(heap, entry)
-                    pivot, val = _heap_pivot(heap, p)
-                if pivot is not None:
-                    heap = np.array(heap, dtype=np.int64)
-                    column = (*_summed(heap // p, heap % p, p), 0, None)
-            if pivot is None or pivot < 0:
-                zeros.append(j)
-            else:
-                owners[pivot] = (*column, pow(val, p - 2, p))
-                pairs.append((j, pivot))
-    return pairs, zeros
+        js = todo[part]
+        keys, vals, bounds, pivots, pivot_vals = cob.columns(js)
+        # the chunk's pivots in order, each first held by column order[s]
+        order = np.argsort(pivots, kind="stable")
+        held = pivots[order]
+        collide = np.zeros(len(js), dtype=bool)
+        collide[order[1:][held[1:] == held[:-1]]] = True
+        if len(owned):
+            collide |= owned[np.minimum(owned.searchsorted(pivots), len(owned) - 1)] == pivots
+        collide &= pivots >= 0
+        final = pivots.copy()
+        queue = np.flatnonzero(collide).tolist()
+        while queue:
+            i = heapq.heappop(queue)
+            pivot, val = int(pivots[i]), int(pivot_vals[i])
+            # the entries of one key are summed lazily as they reach the top
+            heap = _entries(keys[bounds[i]:bounds[i + 1]], vals[bounds[i]:bounds[i + 1]], 1, p)
+            heapq.heapify(heap)
+            # a colliding column's pivot is owned by then, so it needs an addition
+            while pivot is not None and (column := owner(pivot, i)) is not None:
+                okeys, ovals, inv = column
+                for entry in _entries(okeys, ovals, p - val * inv % p, p):
+                    heapq.heappush(heap, entry)
+                pivot, val = _heap_pivot(heap, p)
+            if pivot is None:
+                final[i] = -1
+                continue
+            final[i] = pivot
+            heap = np.array(heap, dtype=np.int64)
+            reduced[pivot] = (*_summed(heap // p, heap % p, p), pow(val, p - 2, p))
+            s = held.searchsorted(pivot)
+            if s < len(held) and held[s] == pivot:
+                # the pivot's first holder in the chunk comes later (an earlier
+                # one would own it) and can no longer be paired in bulk
+                collide[order[s]] = True
+                heapq.heappush(queue, int(order[s]))
+        paired = final >= 0
+        zeros.append(js[~paired])
+        # the chunk's pairs, sorted, are inserted in one pass: sorting the
+        # whole table again would cost O(N log N) per chunk
+        by_key = np.argsort(final[paired])
+        new = final[paired][by_key]
+        at = owned.searchsorted(new)
+        owned = np.insert(owned, at, new)
+        owners = np.insert(owners, at, js[paired][by_key])
+    return owners, owned, np.concatenate(zeros)
 
 
 def rips_from_distances(
@@ -376,8 +481,7 @@ def rips_from_distances(
     bars = {0: [(0.0, edge_f[e]) for e in cleared if edge_f[e] > 0]}
     bars[0] += [(0.0, np.inf)] * (m - len(cleared))
     for q in range(1, max_dim + 1):
-        pairs, zeros = _coboundary_reduce(simplices, adj, ranks, q, p, cleared)
-        js, pivots = np.array(pairs, dtype=np.int64).reshape(-1, 2).T
+        js, pivots, zeros = _coboundary_reduce(simplices, adj, ranks, q, p, cleared)
         filts = values[simplices[q][1] // m ** (q + 1)]
         births, deaths = filts[js], values[pivots // m ** (q + 2)]
         alive = deaths > births

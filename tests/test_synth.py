@@ -3,7 +3,9 @@ from scipy.sparse.csgraph import shortest_path
 from scipy.sparse import csr_matrix
 from scipy.spatial.distance import pdist, squareform
 
+from robust_coords.core_types import Configuration
 from robust_coords.synth import (
+    _bucky_vertices,
     add_gaussian_noise,
     add_uniform_outliers,
     buckyball,
@@ -118,3 +120,16 @@ def test_buckyball_noise_deterministic():
     a = buckyball(0.05, seed=3)
     b = buckyball(0.05, seed=3)
     assert np.array_equal(a.coords, b.coords)
+
+
+def test_buckyball_is_the_normalized_vertex_set_plus_noise():
+    # the unit vertices are built once; every call must still give the
+    # vertex set scaled to the unit sphere, noisy or not, to the bit
+    verts = _bucky_vertices()
+    verts /= np.linalg.norm(verts[0])
+    assert np.array_equal(buckyball(0.0, seed=0).coords, verts.T)
+    for sigma, seed in ((0.06, 5000), (0.05, 3)):
+        expected = add_gaussian_noise(Configuration(verts.T), sigma, seed)
+        assert np.array_equal(buckyball(sigma, seed).coords, expected.coords)
+    # and no call changed the shared vertices
+    assert np.array_equal(buckyball(0.0, seed=1).coords, verts.T)

@@ -6,11 +6,17 @@ import numpy as np
 import pytest
 from scipy.spatial.distance import pdist, squareform
 
+from robust_coords import dimred, ensemble, synth, tda
 from robust_coords.errors import NonFinite, NotSymmetric, TooManySimplices
 from robust_coords.tda import (
     DEFAULT_LANDMARK_BUDGET,
     DEFAULT_MAX_SIMPLICES,
     _build_simplices,
+    _chunks,
+    _common_neighbours,
+    _h0_death_edges,
+    _heap_pivot,
+    _summed,
     max_bar_length,
     maxmin_landmarks,
     rips_from_distances,
@@ -475,6 +481,196 @@ def test_implicit_cofacets_match_block_reducer_on_ties(case, max_dim, p):
     assert len(top) >= 20 * len(np.unique(top))
 
 
+# ------------------------------------------------- every-owner reducer oracle
+# The coboundary reduction as it was before it kept only one chunk: every
+# owner column stays alive as its slice of its chunk's arrays, or as its
+# reduced entries.  It runs the same algorithm, so the pairs and the zero
+# columns must be the same sets.
+
+
+def oracle_coboundary_reduce(simplices, adj, ranks, q, p, cleared):
+    verts = simplices[q][0]
+    m = adj.shape[0]
+    own = simplices[q][1] // m ** (q + 1)
+    flat_ranks = ranks.ravel()
+    powers = m ** np.arange(q + 1, -1, -1, dtype=np.int64)
+    scale = m * powers[0]
+    sign = np.array([1, p - 1], dtype=np.int8 if p < 128 else np.int64)
+
+    def coboundaries(js):
+        v = verts[js]
+        col, ws = np.nonzero(_common_neighbours(adj, v))
+        rank, t = own[js].take(col), 0
+        for c in range(q + 1):
+            vc = v[:, c].take(col)
+            np.maximum(rank, flat_ranks.take(vc * m + ws), out=rank)
+            t = t + (vc < ws)
+        zero = np.zeros((len(v), 1), dtype=np.int64)
+        before = np.cumsum(np.hstack([zero, v * powers[:-1]]), axis=1)
+        after = np.cumsum(np.hstack([v * powers[1:], zero])[:, ::-1], axis=1)[:, ::-1]
+        code = (before + after).ravel().take(col * (q + 2) + t) + ws * powers.take(t)
+        keys = rank * scale + code
+        vals = sign.take(t & 1)
+        bounds = np.searchsorted(col, np.arange(len(js) + 1))
+        lo = bounds[:-1]
+        full = bounds[1:] > lo
+        pivots = np.full(len(js), -1, dtype=np.int64)
+        pivot_vals = np.zeros(len(js), dtype=np.int64)
+        if keys.size:
+            pivots[full] = np.minimum.reduceat(keys, lo[full])
+            pivot_vals[full] = vals[keys == np.repeat(pivots, np.diff(bounds))]
+        return keys, vals, bounds, pivots, pivot_vals
+
+    owners = {}  # pivot key -> (keys, coefficients, lo, hi, inverse of pivot coefficient)
+    pairs, zeros = [], []
+    todo = np.ones(len(verts), dtype=bool)
+    todo[cleared] = False
+    todo = np.flatnonzero(todo)[::-1]
+    for part in _chunks(len(todo), m):
+        keys, vals, bounds, pivots, pivot_vals = coboundaries(todo[part])
+        for j, lo, hi, pivot, val in zip(
+            todo[part].tolist(), bounds[:-1].tolist(), bounds[1:].tolist(),
+            pivots.tolist(), pivot_vals.tolist(),
+        ):
+            column = (keys, vals, lo, hi)
+            if pivot in owners:
+                heap = [k * p + x for k, x in zip(keys[lo:hi].tolist(), vals[lo:hi].tolist())]
+                heapq.heapify(heap)
+                while pivot in owners:
+                    okeys, ovals, olo, ohi, inv = owners[pivot]
+                    factor = p - val * inv % p
+                    added = okeys[olo:ohi] * p + ovals[olo:ohi].astype(np.int64) * factor % p
+                    for entry in added.tolist():
+                        heapq.heappush(heap, entry)
+                    pivot, val = _heap_pivot(heap, p)
+                if pivot is not None:
+                    heap = np.array(heap, dtype=np.int64)
+                    column = (*_summed(heap // p, heap % p, p), 0, None)
+            if pivot is None or pivot < 0:
+                zeros.append(j)
+            else:
+                owners[pivot] = (*column, pow(val, p - 2, p))
+                pairs.append((j, pivot))
+    js, pivots = np.array(pairs, dtype=np.int64).reshape(-1, 2).T
+    return js, pivots, np.array(zeros, dtype=np.int64)
+
+
+def reductions(reduce, dmat, max_dim, p, radius, budget=DEFAULT_LANDMARK_BUDGET):
+    """{q: (set of (column, pivot key) pairs, set of zero columns)} for
+    q = 1..max_dim, from ``reduce`` on the complex that rips_from_distances
+    builds from a symmetric matrix, cleared as it clears them.  ``reduce``
+    returns the pairs' columns and pivot keys and the zero columns, as
+    arrays."""
+    if dmat.shape[0] > budget:
+        keep = maxmin_landmarks(dmat, budget)
+        dmat = dmat[np.ix_(keep, keep)]
+    m = dmat.shape[0]
+    values, ranks = np.unique(dmat.ravel(), return_inverse=True)
+    ranks = ranks.reshape(m, m)
+    radius = min(radius, float(dmat.max(axis=1).min()))
+    reach = int(np.searchsorted(values, radius, side="right"))
+    simplices, adj = _build_simplices(ranks, reach, max_dim, DEFAULT_MAX_SIMPLICES)
+    cleared = _h0_death_edges(simplices[1][0], m)
+    out = {}
+    for q in range(1, max_dim + 1):
+        js, pivots, zeros = reduce(simplices, adj, ranks, q, p, cleared)
+        out[q] = (set(zip(js.tolist(), pivots.tolist())), set(zeros.tolist()))
+        assert len(out[q][0]) == len(js) and len(out[q][1]) == len(zeros)
+        if q < max_dim:
+            cleared = np.searchsorted(simplices[q + 1][1], pivots)
+    return out
+
+
+@pytest.fixture(scope="module")
+def bucky_ensemble():
+    # the dissimilarities of 100 Isomap embeddings of noisy buckyballs, as
+    # the benchmark's bucky-rp2 homology half computes them
+    params = dimred.EmbeddingParams(method="isomap", target_dim=2, knn=5)
+    outs = [dimred.embed(synth.buckyball(0.06, seed=5000 + i), params) for i in range(100)]
+    return ensemble.dissimilarity_matrix(outs)
+
+
+@pytest.mark.parametrize("chunk", [64, 512])
+@pytest.mark.parametrize(
+    "case", [f"block{seed}" for seed in range(20)] + ["lattice1.5", "lattice2.0", "bucky"]
+)
+def test_one_chunk_reducer_matches_every_owner_oracle(case, chunk, monkeypatch, request):
+    # chunks of 64 and 512 mask entries hold 1-2 and 8-18 columns of these
+    # 24-60-point complexes, so most owners lie in an earlier chunk
+    monkeypatch.setattr(tda, "_CHUNK", chunk)
+    budget = DEFAULT_LANDMARK_BUDGET
+    if case == "bucky":
+        dmat = request.getfixturevalue("bucky_ensemble")
+        max_dim, radius, budget = 2, 1.01 * float(dmat.max()), 38
+    elif case.startswith("lattice"):
+        dmat = squareform(pdist(np.indices((3, 3, 3)).reshape(3, -1).T.astype(float)))
+        max_dim, radius = 2, float(case[7:])
+    else:
+        # test_matches_block_reducer_oracle's inputs, at their max_dim
+        seed = int(case[5:])
+        max_dim = (1, 2)[seed // 2 % 2]
+        capped = seed // 4 % 2 == 1
+        if capped:
+            n = 30 + 7 * seed % 31
+        else:
+            n = 40 + seed % 6 if max_dim == 1 else 30 + seed % 3
+        dmat = squareform(pdist(thick_annulus(seed, n)))
+        radius = 1.0 if capped else float(dmat.max())
+    for p in (2, 3, 5):
+        ours = reductions(tda._coboundary_reduce, dmat, max_dim, p, radius, budget)
+        assert ours == reductions(oracle_coboundary_reduce, dmat, max_dim, p, radius, budget)
+
+
+def test_one_chunk_reducer_takes_every_slow_path(monkeypatch, bucky_ensemble):
+    # spies on the helpers that the three slow paths call: an owner from an
+    # earlier chunk is recomputed by _Coboundary.column, a column that needed
+    # an addition is stored as _summed returns it and reused when _entries
+    # reads those same arrays, and _Coboundary.columns shows each chunk's
+    # initial pivots, against which the pairs show a reduction that ended on
+    # a pivot that a later column of its chunk held
+    monkeypatch.setattr(tda, "_CHUNK", 512)
+    seen = {"recomputed": 0, "reused": 0, "later holder": 0}
+    stored, chunks = [], []
+    column, columns = tda._Coboundary.column, tda._Coboundary.columns
+    summed, entries = tda._summed, tda._entries
+
+    def spy_column(self, j):
+        seen["recomputed"] += 1
+        return column(self, j)
+
+    def spy_columns(self, js):
+        out = columns(self, js)
+        chunks.append((js.tolist(), out[3].tolist()))
+        return out
+
+    def spy_summed(rows, vals, p):
+        out = summed(rows, vals, p)
+        stored.append(out[0])
+        return out
+
+    def spy_entries(keys, vals, factor, p):
+        seen["reused"] += any(keys is s for s in stored)
+        return entries(keys, vals, factor, p)
+
+    def reduce(*args):
+        chunks.clear()
+        js, pivots, zeros = tda._coboundary_reduce(*args)
+        final = dict(zip(js.tolist(), pivots.tolist()))
+        for cols, initial in chunks:
+            for i, j in enumerate(cols):
+                if final.get(j, initial[i]) != initial[i]:
+                    seen["later holder"] += final[j] in initial[i + 1 :]
+        return js, pivots, zeros
+
+    monkeypatch.setattr(tda._Coboundary, "column", spy_column)
+    monkeypatch.setattr(tda._Coboundary, "columns", spy_columns)
+    monkeypatch.setattr(tda, "_summed", spy_summed)
+    monkeypatch.setattr(tda, "_entries", spy_entries)
+    for p in (2, 3):
+        reductions(reduce, bucky_ensemble, 2, p, 1.01 * float(bucky_ensemble.max()), 38)
+    assert min(seen.values()) >= 1, seen
+
+
 def test_reads_the_upper_triangle_of_a_nearly_symmetric_matrix():
     # below the diagonal, every distance is off by less than the symmetry
     # tolerance: the bars are those of the upper triangle, to the bit
@@ -487,8 +683,10 @@ def test_reads_the_upper_triangle_of_a_nearly_symmetric_matrix():
 
 
 def test_peak_memory_stays_below_that_of_building_the_triangles():
-    # 100 points up to their enclosing radius: about 5.4 MB are traced when
-    # only the edges are built, and 9.0 MB when the triangles were built too
+    # 100 points up to their enclosing radius: about 2.2 MB are traced when
+    # only the edges are built and one chunk of coboundaries is kept, 5.4 MB
+    # when every owner column was kept, and 9.0 MB when the triangles were
+    # built too
     dmat = squareform(pdist(np.random.default_rng(0).uniform(size=(100, 3))))
     tracemalloc.start()
     try:
@@ -497,7 +695,24 @@ def test_peak_memory_stays_below_that_of_building_the_triangles():
     finally:
         tracemalloc.stop()
     assert dg.bars[1].shape[0] > 0
-    assert peak < 7 * 2**20
+    assert peak < 4 * 2**20
+
+
+def test_ph2_peak_memory_keeps_one_chunk_of_coboundaries(bucky_ensemble):
+    # one F2 PH2 call at 60 landmarks traced 21.1 MiB when every owner
+    # column stayed alive as a slice of its chunk, and 4.2 MiB with only the
+    # current chunk, the pivot table and the reduced columns kept
+    tracemalloc.start()
+    try:
+        dg = rips_from_distances(
+            bucky_ensemble, max_dim=2, p=2, max_radius=1.01 * float(bucky_ensemble.max()),
+            landmark_budget=60,
+        )
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert dg.bars[2].shape[0] > 0
+    assert peak < 0.5 * 21.1 * 2**20
 
 
 def test_simplex_budget_stops_a_built_dimension_within_it():
