@@ -182,10 +182,9 @@ def _json_text(value):
 def write_report(report, out_dir, plots=True):
     """Write report.json, embedding/outliers/mds_view CSVs, and SVG plots.
 
-    Every record goes through ``_jsonable``; each cluster also gets its
-    derived ``size`` and ``dense``.  On a failed run (no good cluster) the
-    embedding and outlier files are skipped but the JSON diagnostics are
-    complete.  Returns the list of files written.
+    Every record goes through ``_jsonable``.  On a failed run (no good
+    cluster) the embedding and outlier files are skipped but the JSON
+    diagnostics are complete.  Returns the list of files written.
     """
     os.makedirs(out_dir, exist_ok=True)
     doc = {
@@ -195,7 +194,7 @@ def write_report(report, out_dir, plots=True):
         "n_members": len(report.members),
         "members": report.members,
         "thresholds": report.thresholds,
-        "clusters": [{**_jsonable(c), "size": c.size, "dense": c.dense} for c in report.clusters],
+        "clusters": report.clusters,
         "good_cluster": report.good_cluster,
         "outliers": report.outliers,
         "alignment": report.alignment,

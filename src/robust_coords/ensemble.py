@@ -28,7 +28,8 @@ Stages, in order:
 4. among the dense clusters left, sample representatives and score them by
    essential dimensionality and the largest finite bar of degree-1 Rips
    persistent homology, run to the enclosing radius so that every 1-cycle
-   dies; the good cluster minimizes that bar;
+   dies; the good cluster minimizes that bar; selection returns new records
+   with the scores and verdicts, and the run's report is built once from them;
 5. align the good cluster's members by missing-points ALS, which pins the
    first member's frame and averages per index;
 6. report the averaged embedding plus the indices it never covered
@@ -43,7 +44,7 @@ from __future__ import annotations
 import logging
 import os
 import traceback
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -176,10 +177,11 @@ class PipelineConfig:
         return self.dimred[0].target_dim
 
 
-@dataclass
+@dataclass(frozen=True)
 class ClusterReport:
-    """One cluster of ensemble members plus its selection diagnostics; it
-    is ``dense`` unless its verdict is ``rejected_sparse``."""
+    """One cluster of ensemble members plus its selection diagnostics;
+    ``size`` and ``dense`` (the verdict is not ``rejected_sparse``) are
+    derived on construction, and so again by ``replace``."""
 
     members: np.ndarray
     median_intra_distance: float
@@ -189,14 +191,12 @@ class ClusterReport:
     rep_diameter: float = float("nan")
     ph_bar_threshold: float = float("nan")
     verdict: str | None = None
+    size: int = field(init=False)
+    dense: bool = field(init=False)
 
-    @property
-    def size(self):
-        return len(self.members)
-
-    @property
-    def dense(self):
-        return self.verdict != VERDICT_SPARSE
+    def __post_init__(self):
+        object.__setattr__(self, "size", len(self.members))
+        object.__setattr__(self, "dense", self.verdict != VERDICT_SPARSE)
 
 
 @dataclass(frozen=True)
@@ -219,7 +219,7 @@ class MemberRecord:
     n_dropped: int
 
 
-@dataclass
+@dataclass(frozen=True)
 class PipelineReport:
     """Everything one run produced; ``alignment`` is None on failure.
 
@@ -234,7 +234,7 @@ class PipelineReport:
     members: list
     thresholds: Thresholds
     config: PipelineConfig
-    alignment: AlignmentResult | None = None
+    alignment: AlignmentResult | None
 
     @property
     def embedding(self):
@@ -608,8 +608,8 @@ def cluster_ensemble(d, thresholds, min_cluster_size):
     A cluster is ``rejected_sparse`` when it is smaller than
     ``min_cluster_size`` or its median internal dissimilarity is above
     ``thresholds.dense_cutoff``; the other (dense) clusters' verdicts stay
-    unset for ``select_good_cluster``, which sets them on the returned
-    list.  Clusters are ordered by decreasing size, then lowest member.
+    unset for ``select_good_cluster``, which returns copies that carry
+    them.  Clusters are ordered by decreasing size, then lowest member.
     """
     _, labels = connected_components(d <= thresholds.link_cutoff, directed=False)
     reports = []
@@ -631,9 +631,12 @@ def select_good_cluster(clusters, ensemble, config):
     embedding dimension, and the cluster score is the largest degree-1 bar
     among representatives.  The minimizer wins if its score is at most
     ``ph_bar_fraction`` times the representatives' diameter; ties break to
-    the larger, then tighter, cluster.  Raises NoGoodCluster (verdicts
-    filled in) otherwise.
+    the larger, then tighter, cluster.  Changes nothing it is given and
+    returns ``(scored, failure)``: a new list in which each dense cluster
+    is a copy carrying its scores and verdict, and None when one cluster
+    is ``good``, else the reason none is.
     """
+    scored = list(clusters)
     survivors = []
     for pos, cluster in enumerate(clusters):
         if cluster.verdict is not None:
@@ -641,10 +644,7 @@ def select_good_cluster(clusters, ensemble, config):
         rng = np.random.default_rng([config.seed, 101, pos])
         n_rep = min(config.ph_representatives, cluster.size)
         reps = np.sort(rng.choice(cluster.members, size=n_rep, replace=False))
-        cluster.representatives = reps
-
         ess = tuple(essential_dimension(ensemble[r].config, config.essdim_rel_tol) for r in reps)
-        cluster.essential_dims = ess
         bars = []
         diam = 0.0
         for r in reps:
@@ -656,33 +656,32 @@ def select_good_cluster(clusters, ensemble, config):
                 dmat, max_dim=1, p=2, max_radius=np.inf, landmark_budget=_PH_LANDMARKS
             )
             bars.append(tda.max_bar_length(diagram, 1))
-        cluster.ph1_max_bars = tuple(bars)
-        cluster.rep_diameter = diam
-        cluster.ph_bar_threshold = config.ph_bar_fraction * diam
-        if any(e < config.target_dim for e in ess):
-            cluster.verdict = VERDICT_DIM
-            continue
-        survivors.append(pos)
+        full = all(e >= config.target_dim for e in ess)
+        scored[pos] = replace(
+            cluster, representatives=reps, essential_dims=ess, ph1_max_bars=tuple(bars),
+            rep_diameter=diam, ph_bar_threshold=config.ph_bar_fraction * diam,
+            verdict=VERDICT_PH if full else VERDICT_DIM,
+        )
+        if full:
+            survivors.append(pos)
 
     if not survivors:
-        raise NoGoodCluster("no dense cluster with full-dimensional members")
+        return scored, "no dense cluster with full-dimensional members"
 
     def score(pos):
-        c = clusters[pos]
+        c = scored[pos]
         return (max(c.ph1_max_bars), -c.size, c.median_intra_distance, pos)
 
     best = min(survivors, key=score)
-    for pos in survivors:
-        clusters[pos].verdict = VERDICT_PH
-    winner = clusters[best]
+    winner = scored[best]
     if max(winner.ph1_max_bars) > winner.ph_bar_threshold:
-        raise NoGoodCluster(
+        return scored, (
             "smallest degree-1 bar "
             f"{max(winner.ph1_max_bars):.6g} exceeds threshold "
             f"{winner.ph_bar_threshold:.6g}"
         )
-    winner.verdict = VERDICT_GOOD
-    return winner
+    scored[best] = replace(winner, verdict=VERDICT_GOOD)
+    return scored, None
 
 
 def average_cluster(ensemble, cluster, config):
@@ -700,12 +699,12 @@ def average_cluster(ensemble, cluster, config):
 def run_pipeline(x, config):
     """Execute the whole pipeline and assemble the report.
 
-    The report is built once, before selection, and only its
-    ``alignment`` is set on success.  Raises NoGoodCluster when selection fails; the exception
-    carries that report (clusters, verdicts, dissimilarity view) for
-    writing diagnostics.  With fewer than two embeddings, or no pair of
-    them sharing ``_MIN_SHARED`` indices, there is nothing to compare, and
-    it carries no report.
+    The report is built once, after selection, from the scored clusters;
+    its ``alignment`` is None when no cluster is good, and then this raises
+    NoGoodCluster carrying that report (clusters, verdicts, dissimilarity
+    view) for writing diagnostics.  With fewer than two embeddings, or no
+    pair of them sharing ``_MIN_SHARED`` indices, there is nothing to
+    compare, and the NoGoodCluster raised carries no report.
     The dissimilarity view is None for ensembles of two.
     """
     ensemble = build_ensemble(x, config)
@@ -724,14 +723,13 @@ def run_pipeline(x, config):
     mds_view = classical_mds(_with_sentinel(d), 2) if len(ensemble) >= 3 else None
     thresholds = _cutoffs(d, config, _member_scale(ensemble))
     clusters = cluster_ensemble(d, thresholds, config.min_cluster_size)
+    clusters, failure = select_good_cluster(clusters, ensemble, config)
+    winner = next((c for c in clusters if c.verdict == VERDICT_GOOD), None)
     report = PipelineReport(
         clusters=clusters, mds_view=mds_view, dissimilarity=d, members=members,
         thresholds=thresholds, config=config,
+        alignment=None if winner is None else average_cluster(ensemble, winner, config),
     )
-    try:
-        winner = select_good_cluster(clusters, ensemble, config)
-    except NoGoodCluster as exc:
-        exc.report = report
-        raise
-    report.alignment = average_cluster(ensemble, winner, config)
+    if failure is not None:
+        raise NoGoodCluster(failure, report=report)
     return report

@@ -53,8 +53,10 @@ class SizeTooLarge(RobustCoordsError):
 class NoGoodCluster(RobustCoordsError):
     """Cluster selection rejected every candidate.
 
-    Carries the partial pipeline report (cluster verdicts, dissimilarity
-    view) so callers can still write diagnostics.
+    ``run_pipeline`` raises it with the run's report, whose every cluster
+    carries its verdict and whose ``alignment`` is None, so callers can
+    still write diagnostics; ``report`` is None when there was nothing to
+    compare.
     """
 
     def __init__(self, message, report=None):

@@ -106,20 +106,25 @@ class AlignmentResult:
     indices covered by at least one input; its column at index j averages
     only the transformed configurations whose domain contains j.
     ``loss_trace`` holds the loss after initialization and after each
-    sweep, and ``symmetry_residuals[i]`` the relative asymmetry of the
-    cross-covariance of the mean and the i-th transformed input over its
-    domain, which vanishes at critical points of the loss.  ``motions``
-    and ``mean`` are written as point CSVs, so they are left out of the
-    JSON record.
+    sweep, and ``loss`` (its last entry) and ``iterations`` (the sweeps
+    run) are derived from it.  ``symmetry_residuals[i]`` is the relative
+    asymmetry of the cross-covariance of the mean and the i-th transformed
+    input over its domain, which vanishes at critical points of the loss.
+    ``motions`` and ``mean`` are written as point CSVs, so they are left
+    out of the JSON record.
     """
 
     motions: tuple = field(metadata={"json": False})
     mean: Configuration = field(metadata={"json": False})
-    loss: float
+    loss: float = field(init=False)
     loss_trace: np.ndarray
-    iterations: int
+    iterations: int = field(init=False)
     converged: bool
     symmetry_residuals: np.ndarray
+
+    def __post_init__(self):
+        object.__setattr__(self, "loss", float(self.loss_trace[-1]))
+        object.__setattr__(self, "iterations", len(self.loss_trace) - 1)
 
 
 def _inverse_counts(idx, n):
@@ -206,7 +211,6 @@ def als_align(problem):
 
     trace = [_masked_loss(idx, blocks, mean)]
     _check_finite_loss(trace[-1])
-    iterations = 0
     converged = False
     for sweep in range(opts.max_iter):
         for i in range(k):
@@ -223,10 +227,9 @@ def als_align(problem):
         # Exact recompute once per sweep to shed incremental round-off.
         total = _index_totals(idx, blocks, d, n)
         mean = total * inv_counts
-        iterations = sweep + 1
         trace.append(_masked_loss(idx, blocks, mean))
         _check_finite_loss(trace[-1])
-        if iterations >= opts.min_iter and abs(trace[-2] - trace[-1]) < opts.tol:
+        if sweep + 1 >= opts.min_iter and abs(trace[-2] - trace[-1]) < opts.tol:
             converged = True
             break
 
@@ -251,9 +254,7 @@ def als_align(problem):
     return AlignmentResult(
         motions=motions,
         mean=mean_cfg,
-        loss=trace[-1],
         loss_trace=np.asarray(trace),
-        iterations=iterations,
         converged=converged,
         symmetry_residuals=residuals,
     )

@@ -153,7 +153,7 @@ def _build_simplices(ranks, reach, max_dim, max_simplices):
             v = verts[part]
             new = _common_neighbours(adj, v) & (above > v[:, -1:])
             if store:
-                rows, ws = np.nonzero(new)
+                rows, ws = np.divmod(np.flatnonzero(new), m)
                 new_v.append(np.column_stack([v[rows], ws]))
                 new_r.append(np.maximum(own[part][rows], ranks[v[rows], ws[:, None]].max(axis=1)))
             # checked per chunk, so the budget also bounds the memory spent

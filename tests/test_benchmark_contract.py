@@ -16,7 +16,6 @@ import json
 import subprocess
 import sys
 from collections import Counter
-from contextlib import suppress
 from pathlib import Path
 
 import numpy as np
@@ -32,7 +31,6 @@ from robust_coords.ensemble import (
     dissimilarity_matrix,
     select_good_cluster,
 )
-from robust_coords.errors import NoGoodCluster
 from robust_coords.synth import swiss_roll
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -95,8 +93,7 @@ def test_traced_layers_are_called_through_module_attributes(monkeypatch, rng):
                             min_cluster_size=2, ph_representatives=2, seed=5)
     d = dissimilarity_matrix(ensemble)
     clusters = cluster_ensemble(d, _cutoffs(d, config, 0.0), config.min_cluster_size)
-    with suppress(NoGoodCluster):
-        select_good_cluster(clusters, ensemble, config)
+    clusters, _ = select_good_cluster(clusters, ensemble, config)
     representatives = sum(c.representatives.size for c in clusters)
     assert representatives == 4
     assert calls == {"rips_from_distances": representatives}

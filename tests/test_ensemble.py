@@ -1,7 +1,10 @@
+import copy
 import logging
 import os
+import re
 import subprocess
 import sys
+from dataclasses import FrozenInstanceError, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -16,6 +19,7 @@ from robust_coords.ensemble import (
     ClusterReport,
     MemberRecord,
     PipelineConfig,
+    PipelineReport,
     _cutoffs,
     average_cluster,
     build_ensemble,
@@ -56,6 +60,12 @@ def clusters_of(d, config, scale=0.0):
     """cluster_ensemble at the thresholds that run_pipeline derives from
     config and the members' scale."""
     return cluster_ensemble(d, _cutoffs(d, config, scale), config.min_cluster_size)
+
+
+def the_good_one(clusters):
+    """The one cluster whose verdict is good; fails unless there is exactly one."""
+    (winner,) = [c for c in clusters if c.verdict == "good"]
+    return winner
 
 
 def small_config(**kw):
@@ -920,8 +930,9 @@ def test_select_prefers_disk_over_ring(rng):
     ens += [wrap(ring.transformed(random_motion(rng, 2)), 6 + i) for i in range(6)]
     d = dissimilarity_matrix(ens)
     config = small_config(seed=5)
-    clusters = clusters_of(d, config)
-    winner = select_good_cluster(clusters, ens, config)
+    clusters, failure = select_good_cluster(clusters_of(d, config), ens, config)
+    assert failure is None
+    winner = the_good_one(clusters)
     assert set(winner.members) == set(range(6))
     assert winner.verdict == "good"
     ring_cluster = [c for c in clusters if set(c.members) == set(range(6, 12))]
@@ -938,8 +949,7 @@ def test_uncapped_scoring_matches_capped_oracle(rng):
     ens += [wrap(ring.transformed(random_motion(rng, 2)), 6 + i) for i in range(6)]
     d = dissimilarity_matrix(ens)
     config = small_config(seed=5)
-    clusters = clusters_of(d, config)
-    select_good_cluster(clusters, ens, config)
+    clusters, _ = select_good_cluster(clusters_of(d, config), ens, config)
     scored = [c for c in clusters if c.representatives.size]
     assert scored
     for cluster in scored:
@@ -966,9 +976,8 @@ def test_select_rejects_flat_clusters(rng):
         ens.append(wrap(random_config(rng, n=60), 6 + i))
     d = dissimilarity_matrix(ens)
     config = small_config(seed=6)
-    clusters = clusters_of(d, config)
-    with pytest.raises(NoGoodCluster):
-        select_good_cluster(clusters, ens, config)
+    clusters, failure = select_good_cluster(clusters_of(d, config), ens, config)
+    assert failure is not None
     assert any(c.verdict == "rejected_dim" for c in clusters)
 
 
@@ -979,9 +988,9 @@ def test_select_prefers_dense_over_diffuse(rng):
     ens = dense + diffuse
     d = dissimilarity_matrix(ens)
     config = small_config(seed=7)
-    clusters = clusters_of(d, config)
-    winner = select_good_cluster(clusters, ens, config)
-    assert set(winner.members) == set(range(6))
+    clusters, failure = select_good_cluster(clusters_of(d, config), ens, config)
+    assert failure is None
+    assert set(the_good_one(clusters).members) == set(range(6))
 
 
 def test_select_ring_only_bar_exceeds_threshold(rng):
@@ -993,12 +1002,57 @@ def test_select_ring_only_bar_exceeds_threshold(rng):
         seed=8, cluster_link_fraction=1.0, dense_median_fraction=1.0, ph_bar_fraction=0.1
     )
     clusters = clusters_of(d, config)
+    assert clusters[0].dense and clusters[0].size >= 2
+    clusters, failure = select_good_cluster(clusters, ens, config)
+    assert re.search("exceeds threshold", failure)
     rings = clusters[0]
-    assert rings.dense and rings.size >= 2
-    with pytest.raises(NoGoodCluster, match="exceeds threshold"):
-        select_good_cluster(clusters, ens, config)
     assert rings.verdict == "rejected_ph"
     assert max(rings.ph1_max_bars) > rings.ph_bar_threshold
+
+
+def test_selection_returns_new_records_and_changes_nothing_it_is_given(rng):
+    # a dense disk cluster (good), a dense ring cluster (rejected_ph) and a
+    # scattered singleton (rejected_sparse by cluster_ensemble)
+    disk = disk_config(rng)
+    ring = ring_config(rng)
+    ens = [wrap(disk.transformed(random_motion(rng, 2)), i) for i in range(6)]
+    ens += [wrap(ring.transformed(random_motion(rng, 2)), 6 + i) for i in range(6)]
+    ens.append(wrap(random_config(rng, n=60), 12))
+    d = dissimilarity_matrix(ens)
+    config = small_config(seed=5)
+    clusters = clusters_of(d, config)
+    given = list(clusters)
+    before = [{f.name: copy.deepcopy(getattr(c, f.name)) for f in fields(c)} for c in clusters]
+
+    scored, failure = select_good_cluster(clusters, ens, config)
+
+    assert failure is None
+    assert len(clusters) == len(given) and all(c is g for c, g in zip(clusters, given))
+    for c, fields_before in zip(clusters, before):
+        for name, value in fields_before.items():
+            np.testing.assert_equal(getattr(c, name), value, err_msg=name)
+    assert scored is not clusters and len(scored) == len(clusters)
+    # records are compared by position: their numpy fields make == ambiguous
+    for c, s in zip(clusters, scored):
+        if c.verdict is None:
+            assert s is not c and s.verdict in ("good", "rejected_ph", "rejected_dim")
+            assert np.array_equal(s.members, c.members) and s.representatives.size
+        else:
+            assert s is c
+    assert any(c.verdict == "rejected_sparse" for c in scored)
+    assert [c.verdict for c in scored].count("good") == 1
+
+    with pytest.raises(FrozenInstanceError):
+        scored[0].verdict = "rejected_ph"
+    report = PipelineReport(
+        clusters=scored, mds_view=None, dissimilarity=d, members=[],
+        thresholds=_cutoffs(d, config, 0.0), config=config, alignment=None,
+    )
+    with pytest.raises(FrozenInstanceError):
+        report.alignment = None
+    # the derived fields follow replace
+    assert replace(scored[0], verdict="rejected_sparse").dense is False
+    assert replace(scored[0], members=np.arange(3)).size == 3
 
 
 # ---------------------------------------------------------------- average

@@ -104,9 +104,7 @@ def als_full(problem, variant):
     return AlignmentResult(
         motions=motions,
         mean=Configuration(mean, np.ones(problem.n_global, dtype=bool)),
-        loss=trace[-1],
         loss_trace=np.asarray(trace),
-        iterations=iterations,
         converged=converged,
         symmetry_residuals=np.array(
             [_symmetry_residual_matrices(mean, y[i]) for i in range(k)]
