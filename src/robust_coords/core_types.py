@@ -164,7 +164,7 @@ class Configuration:
         )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RigidMotion:
     """An affine isometry x -> Qx + v with Q orthogonal (det +/-1 allowed)."""
 

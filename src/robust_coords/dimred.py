@@ -106,7 +106,7 @@ class EmbeddingParams:
             raise ValueError(f"{self.method} takes no source")
 
 
-@dataclass
+@dataclass(eq=False)
 class EmbeddingOutput:
     """An embedded configuration plus the input indices it excluded.
 
@@ -222,6 +222,7 @@ def isomap(x, params):
     points = x.present_matrix().T
     dmat = squareform(pdist(points))
     graph = _geodesic_graph(dmat, _neighborhood_graph(dmat, params))
+    del dmat  # the geodesics and MDS below need one m x m array fewer alive
     # the graph is exactly symmetric, so each edge is relaxed once, in the
     # direction it is stored, with the same geodesics as directed=False
     method = "FW" if graph.shape[0] <= _DENSE_MAX else "D"

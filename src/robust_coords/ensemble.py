@@ -9,15 +9,18 @@ Stages, in order:
    then draw index subsamples of the input, remove the rejected points
    from each, and embed each one under every parameter setting in the
    mesh; one process map spreads the (subsample, setting) pairs over
-   forked worker processes (failures, an all-rejected subsample among
+   forked worker processes, each of which sends its members back one at a
+   time once its share is done (failures, an all-rejected subsample among
    them, are logged and skipped);
 2. fill the pairwise dissimilarity matrix with overlap-normalized
    Procrustes distances (residual / sqrt(#shared indices), so pairs with
    different overlap sizes are comparable), all from one batched closed
-   form; each member's nearest pair, and every pair where that form loses
-   precision to cancellation, is then solved again exactly; pairs that
-   share fewer than ``_MIN_SHARED`` indices read inf, and only the 2-d MDS
-   view of the matrix gives them a finite sentinel;
+   form over one tile of stacked members at a time, so no array spans all
+   members times the input size; each member's nearest pair, and every
+   pair where that form loses precision to cancellation, is then solved
+   again exactly; pairs that share fewer than ``_MIN_SHARED`` indices read
+   inf, and only the 2-d MDS view of the matrix gives them a finite
+   sentinel;
 3. cut single linkage at a fraction of the median finite dissimilarity
    (floored at a tiny fraction of the members' scale, so that identical
    members stay together), as the connected components of the graph of
@@ -43,6 +46,7 @@ from __future__ import annotations
 
 import logging
 import os
+import pickle
 import traceback
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -102,8 +106,13 @@ _REJECT_MEDIAN_MULTIPLE = 6.0
 # noise, loses no point.
 _REJECT_FLAT_TOL = 1e-9
 
-# Rows of the dissimilarity matrix computed per batch: bounds the batch's
-# temporaries, O(block * k * d^2), and so the peak memory of large ensembles.
+# The closed-form dissimilarities stack the members' coordinates, masks and
+# squared norms, (d + 2) * n_global entries per member, one column tile at a
+# time: a tile holds about this many entries (a megabyte) in whole blocks of
+# rows, so the stage's memory does not grow with k * n_global.  Each block
+# of rows is compared with one tile at a time, so the batch's temporaries
+# stay O(block * tile * d^2).
+_DISSIMILARITY_TILE_ENTRIES = 1 << 17
 _DISSIMILARITY_ROW_BLOCK = 16
 # The closed-form residual^2 carries a rounding error of a few machine
 # epsilons times the pair's uncentred squared norms (at most 6.5 eps on
@@ -177,7 +186,7 @@ class PipelineConfig:
         return self.dimred[0].target_dim
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ClusterReport:
     """One cluster of ensemble members plus its selection diagnostics;
     ``size`` and ``dense`` (the verdict is not ``rejected_sparse``) are
@@ -219,7 +228,7 @@ class MemberRecord:
     n_dropped: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PipelineReport:
     """Everything one run produced; ``alignment`` is None on failure.
 
@@ -414,13 +423,16 @@ def _map_in_processes(fn, n):
     takes k = 0, and a forked worker process each other k.  The shares are
     fixed by a alone, so which process computes fn(a) never depends on
     timing.  Workers inherit ``fn`` and what it closes over through the
-    fork, so nothing is sent to them.  Each sends back its list of results
-    once it is done, and this process reads them in its main thread after
-    its own share: a helper thread unpickling results would allocate them
-    in a malloc arena of its own and leave the process's peak memory higher
-    after every run.  An exception that ``fn`` raises in a worker is raised
-    here, chained to the worker's traceback.  Every worker is stopped and
-    joined before this returns or raises.
+    fork, so nothing is sent to them.  Each pickles every result on its own
+    as it goes and, once its share is done, sends them one message per
+    task in task order.  This process reads them after its own share, in
+    its main thread, unpickling each before it reads the next, so it never
+    holds a whole share's pickle beside the results: a helper thread
+    unpickling results would allocate them in a malloc arena of its own and
+    leave the process's peak memory higher after every run.  An exception
+    that ``fn`` raises in a worker is raised here, chained to the worker's
+    traceback, and none of that worker's results is sent.  Every worker is
+    stopped and joined before this returns or raises.
     """
     w = _process_count(n)
     ctx = None
@@ -446,14 +458,16 @@ def _map_in_processes(fn, n):
         results[::w] = [fn(a) for a in range(0, n, w)]
         for k, (proc, reader) in enumerate(procs, start=1):
             try:
-                outcome = reader.recv()
+                failure = reader.recv()
+                if failure is None:
+                    for a in range(k, n, w):
+                        results[a] = pickle.loads(reader.recv_bytes())
             except EOFError:  # the worker died before sending
                 proc.join()
                 raise RuntimeError(f"worker process exited with code {proc.exitcode}") from None
-            if isinstance(outcome, tuple):
-                exc, text = outcome
+            if failure is not None:
+                exc, text = failure
                 raise exc from _RemoteTraceback(text)
-            results[k::w] = outcome
     finally:
         for proc, reader in procs:
             proc.terminate()
@@ -463,13 +477,18 @@ def _map_in_processes(fn, n):
 
 
 def _map_share(fn, share, writer):
-    """A worker's body: send [fn(a) for a in share], or the exception that
-    stopped it with its formatted traceback, through ``writer``."""
+    """A worker's body: compute fn(a) for a in share, pickling each result
+    as it comes, then send through ``writer`` None followed by the pickled
+    results, one message each in share order; or, if ``fn`` raised, only
+    the exception with its formatted traceback."""
     try:
-        outcome = [fn(a) for a in share]
+        pickled = [pickle.dumps(fn(a)) for a in share]
     except Exception as exc:  # raised again in the parent
-        outcome = (exc, traceback.format_exc())
-    writer.send(outcome)
+        writer.send((exc, traceback.format_exc()))
+        return
+    writer.send(None)
+    for data in pickled:
+        writer.send_bytes(data)
 
 
 def dissimilarity_matrix(ensemble):
@@ -521,42 +540,91 @@ def _with_sentinel(d):
 def _closed_form_dissimilarities(configs):
     """Closed-form dissimilarities and the mask of imprecise pairs.
 
-    The dissimilarities are computed on the upper triangle and mirrored,
-    so they are exactly symmetric with a zero diagonal; pairs that share
-    fewer than ``_MIN_SHARED`` indices read inf.  The mask marks, on the
-    upper triangle only, the other pairs whose residual^2 is at most
-    ``_CANCELLATION_TOL`` times their squared norms, where rounding may
-    dominate it.  Works in blocks of ``_DISSIMILARITY_ROW_BLOCK`` rows,
-    each against the columns from its first row on, so the temporaries stay
-    O(block * k * d^2).  Every product is an ``einsum`` without BLAS, whose
-    sums do not depend on the BLAS thread count.
+    Each pair is computed once, as (lower index, higher index), and written
+    to both triangles, so the matrix is exactly symmetric with a zero
+    diagonal; pairs that share fewer than ``_MIN_SHARED`` indices read inf.
+    The mask marks, on the upper triangle only, the other pairs whose
+    residual^2 is at most ``_CANCELLATION_TOL`` times their squared norms,
+    where rounding may dominate it.
+
+    No array spans all k members: the members are stacked one column tile
+    of ``_dissimilarity_tile`` members at a time, and each block of
+    ``_DISSIMILARITY_ROW_BLOCK`` rows up to the tile's end is compared with
+    the tile's columns from its own first row on.  A row block inside the
+    tile is a view of the tile's stacks; one before it is stacked on its
+    own.  Both stacks are allocated once and refilled in place.  Every
+    product is an ``einsum`` without BLAS, whose sums do not depend on the
+    BLAS thread count, nor on the tile an entry falls in.
     """
     k = len(configs)
-    x = np.stack([c.coords for c in configs])  # (k, d, n), absent columns 0
-    m = np.stack([c.mask for c in configs]).astype(float)  # (k, n)
-    sq = np.einsum("idn,idn->in", x, x, optimize=False)
+    dim, n = configs[0].coords.shape
+    tile = _dissimilarity_tile(dim, n)
+    tile_stacks = _stacks(min(tile, k), dim, n)
+    row_stacks = _stacks(_DISSIMILARITY_ROW_BLOCK, dim, n) if k > tile else None
     d = np.zeros((k, k))
     imprecise = np.zeros((k, k), dtype=bool)
-    for start in range(0, k, _DISSIMILARITY_ROW_BLOCK):
-        rows = slice(start, min(start + _DISSIMILARITY_ROW_BLOCK, k))
-        cols = slice(start, k)
-        count = np.einsum("in,jn->ij", m[rows], m[cols], optimize=False)
-        sum_x = np.einsum("idn,jn->ijd", x[rows], m[cols], optimize=False)
-        sum_y = np.einsum("in,jdn->ijd", m[rows], x[cols], optimize=False)
-        norm_x = np.einsum("in,jn->ij", sq[rows], m[cols], optimize=False)
-        norm_y = np.einsum("in,jn->ij", m[rows], sq[cols], optimize=False)
-        cross = np.einsum("idn,jen->ijde", x[rows], x[cols], optimize=False)
-        inv = 1.0 / np.maximum(count, 1.0)
-        cross -= sum_x[..., :, None] * sum_y[..., None, :] * inv[..., None, None]
-        nuclear = np.linalg.svd(cross, compute_uv=False).sum(axis=-1)
-        centred = norm_x + norm_y - ((sum_x**2).sum(-1) + (sum_y**2).sum(-1)) * inv
-        resid2 = np.maximum(centred - 2.0 * nuclear, 0.0)
-        shared = count >= _MIN_SHARED
-        d[rows, cols] = np.where(shared, np.sqrt(resid2 * inv), np.inf)
-        cancelled = resid2 <= _CANCELLATION_TOL * (norm_x + norm_y)
-        imprecise[rows, cols] = shared & cancelled
-    d = np.triu(d, 1)
-    return d + d.T, np.triu(imprecise, 1)
+    for c0 in range(0, k, tile):
+        c1 = min(c0 + tile, k)
+        cols = _stack_into(tile_stacks, configs[c0:c1])
+        for r0 in range(0, c1, _DISSIMILARITY_ROW_BLOCK):
+            r1 = min(r0 + _DISSIMILARITY_ROW_BLOCK, k)
+            if r0 >= c0:
+                rows = tuple(a[r0 - c0:r1 - c0] for a in cols)
+            else:
+                rows = _stack_into(row_stacks, configs[r0:r1])
+            # columns below the block's first row pair with it in the lower
+            # triangle, computed from the other side
+            start = max(r0, c0)
+            dist, cancelled = _closed_form_block(rows, tuple(a[start - c0:] for a in cols))
+            i, j = np.nonzero(np.arange(start, c1) > np.arange(r0, r1)[:, None])
+            d[r0 + i, start + j] = d[start + j, r0 + i] = dist[i, j]
+            imprecise[r0 + i, start + j] = cancelled[i, j]
+    return d, imprecise
+
+
+def _dissimilarity_tile(dim, n):
+    """Members per column tile: as many whole row blocks as fit
+    ``_DISSIMILARITY_TILE_ENTRIES`` stacked entries, and at least one."""
+    fit = _DISSIMILARITY_TILE_ENTRIES // (n * (dim + 2)) // _DISSIMILARITY_ROW_BLOCK
+    return max(1, fit) * _DISSIMILARITY_ROW_BLOCK
+
+
+def _stacks(size, dim, n):
+    """Room for ``size`` members' coordinates (size, d, n), masks as floats
+    (size, n) and squared norms per index (size, n)."""
+    return np.empty((size, dim, n)), np.empty((size, n)), np.empty((size, n))
+
+
+def _stack_into(stacks, configs):
+    """The leading ``len(configs)`` members of ``_stacks``, filled with these
+    members (absent columns hold 0): refilling the same stacks for every
+    row block is faster than stacking into new arrays."""
+    x, m, sq = (a[:len(configs)] for a in stacks)
+    np.stack([c.coords for c in configs], out=x)
+    np.stack([c.mask for c in configs], out=m)
+    np.einsum("idn,idn->in", x, x, optimize=False, out=sq)
+    return x, m, sq
+
+
+def _closed_form_block(rows, cols):
+    """Closed-form dissimilarities of every (row, column) pair of two
+    stacked sets of members (see ``_stacks``), and which pairs cancelled."""
+    xr, mr, sqr = rows
+    xc, mc, sqc = cols
+    count = np.einsum("in,jn->ij", mr, mc, optimize=False)
+    sum_x = np.einsum("idn,jn->ijd", xr, mc, optimize=False)
+    sum_y = np.einsum("in,jdn->ijd", mr, xc, optimize=False)
+    norm_x = np.einsum("in,jn->ij", sqr, mc, optimize=False)
+    norm_y = np.einsum("in,jn->ij", mr, sqc, optimize=False)
+    cross = np.einsum("idn,jen->ijde", xr, xc, optimize=False)
+    inv = 1.0 / np.maximum(count, 1.0)
+    cross -= sum_x[..., :, None] * sum_y[..., None, :] * inv[..., None, None]
+    nuclear = np.linalg.svd(cross, compute_uv=False).sum(axis=-1)
+    centred = norm_x + norm_y - ((sum_x**2).sum(-1) + (sum_y**2).sum(-1)) * inv
+    resid2 = np.maximum(centred - 2.0 * nuclear, 0.0)
+    shared = count >= _MIN_SHARED
+    dist = np.where(shared, np.sqrt(resid2 * inv), np.inf)
+    return dist, shared & (resid2 <= _CANCELLATION_TOL * (norm_x + norm_y))
 
 
 def _cutoffs(d, config, scale):

@@ -97,7 +97,7 @@ class GpaProblem:
         return np.stack([c.mask for c in self.configs])
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class AlignmentResult:
     """Motions, masked mean, and convergence record of one ALS run.
 

@@ -65,7 +65,7 @@ DEFAULT_MAX_SIMPLICES = 10_000_000
 _CHUNK = 1 << 15
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PersistenceDiagram:
     """Birth/death bars per homology dimension over one prime field.
 

@@ -13,13 +13,14 @@ from scipy.cluster.hierarchy import fcluster, linkage
 from scipy.spatial.distance import pdist, squareform
 
 import robust_coords
-from robust_coords.core_types import Configuration
+from robust_coords.core_types import Configuration, RigidMotion
 from robust_coords.dimred import EmbeddingOutput, EmbeddingParams
 from robust_coords.ensemble import (
     ClusterReport,
     MemberRecord,
     PipelineConfig,
     PipelineReport,
+    Thresholds,
     _cutoffs,
     average_cluster,
     build_ensemble,
@@ -31,9 +32,9 @@ from robust_coords.ensemble import (
     select_good_cluster,
 )
 from robust_coords.errors import DimensionMismatch, EmptyOverlap, NoGoodCluster, SizeTooLarge
-from robust_coords.gpa_als import AlsOptions
+from robust_coords.gpa_als import AlignmentResult, AlsOptions
 from robust_coords.procrustes_pair import affine_procrustes
-from robust_coords.tda import max_bar_length, rips_persistence
+from robust_coords.tda import PersistenceDiagram, max_bar_length, rips_persistence
 
 from conftest import (
     random_config,
@@ -399,6 +400,46 @@ def test_map_in_processes_caps_processes_at_tasks(tmp_path, monkeypatch, caplog)
     assert results[0][1] == os.getpid() != results[1][1]
 
 
+def test_map_in_processes_streams_shares_larger_than_a_pipe_buffer(monkeypatch):
+    # each worker's share pickles to 2 MB, far beyond a 64 KiB pipe buffer
+    from robust_coords.ensemble import _map_in_processes
+
+    set_process_count(monkeypatch, 3)
+    results = _map_in_processes(lambda a: (a, os.getpid(), np.full(1 << 17, float(a))), 7)
+    assert [a for a, _, _ in results] == list(range(7))
+    assert len({pid for _, pid, _ in results}) == 3
+    for a, _, values in results:
+        assert np.array_equal(values, np.full(1 << 17, float(a)))
+
+
+def test_map_in_processes_sends_no_result_of_a_failed_share(monkeypatch):
+    import multiprocessing
+
+    from robust_coords.ensemble import _map_in_processes, _map_share
+
+    def fail_last(a):
+        if a == 3:
+            raise ValueError(f"task {a} failed")
+        return np.full(1 << 17, float(a))
+
+    # the share's results are never sent: only the exception, with its frames
+    reader, writer = multiprocessing.Pipe(duplex=False)
+    _map_share(fail_last, range(1, 4), writer)
+    writer.close()
+    exc, text = reader.recv()
+    assert isinstance(exc, ValueError) and "in fail_last" in text
+    with pytest.raises(EOFError):
+        reader.recv_bytes()
+    reader.close()
+
+    # task 3 is the last of the worker's share (1, 3) at 2 processes
+    set_process_count(monkeypatch, 2)
+    with pytest.raises(ValueError, match="task 3 failed") as raised:
+        _map_in_processes(fail_last, 4)
+    assert "in fail_last" in str(raised.value.__cause__)
+    assert multiprocessing.active_children() == []
+
+
 @pytest.mark.parametrize(
     "files, quota",
     [
@@ -529,10 +570,7 @@ def partial_ensemble(rng, d, kind, k=12, n=40):
     return ens
 
 
-@pytest.mark.parametrize("kind", ["reflected", "collinear"])
-@pytest.mark.parametrize("d", [2, 3])
-def test_dissimilarity_matches_per_pair_oracle(rng, d, kind):
-    ens = partial_ensemble(rng, d, kind)
+def assert_matches_per_pair_oracle(ens):
     got = dissimilarity_matrix(ens)
     want = per_pair_dissimilarity(ens)
     off = ~np.eye(len(ens), dtype=bool)
@@ -541,6 +579,21 @@ def test_dissimilarity_matches_per_pair_oracle(rng, d, kind):
     assert np.max(np.abs(got - want)[off] / want[off]) <= 1e-10
     for i, j in nearest_pairs(got):
         assert got[i, j] == want[i, j]
+
+
+@pytest.mark.parametrize("kind", ["reflected", "collinear"])
+@pytest.mark.parametrize("d", [2, 3])
+def test_dissimilarity_matches_per_pair_oracle(rng, d, kind):
+    assert_matches_per_pair_oracle(partial_ensemble(rng, d, kind))
+
+
+@pytest.mark.parametrize("kind", ["reflected", "collinear"])
+@pytest.mark.parametrize("d", [2, 3])
+def test_dissimilarity_matches_per_pair_oracle_across_tiles(rng, d, kind):
+    from robust_coords.ensemble import _dissimilarity_tile
+
+    assert _dissimilarity_tile(d, 2000) < 20
+    assert_matches_per_pair_oracle(partial_ensemble(rng, d, kind, k=20, n=2000))
 
 
 def test_dissimilarity_empty_overlap_sentinel(rng, caplog):
@@ -635,6 +688,92 @@ def test_dissimilarity_independent_of_blas_threads():
         digests.append(proc.stdout.strip())
     assert len(digests[0]) == 64
     assert digests[0] == digests[1]
+
+
+def stacked_closed_form(configs):
+    """The reference: the closed form over stacks of all k members, in
+    blocks of rows against the columns from the block's first row on, with
+    the upper triangle mirrored."""
+    from robust_coords.ensemble import _CANCELLATION_TOL, _MIN_SHARED
+
+    k = len(configs)
+    x = np.stack([c.coords for c in configs])
+    m = np.stack([c.mask for c in configs]).astype(float)
+    sq = np.einsum("idn,idn->in", x, x, optimize=False)
+    d = np.zeros((k, k))
+    imprecise = np.zeros((k, k), dtype=bool)
+    for start in range(0, k, 16):
+        rows = slice(start, min(start + 16, k))
+        cols = slice(start, k)
+        count = np.einsum("in,jn->ij", m[rows], m[cols], optimize=False)
+        sum_x = np.einsum("idn,jn->ijd", x[rows], m[cols], optimize=False)
+        sum_y = np.einsum("in,jdn->ijd", m[rows], x[cols], optimize=False)
+        norm_x = np.einsum("in,jn->ij", sq[rows], m[cols], optimize=False)
+        norm_y = np.einsum("in,jn->ij", m[rows], sq[cols], optimize=False)
+        cross = np.einsum("idn,jen->ijde", x[rows], x[cols], optimize=False)
+        inv = 1.0 / np.maximum(count, 1.0)
+        cross -= sum_x[..., :, None] * sum_y[..., None, :] * inv[..., None, None]
+        nuclear = np.linalg.svd(cross, compute_uv=False).sum(axis=-1)
+        centred = norm_x + norm_y - ((sum_x**2).sum(-1) + (sum_y**2).sum(-1)) * inv
+        resid2 = np.maximum(centred - 2.0 * nuclear, 0.0)
+        shared = count >= _MIN_SHARED
+        d[rows, cols] = np.where(shared, np.sqrt(resid2 * inv), np.inf)
+        imprecise[rows, cols] = shared & (resid2 <= _CANCELLATION_TOL * (norm_x + norm_y))
+    d = np.triu(d, 1)
+    return d + d.T, np.triu(imprecise, 1)
+
+
+def tiled_ensemble(rng, d, k, n=2000):
+    """k noisy rigid copies of one shape on random partial domains, with a
+    near-identical pair, (1, k - 2), and a pair sharing one index, (0, k - 1),
+    that lie in different column tiles once there are several."""
+    base = rng.normal(size=(d, n))
+    configs = []
+    for _ in range(k):
+        coords = random_orthogonal(rng, d) @ base + 0.1 * rng.normal(size=(d, n))
+        configs.append(Configuration(coords, rng.random(n) < 0.5))
+    configs[k - 2] = Configuration(configs[1].coords + 1e-9 * rng.normal(size=(d, n)),
+                                   configs[1].mask)
+    configs[0] = Configuration(configs[0].coords, np.arange(n) < n // 2)
+    configs[k - 1] = Configuration(configs[k - 1].coords, np.arange(n) >= n // 2 - 1)
+    return configs
+
+
+@pytest.mark.parametrize("tiles", [1, 2, 3])
+@pytest.mark.parametrize("d", [2, 3])
+def test_tiled_closed_form_matches_stacked_oracle(rng, d, tiles):
+    from robust_coords.ensemble import _closed_form_dissimilarities, _dissimilarity_tile
+
+    tile = _dissimilarity_tile(d, 2000)
+    k = (tiles - 1) * tile + tile // 2 + 3  # a partial last tile
+    configs = tiled_ensemble(rng, d, k)
+    got_d, got_imprecise = _closed_form_dissimilarities(configs)
+    want_d, want_imprecise = stacked_closed_form(configs)
+    assert -(-k // tile) == tiles
+    assert np.array_equal(got_d, want_d)
+    assert np.array_equal(got_imprecise, want_imprecise)
+    assert got_d[0, k - 1] == got_d[k - 1, 0] == np.inf
+    assert got_imprecise[1, k - 2] and not got_imprecise[k - 2, 1]
+
+
+def test_dissimilarity_memory_does_not_grow_with_members_times_indices(rng):
+    # stacking 400 members over 2000 indices takes 25.6 MB; one tile, 1 MB
+    import tracemalloc
+
+    base = rng.normal(size=(2, 2000))
+    ens = []
+    for i in range(400):
+        mask = np.zeros(2000, dtype=bool)
+        mask[rng.choice(2000, size=600, replace=False)] = True
+        coords = random_orthogonal(rng, 2) @ base + 0.1 * rng.normal(size=(2, 2000))
+        ens.append(wrap(Configuration(coords, mask), i))
+    tracemalloc.start()
+    try:
+        dissimilarity_matrix(ens)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20
 
 
 def test_dissimilarity_normalizes_by_overlap(rng):
@@ -1032,7 +1171,7 @@ def test_selection_returns_new_records_and_changes_nothing_it_is_given(rng):
         for name, value in fields_before.items():
             np.testing.assert_equal(getattr(c, name), value, err_msg=name)
     assert scored is not clusters and len(scored) == len(clusters)
-    # records are compared by position: their numpy fields make == ambiguous
+    # records compare by identity, so they are matched by position
     for c, s in zip(clusters, scored):
         if c.verdict is None:
             assert s is not c and s.verdict in ("good", "rejected_ph", "rejected_dim")
@@ -1053,6 +1192,35 @@ def test_selection_returns_new_records_and_changes_nothing_it_is_given(rng):
     # the derived fields follow replace
     assert replace(scored[0], verdict="rejected_sparse").dense is False
     assert replace(scored[0], members=np.arange(3)).size == 3
+
+
+def array_records():
+    """One of each record holding numpy arrays, by name."""
+    config = small_config()
+    mean = Configuration(np.zeros((2, 3)))
+    return {
+        "ClusterReport": ClusterReport(np.arange(3), 0.0),
+        "PipelineReport": PipelineReport(
+            clusters=[], mds_view=None, dissimilarity=np.zeros((2, 2)), members=[],
+            thresholds=Thresholds(1.0, 0.5, 0.25), config=config, alignment=None,
+        ),
+        "AlignmentResult": AlignmentResult(
+            motions=(RigidMotion.identity(2),), mean=mean, loss_trace=np.array([1.0, 0.5]),
+            converged=True, symmetry_residuals=np.zeros(1),
+        ),
+        "PersistenceDiagram": PersistenceDiagram(2, np.inf, {0: np.zeros((1, 2))}),
+        "RigidMotion": RigidMotion.identity(2),
+        "EmbeddingOutput": wrap(mean),
+    }
+
+
+@pytest.mark.parametrize("name", list(array_records()))
+def test_records_holding_arrays_compare_by_identity(name):
+    a = array_records()[name]
+    b = replace(a)
+    assert a == a and a != b
+    assert len({a, b}) == 2  # hashable, and apart
+    assert [a, b].index(b) == 1
 
 
 # ---------------------------------------------------------------- average
