@@ -9,7 +9,8 @@ Manifest JSON: ``{"format_version": "1", "input_path": ..., "output_dir":
 ..., "config": {...}}`` where ``config`` mirrors PipelineConfig field for
 field, each ``dimred`` entry mirrors EmbeddingParams and ``als`` mirrors
 AlsOptions.  Keys are read off the dataclass fields and absent keys take
-the dataclass defaults; unknown keys anywhere are rejected.
+the dataclass defaults; unknown keys anywhere are rejected, and the
+dataclasses check each value's type and range, as on a library call.
 
 Output JSON (``report.json``, ``gpa``'s ``alignment.json``, ``ph``'s
 diagram) is derived from the dataclasses by ``_jsonable``: each dataclass
@@ -39,7 +40,7 @@ import typing
 
 import numpy as np
 
-from .core_types import Configuration, _fmt, read_points_csv, write_points_csv
+from .core_types import Configuration, _check_fields, _fmt, read_points_csv, write_points_csv
 from .dimred import EmbeddingParams, embed
 from .ensemble import PipelineConfig, run_pipeline
 from .errors import NoGoodCluster, ParseError, RobustCoordsError
@@ -74,16 +75,19 @@ class _Manifest:
     output_dir: str
     config: PipelineConfig
 
+    def __post_init__(self):
+        _check_fields(self)
+
 
 def _from_json(cls, obj, context):
     """Build dataclass ``cls`` from a JSON object keyed by its field names.
 
-    Absent keys take the field's default.  Values are checked against the
-    field's type hint: ``int`` (JSON integers only), ``float`` (any JSON
-    number), ``str``, ``T | None``, a nested dataclass, or ``tuple[X, ...]``
-    from a list; no scalar field takes a boolean.  Unknown keys, missing
-    required keys and values that the hint or the dataclass rejects raise
-    ParseError naming the path, e.g. ``manifest.config.dimred[0]``.
+    Absent keys take the field's default.  ``_coerce`` turns an object
+    into its dataclass, a list into a tuple and an integer in a float field
+    into a float; the dataclass checks the types (``_check_fields``) and
+    ranges.  Unknown keys, missing required keys and values that the
+    dataclass rejects raise ParseError naming the path, e.g.
+    ``manifest.config.dimred[0]``.
     """
     if not isinstance(obj, dict):
         raise ParseError(f"{context} must be an object")
@@ -98,28 +102,18 @@ def _from_json(cls, obj, context):
         raise ParseError(f"{context}: {exc}") from None
 
 
-# The JSON values each scalar field type accepts: an int field takes no
-# float, and no field takes a string for a number or a number for a string.
-_JSON_TYPES = {int: int, float: (int, float), str: str}
-
-
 def _coerce(hint, value, context):
+    args = typing.get_args(hint)
     if dataclasses.is_dataclass(hint):
         return _from_json(hint, value, context)
-    args = typing.get_args(hint)
-    if type(None) in args:  # T | None
-        return None if value is None else _coerce(args[0], value, context)
-    if typing.get_origin(hint) is tuple:  # tuple[X, ...]
-        if not isinstance(value, list):
-            raise ParseError(f"{context}: expected a list, got {type(value).__name__}")
+    if typing.get_origin(hint) is tuple and isinstance(value, list):  # tuple[X, ...]
         return tuple(_coerce(args[0], v, f"{context}[{i}]") for i, v in enumerate(value))
-    # JSON booleans are Python ints, so they are ruled out by name
-    if isinstance(value, bool) or not isinstance(value, _JSON_TYPES[hint]):
-        raise ParseError(f"{context}: expected {hint.__name__}, got {json.dumps(value)}")
-    try:
-        return hint(value)
-    except OverflowError as exc:  # an integer literal too large for a float
-        raise ParseError(f"{context}: {exc}") from None
+    if float in (hint, *args) and type(value) is int:  # float or float | None
+        try:
+            return float(value)
+        except OverflowError as exc:  # an integer literal too large for a float
+            raise ParseError(f"{context}: {exc}") from None
+    return value
 
 
 def read_manifest(path):

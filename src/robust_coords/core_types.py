@@ -220,17 +220,33 @@ def _check_compatible(x, y):
         raise DimensionMismatch(f"n_global {x.n_global} != {y.n_global}")
 
 
-def _check_int_fields(obj):
-    """Raise ValueError, naming the field, when a field of dataclass ``obj``
-    typed ``int`` (or ``int | None``, which also takes None) holds a bool or
-    a value that is not an integer; numpy integers are integers."""
+_SCALARS = {int: (numbers.Integral, "an integer"), float: (numbers.Real, "a real number"),
+            str: (str, "a string")}
+
+
+def _check_value(name, value, hint):
+    """Raise ValueError naming ``name`` unless ``value`` has type ``hint``:
+    int, float (any real), str, a class, tuple[X, ...] or T | None; numpy
+    numbers count, and bools do not."""
+    args = typing.get_args(hint)
+    if type(None) in args:  # T | None
+        if value is None:
+            return
+        hint, args = args[0], typing.get_args(args[0])
+    if typing.get_origin(hint) is tuple:  # tuple[X, ...]
+        kind = f"a tuple of {args[0].__name__}"
+        ok = isinstance(value, tuple) and all(isinstance(v, args[0]) for v in value)
+    else:
+        cls, kind = _SCALARS.get(hint, (hint, hint.__name__))
+        ok = isinstance(value, cls)
+    if isinstance(value, bool) or not ok:
+        raise ValueError(f"{name} must be {kind}, got {value!r}")
+
+
+def _check_fields(obj):
+    """``_check_value`` on every field of dataclass ``obj``, under its type hint."""
     for name, hint in typing.get_type_hints(type(obj)).items():
-        allowed = typing.get_args(hint) or (hint,)
-        value = getattr(obj, name)
-        if int not in allowed or (value is None and type(None) in allowed):
-            continue
-        if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-            raise ValueError(f"{name} must be an integer, got {value!r}")
+        _check_value(name, getattr(obj, name), hint)
 
 
 def _common_domain(x, y):

@@ -18,7 +18,7 @@ from scipy.sparse.csgraph import shortest_path
 from scipy.sparse.linalg import ArpackError, eigsh
 from scipy.spatial.distance import pdist, squareform
 
-from .core_types import Configuration, _check_int_fields, read_points_csv
+from .core_types import Configuration, _check_fields, _check_value, read_points_csv
 from .errors import (
     DegenerateGraph,
     DimensionMismatch,
@@ -86,7 +86,7 @@ class EmbeddingParams:
     source: str | None = None
 
     def __post_init__(self):
-        _check_int_fields(self)
+        _check_fields(self)
         if self.method not in _METHODS:
             raise ValueError(f"unknown method {self.method!r}; expected {_METHODS}")
         if self.target_dim < 1:
@@ -106,7 +106,7 @@ class EmbeddingParams:
             raise ValueError(f"{self.method} takes no source")
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class EmbeddingOutput:
     """An embedded configuration plus the input indices it excluded.
 
@@ -121,7 +121,7 @@ class EmbeddingOutput:
     params_index: int | None = None
 
     def __post_init__(self):
-        self.dropped = np.asarray(self.dropped, dtype=int)
+        object.__setattr__(self, "dropped", np.asarray(self.dropped, dtype=int))
 
 
 def embed(x, params, chart=None):
@@ -282,8 +282,9 @@ def classical_mds(dmat, d):
     of the Gram matrix are identically zero, and coincident points (a zero
     Gram matrix) embed at the origin without a solve.  The output
     configuration is centered at the origin and indexed 0..m-1.  Raises
-    ValueError when d < 1.
+    ValueError when d is not an integer or d < 1.
     """
+    _check_value("d", d, int)
     if d < 1:
         raise ValueError(f"d must be >= 1, got {d}")
     dmat = np.asarray(dmat, dtype=float)
@@ -334,7 +335,8 @@ def classical_mds(dmat, d):
 def pca_embed(x, d):
     """Project the centered configuration onto its top d principal
     directions; the output keeps the input's indices and drops none.
-    Raises ValueError when d < 1."""
+    Raises ValueError when d is not an integer or d < 1."""
+    _check_value("d", d, int)
     if d < 1:
         raise ValueError(f"d must be >= 1, got {d}")
     if x.n_present < d + 1:

@@ -57,7 +57,7 @@ from scipy.spatial import KDTree
 from scipy.spatial.distance import pdist, squareform
 
 from . import tda
-from .core_types import Configuration, _check_compatible, _check_int_fields, read_points_csv
+from .core_types import Configuration, _check_compatible, _check_fields, read_points_csv
 from .dimred import EmbeddingParams, classical_mds, embed
 from .errors import NoGoodCluster, RobustCoordsError, SizeTooLarge
 from .gpa_als import AlignmentResult, AlsOptions, GpaProblem, als_align, essential_dimension
@@ -158,16 +158,11 @@ class PipelineConfig:
     als: AlsOptions = field(default_factory=AlsOptions)
 
     def __post_init__(self):
-        _check_int_fields(self)
-        dimred = tuple(self.dimred)
-        if not dimred:
-            raise ValueError("need at least one embedding parameter setting")
-        if not all(isinstance(p, EmbeddingParams) for p in dimred):
-            raise ValueError("dimred entries must be EmbeddingParams")
-        dims = {p.target_dim for p in dimred}
-        if len(dims) != 1:
+        _check_fields(self)
+        if not self.dimred:
+            raise ValueError("dimred needs at least one embedding parameter setting")
+        if len({p.target_dim for p in self.dimred}) != 1:
             raise ValueError("all parameter settings must share target_dim")
-        object.__setattr__(self, "dimred", dimred)
         if self.seed < 0:
             raise ValueError("seed must be >= 0")
         for name in ("n_subsamples", "min_cluster_size", "ph_representatives"):
@@ -349,10 +344,9 @@ def build_ensemble(x, config):
             out = embed(x.restrict(keep), params, chart=charts.get(params.source))
         except RobustCoordsError as exc:
             return exc.with_traceback(None)  # its frames would hold the arrays
-        out.dropped = np.union1d(out.dropped, left_out)
-        out.subsample_index = a
-        out.params_index = b
-        return out
+        return replace(
+            out, dropped=np.union1d(out.dropped, left_out), subsample_index=a, params_index=b
+        )
 
     results = _map_in_processes(member, n_sub * len(config.dimred))
     outputs = []

@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.linalg import block_diag
 
-from .core_types import Configuration, RigidMotion, _check_compatible, _check_int_fields, centroid
+from .core_types import Configuration, RigidMotion, _check_compatible, _check_fields, centroid
 from .errors import DimensionMismatch, DroppedAllIndices, NonFinite, NotAntisymmetric
 from .procrustes_pair import _nearest_orthogonal
 
@@ -58,7 +58,7 @@ class AlsOptions:
     min_iter: int = 3
 
     def __post_init__(self):
-        _check_int_fields(self)
+        _check_fields(self)
         if not self.tol > 0:
             raise ValueError("tol must be positive")
         if not (self.max_iter >= self.min_iter >= 0):

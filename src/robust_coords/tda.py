@@ -46,7 +46,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.spatial.distance import pdist, squareform
 
-from .core_types import Configuration
+from .core_types import Configuration, _check_value
 from .errors import NonFinite, NotSymmetric, TooManySimplices
 
 __all__ = [
@@ -427,10 +427,14 @@ def rips_from_distances(
     (max_dim+1)-simplices are only counted, but count towards
     ``max_simplices`` as if built: TooManySimplices is raised where
     building them would pass the budget, and also when their keys (times p
-    in the reduction) would overflow int64.  The prime p must satisfy
-    (p-1)^2 < 2^63, ``landmark_budget`` must be at least 1 and the matrix
-    must not be empty, else ValueError.
+    in the reduction) would overflow int64.  The integer arguments must be
+    integers and no bools, the prime p must satisfy (p-1)^2 < 2^63,
+    ``landmark_budget`` must be at least 1 and the matrix must not be empty,
+    else ValueError.
     """
+    for name, value in dict(max_dim=max_dim, p=p, landmark_budget=landmark_budget,
+                            max_simplices=max_simplices).items():
+        _check_value(name, value, int)
     _check_prime(p)
     if not 0 <= max_dim <= 2:
         raise ValueError("max_dim must be 0, 1, or 2")
@@ -498,16 +502,9 @@ def rips_from_distances(
     return PersistenceDiagram(prime=p, max_radius=float(max_radius), bars=packed)
 
 
-def rips_persistence(
-    points,
-    max_dim=1,
-    p=2,
-    max_radius=None,
-    landmark_budget=DEFAULT_LANDMARK_BUDGET,
-    max_simplices=DEFAULT_MAX_SIMPLICES,
-):
+def rips_persistence(points, **options):
     """Rips persistence of a point set (Configuration or row array); the
-    other arguments are those of ``rips_from_distances``."""
+    keyword options are those of ``rips_from_distances``."""
     if isinstance(points, Configuration):
         rows = points.present_matrix().T
     else:
@@ -516,15 +513,7 @@ def rips_persistence(
             raise ValueError("points must be a 2-d row array")
     if rows.shape[0] < 1:
         raise ValueError("need at least one point")
-    dmat = squareform(pdist(rows))
-    return rips_from_distances(
-        dmat,
-        max_dim=max_dim,
-        p=p,
-        max_radius=max_radius,
-        landmark_budget=landmark_budget,
-        max_simplices=max_simplices,
-    )
+    return rips_from_distances(squareform(pdist(rows)), **options)
 
 
 def max_bar_length(diagram, q):

@@ -182,6 +182,39 @@ def test_cli_run_rejects_malformed_manifest(tmp_path, rng, capsys, key, value):
     assert err.startswith("error: ") and key in err
 
 
+def pipeline(**kw):
+    pca = EmbeddingParams(method="pca", target_dim=2)
+    return PipelineConfig(**{"n_subsamples": 8, "subsample_size": 50, "dimred": (pca,), **kw})
+
+
+@pytest.mark.parametrize(
+    "key, make, config_extra",
+    [
+        ("epsilon", lambda: EmbeddingParams(target_dim=2, epsilon=True),
+         {"dimred": [{"target_dim": 2, "epsilon": True}]}),
+        ("source", lambda: EmbeddingParams(method="external", target_dim=2, source=0),
+         {"dimred": [{"method": "external", "target_dim": 2, "source": 0}]}),
+        ("ph_bar_fraction", lambda: pipeline(ph_bar_fraction=True), {"ph_bar_fraction": True}),
+        ("als", lambda: pipeline(als={"tol": 1e-9}), {"als": 1e-9}),
+        ("tol", lambda: AlsOptions(tol="1e-10"), {"als": {"tol": "1e-10"}}),
+        ("dimred", lambda: pipeline(dimred=[EmbeddingParams(method="pca", target_dim=2)]),
+         {"dimred": {"method": "pca", "target_dim": 2}}),
+    ],
+    ids=["float-bool", "str-int", "pipeline-float-bool", "class-dict", "float-string",
+         "tuple-list"],
+)
+def test_library_calls_refuse_what_manifests_refuse(tmp_path, rng, capsys, key, make,
+                                                     config_extra):
+    # each library call was once accepted or died in a TypeError; an external
+    # source of 0 made embed read standard input
+    with pytest.raises(ValueError, match=f"^{key} must be "):
+        make()
+    doc = manifest_doc(plane_cloud_csv(tmp_path, rng), tmp_path / "out", **config_extra)
+    assert run_command(["run", "--manifest", str(write_manifest(tmp_path, doc))]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and key in err
+
+
 def test_manifest_dimred_method_defaults_to_isomap(tmp_path, rng):
     doc = manifest_doc(tmp_path / "cloud.csv", tmp_path / "out",
                        dimred=[{"target_dim": 2, "knn": 6}])

@@ -14,7 +14,7 @@ from scipy.spatial.distance import pdist, squareform
 
 import robust_coords
 from robust_coords.core_types import Configuration, RigidMotion
-from robust_coords.dimred import EmbeddingOutput, EmbeddingParams
+from robust_coords.dimred import EmbeddingOutput, EmbeddingParams, classical_mds, pca_embed
 from robust_coords.ensemble import (
     ClusterReport,
     MemberRecord,
@@ -34,7 +34,7 @@ from robust_coords.ensemble import (
 from robust_coords.errors import DimensionMismatch, EmptyOverlap, NoGoodCluster, SizeTooLarge
 from robust_coords.gpa_als import AlignmentResult, AlsOptions
 from robust_coords.procrustes_pair import affine_procrustes
-from robust_coords.tda import PersistenceDiagram, max_bar_length, rips_persistence
+from robust_coords.tda import PersistenceDiagram, max_bar_length, rips_from_distances, rips_persistence
 
 from conftest import (
     random_config,
@@ -133,6 +133,30 @@ def test_integer_settings_refuse_non_integers():
     assert AlsOptions(max_iter=np.uint8(9)).max_iter == 9
 
 
+def test_stage_functions_refuse_non_integer_arguments(rng):
+    # each once raised a TypeError deep inside, ran on a truncated value, or
+    # took a bool as 1
+    pts = rng.normal(size=(12, 3))
+    dmat = squareform(pdist(pts))
+    cases = [
+        ("max_dim", lambda: rips_from_distances(dmat, max_dim=1.0)),
+        ("max_dim", lambda: rips_from_distances(dmat, max_dim=True)),
+        ("p", lambda: rips_from_distances(dmat, p=3.0)),
+        ("landmark_budget", lambda: rips_from_distances(dmat, landmark_budget=2.5)),
+        ("max_simplices", lambda: rips_from_distances(dmat, max_simplices=1e7)),
+        ("max_dim", lambda: rips_persistence(pts, max_dim=np.float64(1.0))),
+        ("d", lambda: pca_embed(Configuration.from_rows(pts), 2.0)),
+        ("d", lambda: classical_mds(dmat, 2.0)),
+        ("d", lambda: classical_mds(dmat, False)),
+    ]
+    for name, call in cases:
+        with pytest.raises(ValueError, match=f"^{name} must be an integer"):
+            call()
+    # numpy integers are integers
+    assert rips_from_distances(dmat, max_dim=np.int64(1), p=np.int32(3)).prime == 3
+    assert classical_mds(dmat, np.int64(2)).dim == 2
+
+
 # ----------------------------------------------------------- build_ensemble
 
 
@@ -223,6 +247,34 @@ def test_build_ensemble_same_members_for_any_worker_count(
         assert np.array_equal(p.config.coords, q.config.coords)
         assert np.array_equal(p.config.mask, q.config.mask)
         assert np.array_equal(p.dropped, q.dropped)
+
+
+def test_build_ensemble_leaves_each_embedding_as_embed_returned_it(tmp_path, rng, monkeypatch):
+    # a tracer that keeps embed's results once read the rejected points and
+    # the ensemble position off them, written in by build_ensemble
+    from robust_coords import ensemble
+
+    x, config = roll_with_partial_chart(tmp_path, rng)
+    embed = ensemble.embed
+    returned = []
+
+    def kept(sub, params, chart=None):
+        out = embed(sub, params, chart=chart)
+        returned.append((out, out.dropped.copy()))
+        return out
+
+    monkeypatch.setattr(ensemble, "embed", kept)
+    set_process_count(monkeypatch, 1)
+    members = build_ensemble(x, config)
+    rejected = off_manifold_points(x, 2)
+    assert rejected.size and len(returned) == len(members) > 0
+    for out, dropped in returned:
+        assert (out.subsample_index, out.params_index) == (None, None)
+        assert np.array_equal(out.dropped, dropped)
+        assert not any(m is out for m in members)
+    assert any(np.isin(rejected, m.dropped).any() for m in members)
+    with pytest.raises(FrozenInstanceError):
+        members[0].dropped = np.empty(0, dtype=int)
 
 
 @pytest.mark.parametrize(
