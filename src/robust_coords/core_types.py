@@ -1,11 +1,12 @@
 """Configurations: partially defined point sets over a fixed global index set.
 
 A configuration assigns a point in R^d to a subset of the global indices
-{0..n-1}.  It is stored as a dense d x n coordinate matrix plus a boolean
-presence mask; columns at absent indices are canonically zero, so the matrix
-already equals itself multiplied by its own presence projector.  Every stage
-of the pipeline (embedding outputs, alignment means, averaged results)
-speaks this type.
+{0..n-1}.  It stores only what is present: the (d, n_present) matrix of
+the defined columns, the sorted indices they sit at, and n, so a member
+that covers a few hundred of 10^5 indices holds a few hundred columns.
+The dense d x n matrix, zero at absent indices, and the presence mask are
+built on request.  Every stage of the pipeline (embedding outputs,
+alignment means, averaged results) speaks this type.
 
 Points CSV: header ``id,x0,...,x{d-1}``; one row per present index; floats
 written with 17 significant digits so a write/read round trip is exact.
@@ -34,13 +35,21 @@ __all__ = [
 
 
 class Configuration:
-    """Immutable d x n coordinate matrix with a presence mask.
+    """Immutable points at a subset of the global indices 0..n-1.
+
+    Built from a dense d x n matrix and a presence mask, it keeps the
+    (d, n_present) matrix of the present columns, the sorted present
+    indices and n.  The matrix is stored in Fortran order, the layout that
+    indexing a dense matrix's columns gives: axis-1 reductions such as
+    ``centroid``'s mean add in an order that depends on the layout, so this
+    keeps the results of a configuration built from a dense matrix and of
+    one built from its present columns bit for bit equal.
 
     Parameters
     ----------
     coords : array-like, shape (d, n)
         Column j is the point at global index j.  Columns at absent
-        indices are zeroed on construction.
+        indices are ignored.
     mask : array-like of bool, shape (n,), optional
         Presence flags.  Defaults to all present.
 
@@ -52,33 +61,46 @@ class Configuration:
         If the domain is empty or shapes are inconsistent.
     """
 
-    __slots__ = ("_coords", "_mask", "_present")
+    __slots__ = ("_values", "_present", "_n_global")
 
     def __init__(self, coords, mask=None):
-        coords = np.array(coords, dtype=float)
+        coords = np.asarray(coords, dtype=float)
         if coords.ndim != 2:
             raise ValueError(f"coords must be 2-d, got shape {coords.shape}")
         d, n = coords.shape
         if d < 1 or n < 1:
             raise ValueError(f"coords must be nonempty, got shape {coords.shape}")
         if mask is None:
-            mask = np.ones(n, dtype=bool)
+            present = np.arange(n)
         else:
-            mask = np.array(mask, dtype=bool)
+            mask = np.asarray(mask, dtype=bool)
             if mask.shape != (n,):
                 raise ValueError(f"mask shape {mask.shape} does not match n={n}")
-        if not mask.any():
+            present = np.flatnonzero(mask)
+        if not present.size:
             raise ValueError("configuration domain is empty")
-        if not np.isfinite(coords[:, mask]).all():
+        self._set(coords[:, present], present, n)
+
+    def _set(self, values, present, n_global):
+        """Hold the (d, m) ``values`` at the sorted indices ``present`` of
+        0..n_global-1.  Both are kept and made read-only: ``values`` must be
+        new, and ``present`` new or another configuration's."""
+        if not np.isfinite(values).all():
             raise NonFinite("configuration has non-finite present coordinates")
-        coords[:, ~mask] = 0.0
-        coords.flags.writeable = False
-        mask.flags.writeable = False
-        self._coords = coords
-        self._mask = mask
-        present = np.flatnonzero(mask)
+        values = np.asfortranarray(values)
+        values.flags.writeable = False
         present.flags.writeable = False
+        self._values = values
         self._present = present
+        self._n_global = int(n_global)
+
+    @classmethod
+    def _compact(cls, values, present, n_global):
+        """The configuration holding ``values`` (d, m) at the sorted indices
+        ``present``, built without a dense matrix; see ``_set``."""
+        config = cls.__new__(cls)
+        config._set(values, present, n_global)
+        return config
 
     @classmethod
     def from_rows(cls, points, indices=None, n_global=None):
@@ -90,7 +112,7 @@ class Configuration:
         points = np.asarray(points, dtype=float)
         if points.ndim != 2:
             raise ValueError("points must be 2-d (m, d)")
-        m = points.shape[0]
+        m, d = points.shape
         if indices is None:
             indices = np.arange(m)
         else:
@@ -106,29 +128,44 @@ class Configuration:
             if n_global < n:
                 raise ValueError("n_global smaller than max index + 1")
             n = int(n_global)
-        coords = np.zeros((points.shape[1], n))
-        coords[:, indices] = points.T
-        mask = np.zeros(n, dtype=bool)
-        mask[indices] = True
-        return cls(coords, mask)
+        if d < 1 or n < 1:
+            raise ValueError(f"coords must be nonempty, got shape {(d, n)}")
+        if not m:
+            raise ValueError("configuration domain is empty")
+        order = np.argsort(indices, kind="stable")
+        return cls._compact(points[order].T, indices[order], n)
 
     @property
     def coords(self):
-        """The (d, n) matrix; absent columns are zero."""
-        return self._coords
+        """The (d, n) matrix; absent columns are zero.
+
+        Each call builds a new read-only O(d * n_global) array, so the
+        library's own stages read ``present_matrix()`` and
+        ``present_indices()`` instead.
+        """
+        coords = np.zeros((self.dim, self._n_global))
+        coords[:, self._present] = self._values
+        coords.flags.writeable = False
+        return coords
 
     @property
     def mask(self):
-        """Boolean presence flags, shape (n,)."""
-        return self._mask
+        """Boolean presence flags, shape (n,).
+
+        Each call builds a new read-only O(n_global) array; see ``coords``.
+        """
+        mask = np.zeros(self._n_global, dtype=bool)
+        mask[self._present] = True
+        mask.flags.writeable = False
+        return mask
 
     @property
     def dim(self):
-        return self._coords.shape[0]
+        return self._values.shape[0]
 
     @property
     def n_global(self):
-        return self._coords.shape[1]
+        return self._n_global
 
     @property
     def n_present(self):
@@ -139,23 +176,29 @@ class Configuration:
         return self._present
 
     def present_matrix(self):
-        """The (d, n_present) matrix of defined columns, in index order."""
-        return self._coords[:, self._present]
+        """A new (d, n_present) matrix of defined columns, in index order,
+        in Fortran order."""
+        return self._values.copy(order="F")
 
     def restrict(self, keep_mask):
         """Restrict the domain to present indices flagged in `keep_mask`."""
         keep_mask = np.asarray(keep_mask, dtype=bool)
         if keep_mask.shape != (self.n_global,):
             raise ValueError("keep_mask must cover the global index set")
-        new_mask = self._mask & keep_mask
-        if not new_mask.any():
+        keep = keep_mask[self._present]
+        if not keep.any():
             raise EmptyOverlap("restriction leaves an empty domain")
-        return Configuration(self._coords, new_mask)
+        return Configuration._compact(self._values[:, keep], self._present[keep], self._n_global)
 
     def transformed(self, motion):
         """Apply a rigid motion x -> Qx + v to the present columns."""
-        out = motion.rotation @ self._coords + motion.translation[:, None]
-        return Configuration(out, self._mask)
+        values = self._values
+        if self.n_present == 1 < self._n_global:
+            # a matrix times one column rounds as a matrix-vector product,
+            # not as the matrix product over the n columns of ``coords``
+            values = np.repeat(values, 2, axis=1)
+        out = motion.rotation @ values + motion.translation[:, None]
+        return Configuration._compact(out[:, :self.n_present], self._present, self._n_global)
 
     def __repr__(self):
         return (
@@ -250,13 +293,16 @@ def _check_fields(obj):
 
 
 def _common_domain(x, y):
-    """Mask of the indices both configurations define; raises
-    DimensionMismatch or EmptyOverlap."""
+    """The sorted indices both configurations define, and new (d, m)
+    matrices of x's and of y's points there, in Fortran order like
+    ``present_matrix()``; raises DimensionMismatch or EmptyOverlap."""
     _check_compatible(x, y)
-    common = x.mask & y.mask
-    if not common.any():
+    common, i, j = np.intersect1d(
+        x.present_indices(), y.present_indices(), assume_unique=True, return_indices=True
+    )
+    if not common.size:
         raise EmptyOverlap("configurations have disjoint domains")
-    return common
+    return common, x._values[:, i], y._values[:, j]
 
 
 def restrict_common(x, y):
@@ -265,13 +311,16 @@ def restrict_common(x, y):
     Returns the pair restricted to the intersection of the two domains,
     values copied; raises EmptyOverlap when the domains are disjoint.
     """
-    common = _common_domain(x, y)
-    return Configuration(x.coords, common), Configuration(y.coords, common)
+    common, xm, ym = _common_domain(x, y)
+    return (
+        Configuration._compact(xm, common, x.n_global),
+        Configuration._compact(ym, common, y.n_global),
+    )
 
 
 def centroid(x):
     """Arithmetic mean of the present columns, shape (d,)."""
-    return x.present_matrix().mean(axis=1)
+    return x._values.mean(axis=1)
 
 
 def center(x):
@@ -280,8 +329,8 @@ def center(x):
     Returns (centered configuration, subtracted centroid).
     """
     c = centroid(x)
-    shifted = x.coords - c[:, None]
-    return Configuration(shifted, x.mask), c
+    shifted = x._values - c[:, None]
+    return Configuration._compact(shifted, x.present_indices(), x.n_global), c
 
 
 def _fmt(x):

@@ -145,22 +145,23 @@ def embed(x, params, chart=None):
             f"external embedding {params.source} has dimension {chart.dim}, "
             f"not target_dim {params.target_dim}"
         )
-    ids = chart.present_indices()
-    kept = ids[ids < x.n_global]
-    kept = kept[x.mask[kept]]
+    kept, cols, _ = np.intersect1d(
+        chart.present_indices(), x.present_indices(), assume_unique=True, return_indices=True
+    )
     if not kept.size:
         raise EmptyOverlap(
             f"external embedding {params.source} covers none of the input's indices"
         )
-    return _placed(x, chart.coords[:, kept], kept)
+    return _placed(x, chart.present_matrix()[:, cols], kept)
 
 
 def _placed(x, chart, kept):
-    """The (d, len(kept)) chart placed at global indices ``kept`` of the
-    input ``x``; the input's other present indices come back in ``dropped``."""
+    """The (d, len(kept)) chart placed at the sorted global indices ``kept``
+    of the input ``x``; the input's other present indices come back in
+    ``dropped``."""
     config = Configuration.from_rows(chart.T, kept, n_global=x.n_global)
-    present = x.present_indices()
-    return EmbeddingOutput(config=config, dropped=present[~config.mask[present]])
+    dropped = np.setdiff1d(x.present_indices(), kept, assume_unique=True)
+    return EmbeddingOutput(config=config, dropped=dropped)
 
 
 def _neighborhood_graph(dmat, params):

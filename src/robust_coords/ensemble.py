@@ -10,8 +10,10 @@ Stages, in order:
    from each, and embed each one under every parameter setting in the
    mesh; one process map spreads the (subsample, setting) pairs over
    forked worker processes, each of which sends its members back one at a
-   time once its share is done (failures, an all-rejected subsample among
-   them, are logged and skipped);
+   time once its share is done, one message per member holding only its
+   present points and indices (6.4 KB for 250 points in the plane, however
+   many points the input has); failures, an all-rejected subsample among
+   them, are logged and skipped;
 2. fill the pairwise dissimilarity matrix with overlap-normalized
    Procrustes distances (residual / sqrt(#shared indices), so pairs with
    different overlap sizes are comparable), all from one batched closed
@@ -57,7 +59,13 @@ from scipy.spatial import KDTree
 from scipy.spatial.distance import pdist, squareform
 
 from . import tda
-from .core_types import Configuration, _check_compatible, _check_fields, read_points_csv
+from .core_types import (
+    Configuration,
+    _check_compatible,
+    _check_fields,
+    _check_value,
+    read_points_csv,
+)
 from .dimred import EmbeddingParams, classical_mds, embed
 from .errors import NoGoodCluster, RobustCoordsError, SizeTooLarge
 from .gpa_als import AlignmentResult, AlsOptions, GpaProblem, als_align, essential_dimension
@@ -255,7 +263,10 @@ class PipelineReport:
 
 
 def generate_subsamples(n, size, count, seed):
-    """`count` sorted index sets of cardinality `size`, without replacement."""
+    """`count` sorted index sets of cardinality `size`, without replacement.
+    Raises ValueError when an argument is not an integer."""
+    for name, value in (("n", n), ("size", size), ("count", count), ("seed", seed)):
+        _check_value(name, value, int)
     if not 1 <= size <= n:
         raise SizeTooLarge(f"subsample size {size} invalid for {n} points")
     if count < 1:
@@ -275,8 +286,10 @@ def off_manifold_points(x, target_dim):
     the median k-th neighbour distance, so exactly flat input loses no
     point to rounding.  Nothing is returned when the ambient dimension is at
     most ``target_dim`` (every point lies on such a plane) or when there
-    are too few points to fit the planes.
+    are too few points to fit the planes.  Raises ValueError when
+    ``target_dim`` is not an integer.
     """
+    _check_value("target_dim", target_dim, int)
     present = x.present_indices()
     if x.dim <= target_dim or target_dim >= _REJECT_KNN or present.size <= _REJECT_KNN:
         return np.empty(0, dtype=int)
@@ -551,7 +564,7 @@ def _closed_form_dissimilarities(configs):
     BLAS thread count, nor on the tile an entry falls in.
     """
     k = len(configs)
-    dim, n = configs[0].coords.shape
+    dim, n = configs[0].dim, configs[0].n_global
     tile = _dissimilarity_tile(dim, n)
     tile_stacks = _stacks(min(tile, k), dim, n)
     row_stacks = _stacks(_DISSIMILARITY_ROW_BLOCK, dim, n) if k > tile else None
@@ -590,12 +603,16 @@ def _stacks(size, dim, n):
 
 
 def _stack_into(stacks, configs):
-    """The leading ``len(configs)`` members of ``_stacks``, filled with these
-    members (absent columns hold 0): refilling the same stacks for every
-    row block is faster than stacking into new arrays."""
+    """The leading ``len(configs)`` members of ``_stacks``, zeroed and then
+    filled with these members' present columns: refilling the same stacks
+    for every row block is faster than stacking into new arrays."""
     x, m, sq = (a[:len(configs)] for a in stacks)
-    np.stack([c.coords for c in configs], out=x)
-    np.stack([c.mask for c in configs], out=m)
+    x.fill(0.0)
+    m.fill(0.0)
+    for xi, mi, c in zip(x, m, configs):
+        idx = c.present_indices()
+        xi[:, idx] = c.present_matrix()
+        mi[idx] = 1.0
     np.einsum("idn,idn->in", x, x, optimize=False, out=sq)
     return x, m, sq
 

@@ -46,7 +46,7 @@ def orthogonal_procrustes(x, y):
     SVD yields.
     """
     _check_compatible(x, y)
-    if not np.array_equal(x.mask, y.mask):
+    if not np.array_equal(x.present_indices(), y.present_indices()):
         raise DimensionMismatch("orthogonal_procrustes needs identical domains; restrict first")
     return _nearest_orthogonal(y.present_matrix() @ x.present_matrix().T)
 
@@ -68,9 +68,7 @@ def affine_procrustes(x, y):
     x -> Qx + (b - Qa) together with the Frobenius residual on the overlap.
     Raises DimensionMismatch and EmptyOverlap as ``restrict_common`` does.
     """
-    common = _common_domain(x, y)
-    xm = x.coords[:, common]
-    ym = y.coords[:, common]
+    _, xm, ym = _common_domain(x, y)
     a = xm.mean(axis=1)
     b = ym.mean(axis=1)
     xm -= a[:, None]

@@ -67,8 +67,8 @@ def add_gaussian_noise(x, sigma, seed):
     if sigma == 0:
         return x
     rng = np.random.default_rng(seed)
-    noise = rng.normal(0.0, sigma, size=x.coords.shape)
-    return Configuration(x.coords + noise, x.mask.copy())
+    noise = rng.normal(0.0, sigma, size=(x.dim, x.n_global))
+    return Configuration(x.coords + noise, x.mask)
 
 
 def add_uniform_outliers(x, count, seed):

@@ -94,8 +94,10 @@ def maxmin_landmarks(dmat, count):
 
     Starts at the point with the largest total distance to the rest (most
     eccentric; ties broken by lowest index), then repeatedly adds the point
-    farthest from the chosen set.
+    farthest from the chosen set.  Raises ValueError when ``count`` is not
+    an integer.
     """
+    _check_value("count", count, int)
     m = dmat.shape[0]
     count = min(count, m)
     start = int(dmat.sum(axis=1).argmax())

@@ -34,7 +34,13 @@ from robust_coords.ensemble import (
 from robust_coords.errors import DimensionMismatch, EmptyOverlap, NoGoodCluster, SizeTooLarge
 from robust_coords.gpa_als import AlignmentResult, AlsOptions
 from robust_coords.procrustes_pair import affine_procrustes
-from robust_coords.tda import PersistenceDiagram, max_bar_length, rips_from_distances, rips_persistence
+from robust_coords.tda import (
+    PersistenceDiagram,
+    max_bar_length,
+    maxmin_landmarks,
+    rips_from_distances,
+    rips_persistence,
+)
 
 from conftest import (
     random_config,
@@ -155,6 +161,31 @@ def test_stage_functions_refuse_non_integer_arguments(rng):
     # numpy integers are integers
     assert rips_from_distances(dmat, max_dim=np.int64(1), p=np.int32(3)).prime == 3
     assert classical_mds(dmat, np.int64(2)).dim == 2
+
+
+def test_subsampling_and_landmark_functions_refuse_non_integer_arguments(rng):
+    # each once raised numpy's TypeError or a slicing TypeError, or ran on a
+    # truncated value, or took a bool as 1
+    x = Configuration.from_rows(rng.normal(size=(40, 3)))
+    dmat = squareform(pdist(x.present_matrix().T))
+    cases = [
+        ("size", lambda: generate_subsamples(10, 2.5, 2, 0)),
+        ("count", lambda: generate_subsamples(10, 5, 2.0, 0)),
+        ("seed", lambda: generate_subsamples(10, 5, 2, 0.5)),
+        ("n", lambda: generate_subsamples(True, 1, 1, 0)),
+        ("target_dim", lambda: off_manifold_points(x, 2.0)),
+        ("target_dim", lambda: off_manifold_points(x, True)),
+        ("count", lambda: maxmin_landmarks(dmat, 2.5)),
+        ("count", lambda: maxmin_landmarks(dmat, True)),
+    ]
+    for name, call in cases:
+        with pytest.raises(ValueError, match=f"^{name} must be an integer"):
+            call()
+    # numpy integers are integers
+    subs = generate_subsamples(np.int64(10), np.int32(5), np.int64(2), np.int64(0))
+    assert [len(s) for s in subs] == [5, 5]
+    assert np.array_equal(off_manifold_points(x, np.int64(2)), off_manifold_points(x, 2))
+    assert maxmin_landmarks(dmat, np.int64(3)).size == 3
 
 
 # ----------------------------------------------------------- build_ensemble
