@@ -29,7 +29,6 @@ from .ensemble import (
 from .errors import (
     DegenerateGraph,
     DimensionMismatch,
-    DroppedAllIndices,
     DuplicateId,
     EigensolverFailed,
     EmptyOverlap,

@@ -3,10 +3,10 @@
 A configuration assigns a point in R^d to a subset of the global indices
 {0..n-1}.  It stores only what is present: the (d, n_present) matrix of
 the defined columns, the sorted indices they sit at, and n, so a member
-that covers a few hundred of 10^5 indices holds a few hundred columns.
-The dense d x n matrix, zero at absent indices, and the presence mask are
-built on request.  Every stage of the pipeline (embedding outputs,
-alignment means, averaged results) speaks this type.
+that covers a few hundred of 10^5 indices holds a few hundred columns,
+read-only and handed out uncopied.  The dense d x n matrix, zero at absent
+indices, and the mask are built on request.  Every stage of the pipeline
+(embedding outputs, alignment means, averaged results) speaks this type.
 
 Points CSV: header ``id,x0,...,x{d-1}``; one row per present index; floats
 written with 17 significant digits so a write/read round trip is exact.
@@ -38,12 +38,12 @@ class Configuration:
     """Immutable points at a subset of the global indices 0..n-1.
 
     Built from a dense d x n matrix and a presence mask, it keeps the
-    (d, n_present) matrix of the present columns, the sorted present
-    indices and n.  The matrix is stored in Fortran order, the layout that
-    indexing a dense matrix's columns gives: axis-1 reductions such as
-    ``centroid``'s mean add in an order that depends on the layout, so this
-    keeps the results of a configuration built from a dense matrix and of
-    one built from its present columns bit for bit equal.
+    read-only (d, n_present) matrix of the present columns, the read-only
+    sorted present indices and n.  The matrix is stored in Fortran order,
+    the layout that indexing a dense matrix's columns gives: axis-1
+    reductions such as ``centroid``'s mean add in an order that depends on
+    the layout, so this keeps the results of a configuration built from a
+    dense matrix and of one built from its present columns bit for bit equal.
 
     Parameters
     ----------
@@ -102,12 +102,18 @@ class Configuration:
         config._set(values, present, n_global)
         return config
 
+    def __reduce__(self):
+        # ndarray pickles drop the read-only flag; rebuilt through _compact,
+        # a member made in a worker process stays read-only in the parent
+        return Configuration._compact, (self._values, self._present, self._n_global)
+
     @classmethod
     def from_rows(cls, points, indices=None, n_global=None):
         """Build from an (m, d) row-per-point array.
 
         `indices` gives the global index of each row (defaults to 0..m-1);
         `n_global` widens the index set beyond max(indices)+1 if given.
+        Booleans, reals and other non-integers in either raise ValueError.
         """
         points = np.asarray(points, dtype=float)
         if points.ndim != 2:
@@ -116,7 +122,13 @@ class Configuration:
         if indices is None:
             indices = np.arange(m)
         else:
-            indices = np.asarray(indices, dtype=int)
+            if not isinstance(indices, np.ndarray):  # numpy reads [True, 2] as integers
+                for i in indices:
+                    _check_value("indices", i, int)
+            indices = np.asarray(indices)
+            if indices.size and indices.dtype.kind not in "iu":
+                raise ValueError(f"indices must be integers, got dtype {indices.dtype}")
+            indices = indices.astype(int, copy=False)
             if indices.shape != (m,):
                 raise ValueError("indices length must match point count")
             if len(np.unique(indices)) != m:
@@ -125,6 +137,7 @@ class Configuration:
                 raise ValueError("indices must be nonnegative")
         n = int(indices.max()) + 1 if m else 0
         if n_global is not None:
+            _check_value("n_global", n_global, int)
             if n_global < n:
                 raise ValueError("n_global smaller than max index + 1")
             n = int(n_global)
@@ -140,7 +153,7 @@ class Configuration:
         """The (d, n) matrix; absent columns are zero.
 
         Each call builds a new read-only O(d * n_global) array, so the
-        library's own stages read ``present_matrix()`` and
+        library's own stages read the stored ``present_matrix()`` and
         ``present_indices()`` instead.
         """
         coords = np.zeros((self.dim, self._n_global))
@@ -176,9 +189,9 @@ class Configuration:
         return self._present
 
     def present_matrix(self):
-        """A new (d, n_present) matrix of defined columns, in index order,
-        in Fortran order."""
-        return self._values.copy(order="F")
+        """The stored read-only (d, n_present) matrix of defined columns, in
+        index order, in Fortran order."""
+        return self._values
 
     def restrict(self, keep_mask):
         """Restrict the domain to present indices flagged in `keep_mask`."""
@@ -302,7 +315,7 @@ def _common_domain(x, y):
     )
     if not common.size:
         raise EmptyOverlap("configurations have disjoint domains")
-    return common, x._values[:, i], y._values[:, j]
+    return common, x.present_matrix()[:, i], y.present_matrix()[:, j]
 
 
 def restrict_common(x, y):
@@ -320,7 +333,7 @@ def restrict_common(x, y):
 
 def centroid(x):
     """Arithmetic mean of the present columns, shape (d,)."""
-    return x._values.mean(axis=1)
+    return x.present_matrix().mean(axis=1)
 
 
 def center(x):
@@ -329,7 +342,7 @@ def center(x):
     Returns (centered configuration, subtracted centroid).
     """
     c = centroid(x)
-    shifted = x._values - c[:, None]
+    shifted = x.present_matrix() - c[:, None]
     return Configuration._compact(shifted, x.present_indices(), x.n_global), c
 
 

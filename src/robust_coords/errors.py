@@ -17,10 +17,6 @@ class NonFinite(RobustCoordsError):
     """A NaN or infinity appeared where a finite value is required."""
 
 
-class DroppedAllIndices(RobustCoordsError):
-    """Preprocessing removed every global index from an alignment problem."""
-
-
 class NotAntisymmetric(RobustCoordsError):
     """A direction matrix fails the antisymmetry requirement."""
 

@@ -5,13 +5,14 @@ mean configuration Z minimizing
 
     E = (1/k) * sum_i || (g_i . X_i - Z) restricted to the domain of X_i ||_F^2
 
-with Z eliminated as the per-index masked mean of the transformed inputs.
-Each sweep is the refined update (Ten Berge 1977) generalized to partial
-domains: every rotation is solved against the mean with the
-configuration's own contribution removed, using per-index averaging counts
-and a per-configuration translation, and the mean is updated after every
-single rotation.  This solves two configurations exactly and, unlike the
-frozen-mean sweep, does not stall at the antipodal saddle.
+with Z eliminated as the per-index masked mean of the transformed inputs,
+held only over the indices they cover.  Each sweep is the refined update
+(Ten Berge 1977) generalized to partial domains: every rotation is solved
+against the mean with the configuration's own contribution removed, using
+per-index averaging counts and a per-configuration translation, and the
+mean is updated after every single rotation.  This solves two
+configurations exactly and, unlike the frozen-mean sweep, does not stall at
+the antipodal saddle.
 
 The module also houses the diagnostics: the symmetry residuals of the
 mean/input cross-covariances that ``als_align`` records (zero at critical
@@ -29,7 +30,7 @@ import numpy as np
 from scipy.linalg import block_diag
 
 from .core_types import Configuration, RigidMotion, _check_compatible, _check_fields, centroid
-from .errors import DimensionMismatch, DroppedAllIndices, NonFinite, NotAntisymmetric
+from .errors import DimensionMismatch, NonFinite, NotAntisymmetric
 from .procrustes_pair import _nearest_orthogonal
 
 __all__ = [
@@ -92,10 +93,6 @@ class GpaProblem:
     def n_global(self):
         return self.configs[0].n_global
 
-    def masks(self):
-        """Stacked presence masks, shape (k, n)."""
-        return np.stack([c.mask for c in self.configs])
-
 
 @dataclass(frozen=True, eq=False)
 class AlignmentResult:
@@ -127,26 +124,23 @@ class AlignmentResult:
         object.__setattr__(self, "iterations", len(self.loss_trace) - 1)
 
 
-def _inverse_counts(idx, n):
-    """1 / (number of index sets holding j) for each of n indices, 0 where none does.
+def _covered(problem):
+    """The sorted union of the inputs' present indices, each input's
+    positions in it, and 1 / (the number of inputs holding each union index).
 
-    The masked mean is ``_index_totals(...) * _inverse_counts(...)``.
+    Every input holds at least one index, so no count is zero.  The mean
+    over the union is ``_position_totals(...) * inv_counts``.
     """
-    counts = np.zeros(n)
-    for ix in idx:
-        counts[ix] += 1.0
-    active = counts > 0
-    if not active.any():
-        raise DroppedAllIndices("no index is present in any configuration")
-    inv_counts = np.zeros(n)
-    inv_counts[active] = 1.0 / counts[active]
-    return inv_counts
+    idx = [c.present_indices() for c in problem.configs]
+    union = np.unique(np.concatenate(idx))
+    pos = [np.searchsorted(union, ix) for ix in idx]
+    return union, pos, 1.0 / np.bincount(np.concatenate(pos))
 
 
-def _index_totals(idx, blocks, d, n):
-    """Per-index sums (d, n) of the (d, n_i) blocks placed at their index sets."""
-    total = np.zeros((d, n))
-    for ix, block in zip(idx, blocks):
+def _position_totals(pos, blocks, d, u):
+    """Sums (d, u) of the (d, n_i) blocks placed at their union positions."""
+    total = np.zeros((d, u))
+    for ix, block in zip(pos, blocks):
         total[:, ix] += block
     return total
 
@@ -160,17 +154,16 @@ def gpa_loss(problem, motions):
         if g.dim != problem.dim:
             raise DimensionMismatch("motion dimension mismatch")
         transformed.append(g.apply(cfg.present_matrix()))
-    d, n = problem.dim, problem.n_global
-    idx = [cfg.present_indices() for cfg in problem.configs]
-    mean = _index_totals(idx, transformed, d, n) * _inverse_counts(idx, n)
-    return _masked_loss(idx, transformed, mean)
+    union, pos, inv_counts = _covered(problem)
+    mean = _position_totals(pos, transformed, problem.dim, union.size) * inv_counts
+    return _masked_loss(pos, transformed, mean)
 
 
-def _masked_loss(idx, blocks, mean):
+def _masked_loss(pos, blocks, mean):
     """Mean over configurations of each block's squared distance from the
-    mean at its index set."""
+    mean at its union positions."""
     total = 0.0
-    for ix, block in zip(idx, blocks):
+    for ix, block in zip(pos, blocks):
         total += float(np.sum((block - mean[:, ix]) ** 2))
     return total / len(blocks)
 
@@ -187,14 +180,12 @@ def als_align(problem):
     ``min_iter`` sweeps, or at ``max_iter`` sweeps.  The loss is invariant
     under one global rigid motion, so the solution is then rotated by the
     inverse of the first rotation, unless that is already the identity
-    within 1e-15.  Raises NonFinite if the loss leaves the reals
-    (degenerate input data).
+    within 1e-15.  The mean is held over the indices the inputs cover, not
+    all n_global.  Raises NonFinite if the loss leaves the reals.
     """
     opts = problem.options
-    k, d, n = problem.k, problem.dim, problem.n_global
-
-    idx = [c.present_indices() for c in problem.configs]
-    inv_counts = _inverse_counts(idx, n)
+    k, d = problem.k, problem.dim
+    union, pos, inv_counts = _covered(problem)
 
     # Pre-center each configuration (the translations are re-estimated every
     # sweep, so this only changes the starting point); with full masks the
@@ -204,17 +195,18 @@ def als_align(problem):
 
     rotations = [np.eye(d) for _ in range(k)]
     shifts = [np.zeros(d) for _ in range(k)]
-    blocks = [block.copy() for block in xc]
+    # C order like every block a sweep makes: np.sum's order follows layout
+    blocks = [np.ascontiguousarray(block) for block in xc]
 
-    total = _index_totals(idx, blocks, d, n)
+    total = _position_totals(pos, blocks, d, union.size)
     mean = total * inv_counts
 
-    trace = [_masked_loss(idx, blocks, mean)]
+    trace = [_masked_loss(pos, blocks, mean)]
     _check_finite_loss(trace[-1])
     converged = False
     for sweep in range(opts.max_iter):
         for i in range(k):
-            ix = idx[i]
+            ix = pos[i]
             shifts[i] = mean[:, ix].mean(axis=1)
             gap = mean[:, ix] - shifts[i][:, None]
             w = inv_counts[ix]
@@ -225,9 +217,9 @@ def als_align(problem):
             blocks[i] = new_block
             mean[:, ix] = total[:, ix] * w
         # Exact recompute once per sweep to shed incremental round-off.
-        total = _index_totals(idx, blocks, d, n)
+        total = _position_totals(pos, blocks, d, union.size)
         mean = total * inv_counts
-        trace.append(_masked_loss(idx, blocks, mean))
+        trace.append(_masked_loss(pos, blocks, mean))
         _check_finite_loss(trace[-1])
         if sweep + 1 >= opts.min_iter and abs(trace[-2] - trace[-1]) < opts.tol:
             converged = True
@@ -237,13 +229,10 @@ def als_align(problem):
         RigidMotion(rotations[i], shifts[i] - rotations[i] @ offsets[i])
         for i in range(k)
     )
-    mean_cfg = Configuration(mean, inv_counts > 0)
     residuals = np.array(
-        [
-            _symmetry_residual_matrices(mean[:, idx[i]], blocks[i])
-            for i in range(k)
-        ]
+        [_symmetry_residual_matrices(mean[:, pos[i]], blocks[i]) for i in range(k)]
     )
+    mean_cfg = Configuration._compact(mean, union, problem.n_global)
     # the pin leaves the residuals as they are: ||Q^T M Q - (Q^T M Q)^T||
     # = ||M - M^T|| for orthogonal Q
     q1 = motions[0].rotation
@@ -274,7 +263,7 @@ def _derivatives(problem, result):
     V = sum_i A_i Y_i and C = sum_i A_i^2 Y_i (Gower & Dijksterhuis 2004),
     in the coordinates that ``hessian_matrix`` documents.
     """
-    if not problem.masks().all():
+    if any(c.n_present < c.n_global for c in problem.configs):
         raise DimensionMismatch(
             "the gradient and Hessian diagnostics require full-domain configurations"
         )

@@ -11,12 +11,12 @@ from robust_coords.core_types import (
     centroid,
     restrict_common,
 )
-from robust_coords.dimred import EmbeddingOutput
-from robust_coords.ensemble import _stack_into, _stacks
+from robust_coords.dimred import EmbeddingOutput, EmbeddingParams
+from robust_coords.ensemble import PipelineConfig, _stack_into, _stacks, build_ensemble
 from robust_coords.errors import EmptyOverlap, NonFinite
 from robust_coords.procrustes_pair import affine_procrustes
 
-from conftest import random_config, random_motion
+from conftest import random_config, random_motion, set_process_count
 
 
 def test_absent_columns_are_canonically_zero():
@@ -60,6 +60,52 @@ def test_from_rows_round_trip(rng):
     assert cfg.n_global == 12
     assert np.array_equal(cfg.present_indices(), idx)
     assert np.allclose(cfg.present_matrix().T, pts)
+
+
+def test_from_rows_refuses_what_it_used_to_truncate():
+    pts = np.ones((3, 2))
+    for indices in ([0.5, 1.7, 2.9], [True, False, 2], np.array([True, False, True]),
+                    np.array([0.0, 1.0, 2.0])):
+        with pytest.raises(ValueError, match="^indices must be"):
+            Configuration.from_rows(pts, indices)
+    for n_global in (4.7, 4.0, True):
+        with pytest.raises(ValueError, match="n_global must be an integer"):
+            Configuration.from_rows(pts, n_global=n_global)
+    cfg = Configuration.from_rows(pts, [np.int32(4), 1, 2], n_global=np.int64(6))
+    assert np.array_equal(cfg.present_indices(), [1, 2, 4]) and cfg.n_global == 6
+    with pytest.raises(ValueError, match="configuration domain is empty"):
+        Configuration.from_rows(np.empty((0, 2)), [], n_global=4)
+
+
+def assert_read_only(cfg):
+    for stored in (cfg.present_matrix(), cfg.present_indices()):
+        assert not stored.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            stored[..., 0] = 4
+
+
+def test_pickle_round_trip_keeps_the_arrays_read_only(rng):
+    cfg = random_config(rng, d=3, n=30, mask_prob=0.5)
+    back = pickle.loads(pickle.dumps(cfg))
+    assert_read_only(cfg)
+    assert_read_only(back)
+    assert back.n_global == cfg.n_global
+    assert np.array_equal(back.coords, cfg.coords)
+    assert back.present_matrix().flags.f_contiguous
+
+
+def test_members_made_in_worker_processes_are_read_only(monkeypatch):
+    x = Configuration(np.random.default_rng(3).normal(size=(3, 60)))
+    config = PipelineConfig(
+        n_subsamples=4,
+        subsample_size=30,
+        dimred=(EmbeddingParams(method="pca", target_dim=2),),
+    )
+    set_process_count(monkeypatch, 2)
+    members = build_ensemble(x, config)
+    assert len(members) == 4
+    for member in members:
+        assert_read_only(member.config)
 
 
 def test_restrict_common_basic():

@@ -270,7 +270,8 @@ def test_isomap_exact_duplicate_is_at_geodesic_distance_zero(rng, monkeypatch, p
 
 def split_case(m, kind):
     """m roll points and Isomap params that give one kind of graph."""
-    points = swiss_roll(m, seed=m).points3d.present_matrix().T
+    # a copy: the duplicate and two-component cases write into it
+    points = swiss_roll(m, seed=m).points3d.present_matrix().T.copy()
     # the radius grows as the roll thins out, so that few points are cut off
     params = EmbeddingParams(target_dim=2, epsilon=6.0 * np.sqrt(150 / m))
     if kind == "union-knn":

@@ -1,8 +1,10 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from robust_coords.core_types import Configuration, RigidMotion
+from robust_coords.core_types import Configuration, RigidMotion, centroid
 from robust_coords.errors import DimensionMismatch, NotAntisymmetric
 from robust_coords.gpa_als import (
     AlignmentResult,
@@ -57,7 +59,7 @@ def als_full(problem, variant):
     recomputes the mean, and can stall at unstable critical points.
     """
     assert variant in ("basic", "refined")
-    assert problem.masks().all()
+    assert all(c.n_present == c.n_global for c in problem.configs)
     opts = problem.options
     k, d = problem.k, problem.dim
     raw = np.stack([c.coords for c in problem.configs])
@@ -110,6 +112,166 @@ def als_full(problem, variant):
             [_symmetry_residual_matrices(mean, y[i]) for i in range(k)]
         ),
     )
+
+
+# ------------------------------------------------------ dense ALS oracle
+
+
+def dense_als(problem):
+    """The former ``als_align``, trimmed: the per-index sums, the mean and
+    the inverse averaging counts are held as d x n_global arrays, zero at
+    the indices no input covers."""
+    opts = problem.options
+    k, d, n = problem.k, problem.dim, problem.n_global
+    idx = [c.present_indices() for c in problem.configs]
+    counts = np.zeros(n)
+    for ix in idx:
+        counts[ix] += 1.0
+    inv_counts = np.zeros(n)
+    inv_counts[counts > 0] = 1.0 / counts[counts > 0]
+
+    def totals(blocks):
+        total = np.zeros((d, n))
+        for ix, block in zip(idx, blocks):
+            total[:, ix] += block
+        return total
+
+    def loss(blocks, mean):
+        total = 0.0
+        for ix, block in zip(idx, blocks):
+            total += float(np.sum((block - mean[:, ix]) ** 2))
+        return total / k
+
+    offsets = [centroid(c) for c in problem.configs]
+    xc = [c.present_matrix() - a[:, None] for c, a in zip(problem.configs, offsets)]
+    rotations = [np.eye(d) for _ in range(k)]
+    shifts = [np.zeros(d) for _ in range(k)]
+    blocks = [block.copy() for block in xc]
+    total = totals(blocks)
+    mean = total * inv_counts
+    trace = [loss(blocks, mean)]
+    converged = False
+    for sweep in range(opts.max_iter):
+        for i in range(k):
+            ix = idx[i]
+            shifts[i] = mean[:, ix].mean(axis=1)
+            gap = mean[:, ix] - shifts[i][:, None]
+            w = inv_counts[ix]
+            rotated = rotations[i] @ xc[i]
+            rotations[i] = _nearest_orthogonal((gap - rotated * w) @ xc[i].T)
+            new_block = rotations[i] @ xc[i] + shifts[i][:, None]
+            total[:, ix] += new_block - blocks[i]
+            blocks[i] = new_block
+            mean[:, ix] = total[:, ix] * w
+        total = totals(blocks)
+        mean = total * inv_counts
+        trace.append(loss(blocks, mean))
+        if sweep + 1 >= opts.min_iter and abs(trace[-2] - trace[-1]) < opts.tol:
+            converged = True
+            break
+
+    motions = tuple(
+        RigidMotion(rotations[i], shifts[i] - rotations[i] @ offsets[i]) for i in range(k)
+    )
+    mean_cfg = Configuration(mean, inv_counts > 0)
+    residuals = np.array(
+        [_symmetry_residual_matrices(mean[:, idx[i]], blocks[i]) for i in range(k)]
+    )
+    q1 = motions[0].rotation
+    if not np.allclose(q1, np.eye(d), atol=1e-15):
+        head = RigidMotion(q1.T, np.zeros(d))
+        motions = tuple(head.compose(g) for g in motions)
+        mean_cfg = mean_cfg.transformed(head)
+    return AlignmentResult(
+        motions=motions,
+        mean=mean_cfg,
+        loss_trace=np.asarray(trace),
+        converged=converged,
+        symmetry_residuals=residuals,
+    )
+
+
+def dense_gpa_loss(problem, motions):
+    """The former ``gpa_loss``, with the mean over all n_global indices."""
+    d, n = problem.dim, problem.n_global
+    total, counts = np.zeros((d, n)), np.zeros(n)
+    blocks = [g.apply(c.present_matrix()) for c, g in zip(problem.configs, motions)]
+    for c, block in zip(problem.configs, blocks):
+        total[:, c.present_indices()] += block
+        counts[c.present_indices()] += 1.0
+    inv_counts = np.zeros(n)
+    inv_counts[counts > 0] = 1.0 / counts[counts > 0]
+    mean = total * inv_counts
+    out = 0.0
+    for c, block in zip(problem.configs, blocks):
+        out += float(np.sum((block - mean[:, c.present_indices()]) ** 2))
+    return out / problem.k
+
+
+def assert_same_bits(ours, ref):
+    ours, ref = np.asarray(ours), np.asarray(ref)
+    assert ours.dtype == ref.dtype and ours.shape == ref.shape
+    assert ours.tobytes() == ref.tobytes()
+
+
+def partial_problem(rng, d):
+    """k = 2..6 noisy rigid copies of one shape, each on a random part of a
+    global index set that some indices stay outside of."""
+    n = int(rng.integers(8, 80))
+    base = rng.normal(size=(d, n)) * rng.uniform(0.1, 100.0)
+    configs = []
+    for _ in range(int(rng.integers(2, 7))):
+        mask = rng.random(n) < rng.uniform(0.2, 0.9)
+        mask[rng.choice(n, 3, replace=False)] = True
+        coords = random_motion(rng, d).apply(base) + rng.normal(size=(d, n)) * 0.1
+        configs.append(Configuration(coords, mask))
+    return GpaProblem(tuple(configs))
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_union_als_matches_dense_oracle_bit_for_bit(rng, d):
+    uncovered = 0
+    for _ in range(15):
+        problem = partial_problem(rng, d)
+        ours, ref = als_align(problem), dense_als(problem)
+        uncovered += ref.mean.n_present < problem.n_global
+        assert ours.mean.n_global == ref.mean.n_global
+        assert_same_bits(ours.mean.present_indices(), ref.mean.present_indices())
+        assert_same_bits(ours.mean.present_matrix(), ref.mean.present_matrix())
+        assert ours.mean.present_matrix().flags.f_contiguous
+        assert_same_bits(ours.loss_trace, ref.loss_trace)
+        assert ours.converged == ref.converged
+        assert_same_bits(ours.symmetry_residuals, ref.symmetry_residuals)
+        for g, h in zip(ours.motions, ref.motions, strict=True):
+            assert_same_bits(g.rotation, h.rotation)
+            assert_same_bits(g.translation, h.translation)
+        assert gpa_loss(problem, ours.motions) == dense_gpa_loss(problem, ref.motions)
+    assert uncovered  # the union is smaller than the index set somewhere
+
+
+def test_als_memory_does_not_grow_with_the_global_index_set(rng):
+    # three 50-point inputs drawn from 80 indices spread over 10^6: a
+    # d x n_global float array alone would take 16 MB
+    n_global = 1_000_000
+    pool = np.sort(rng.choice(n_global, 80, replace=False))
+    base = rng.normal(size=(80, 2))
+    configs = []
+    for _ in range(3):
+        pick = np.sort(rng.choice(80, 50, replace=False))
+        turned = random_motion(rng, 2).apply(base[pick].T).T
+        configs.append(Configuration.from_rows(turned, pool[pick], n_global=n_global))
+    problem = GpaProblem(tuple(configs))
+    tracemalloc.start()
+    try:
+        res = als_align(problem)
+        loss = gpa_loss(problem, res.motions)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    assert res.mean.n_global == n_global and res.mean.n_present <= 80
+    # the inputs are exact rigid copies, so both losses are near zero
+    assert max(loss, res.loss) <= 1e-8 * float(np.sum(base**2))
 
 
 # ----------------------------------------------------------------- gpa_loss
