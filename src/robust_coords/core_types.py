@@ -141,10 +141,11 @@ class Configuration:
             if n_global < n:
                 raise ValueError("n_global smaller than max index + 1")
             n = int(n_global)
-        if d < 1 or n < 1:
-            raise ValueError(f"coords must be nonempty, got shape {(d, n)}")
+        # no rows is an empty domain, with or without n_global
         if not m:
             raise ValueError("configuration domain is empty")
+        if d < 1:
+            raise ValueError(f"coords must be nonempty, got shape {(d, n)}")
         order = np.argsort(indices, kind="stable")
         return cls._compact(points[order].T, indices[order], n)
 

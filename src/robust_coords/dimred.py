@@ -156,11 +156,14 @@ def embed(x, params, chart=None):
 
 
 def _placed(x, chart, kept):
-    """The (d, len(kept)) chart placed at the sorted global indices ``kept``
-    of the input ``x``; the input's other present indices come back in
-    ``dropped``."""
-    config = Configuration.from_rows(chart.T, kept, n_global=x.n_global)
-    dropped = np.setdiff1d(x.present_indices(), kept, assume_unique=True)
+    """The (d, len(kept)) chart placed at ``kept``, sorted and distinct
+    present indices of the input ``x``; the input's other present indices
+    come back in ``dropped``."""
+    config = Configuration._compact(np.array(chart, order="F"), kept, x.n_global)
+    if kept.size < x.n_present:
+        dropped = np.setdiff1d(x.present_indices(), kept, assume_unique=True)
+    else:
+        dropped = np.empty(0, dtype=int)
     return EmbeddingOutput(config=config, dropped=dropped)
 
 
@@ -247,8 +250,9 @@ def _top_eigpairs(b, d):
     needs d < b.shape[0].
 
     Up to ``_DENSE_MAX`` points, one dense LAPACK solve (evr) of the
-    top d eigenpairs; above it, one Lanczos solve (ARPACK) from a fixed
-    start vector, for reproducibility, which is centred: the constant
+    top d eigenpairs, without ``eigh``'s finiteness pass (``classical_mds``
+    has checked its input); above it, one Lanczos solve (ARPACK) from a
+    fixed start vector, for reproducibility, which is centred: the constant
     vector lies in the kernel of a double-centred matrix, so it would leave
     Lanczos only rounding noise (exactly zero on exact inputs).  Either
     solver's failure raises EigensolverFailed.
@@ -256,7 +260,9 @@ def _top_eigpairs(b, d):
     m = b.shape[0]
     try:
         if m <= _DENSE_MAX:
-            vals, vecs = eigh(b, subset_by_index=[m - d, m - 1], driver="evr")
+            vals, vecs = eigh(
+                b, subset_by_index=[m - d, m - 1], driver="evr", check_finite=False
+            )
         else:
             v0 = np.random.default_rng(0).standard_normal(m)
             v0 -= v0.mean()
@@ -275,10 +281,12 @@ def classical_mds(dmat, d):
     sum without overflow: entries above sqrt(largest float) / m are refused
     as NonFinite before anything is squared.  It is double-centred in two
     m x m buffers: the squares, centred in place, and the symmetry check's
-    buffer, which then takes the symmetrised Gram matrix.  The top d
-    eigenpairs come from one solve (``_top_eigpairs``): dense LAPACK up to
-    ``_DENSE_MAX`` points, Lanczos from a fixed, centred start vector
-    above; it raises EigensolverFailed if it fails.
+    buffer, which then takes the symmetrised Gram matrix.  These checks
+    make the Gram matrix finite, so the solve skips ``eigh``'s own
+    finiteness pass.  The top d eigenpairs come from one solve
+    (``_top_eigpairs``): dense LAPACK up to ``_DENSE_MAX`` points, Lanczos
+    from a fixed, centred start vector above; it raises EigensolverFailed
+    if it fails.
     Negative eigenvalues are clamped to zero, so coordinates past the rank
     of the Gram matrix are identically zero, and coincident points (a zero
     Gram matrix) embed at the origin without a solve.  The output

@@ -18,11 +18,12 @@ Stages, in order:
    Procrustes distances (residual / sqrt(#shared indices), so pairs with
    different overlap sizes are comparable), all from one batched closed
    form over one tile of stacked members at a time, so no array spans all
-   members times the input size; each member's nearest pair, and every
-   pair where that form loses precision to cancellation, is then solved
-   again exactly; pairs that share fewer than ``_MIN_SHARED`` indices read
-   inf, and only the 2-d MDS view of the matrix gives them a finite
-   sentinel;
+   members times the input size, with the nuclear norm of 2-d members'
+   cross-covariances itself in closed form rather than from an SVD; each
+   member's nearest pair, and every pair where that form loses precision
+   to cancellation, is then solved again exactly; pairs that share fewer
+   than ``_MIN_SHARED`` indices read inf, and only the 2-d MDS view of the
+   matrix gives them a finite sentinel;
 3. cut single linkage at a fraction of the median finite dissimilarity
    (floored at a tiny fraction of the members' scale, so that identical
    members stay together), as the connected components of the graph of
@@ -505,11 +506,13 @@ def dissimilarity_matrix(ensemble):
     All entries come from one batched closed form, residual^2 =
     ||X~||^2 + ||Y~||^2 - 2 ||C~||_* over the common domain (X~, Y~ the
     centred sides, C~ their d x d cross-covariance, ||.||_* its nuclear
-    norm), which needs no rotation.  That form cancels when two members
-    nearly coincide, so ``affine_procrustes`` solves again exactly each
-    member's nearest overlapping pair and every pair whose closed-form
-    residual^2 is below ``_CANCELLATION_TOL`` times the pair's squared
-    norms; every other entry lies within 1e-10 relative of the exact one.
+    norm, itself in closed form at d = 2 and from a batched SVD otherwise;
+    see ``_nuclear_norm``), which needs no rotation.  That form cancels
+    when two members nearly coincide, so ``affine_procrustes`` solves again
+    exactly each member's nearest overlapping pair and every pair whose
+    closed-form residual^2 is below ``_CANCELLATION_TOL`` times the pair's
+    squared norms; every other entry lies within 1e-10 relative of the
+    exact one.
     Pairs sharing fewer than ``_MIN_SHARED`` indices read inf, which is
     the only record of them: a member's nearest pair is its least entry off
     the diagonal, and the inf entries are counted in a log line.  The
@@ -619,7 +622,11 @@ def _stack_into(stacks, configs):
 
 def _closed_form_block(rows, cols):
     """Closed-form dissimilarities of every (row, column) pair of two
-    stacked sets of members (see ``_stacks``), and which pairs cancelled."""
+    stacked sets of members (see ``_stacks``), and which pairs cancelled.
+
+    The residual is that of Gower & Dijksterhuis (2004), with the
+    cross-covariances' nuclear norms from ``_nuclear_norm``: at d = 2 a
+    closed form that needs no SVD."""
     xr, mr, sqr = rows
     xc, mc, sqc = cols
     count = np.einsum("in,jn->ij", mr, mc, optimize=False)
@@ -630,12 +637,29 @@ def _closed_form_block(rows, cols):
     cross = np.einsum("idn,jen->ijde", xr, xc, optimize=False)
     inv = 1.0 / np.maximum(count, 1.0)
     cross -= sum_x[..., :, None] * sum_y[..., None, :] * inv[..., None, None]
-    nuclear = np.linalg.svd(cross, compute_uv=False).sum(axis=-1)
+    nuclear = _nuclear_norm(cross)
     centred = norm_x + norm_y - ((sum_x**2).sum(-1) + (sum_y**2).sum(-1)) * inv
     resid2 = np.maximum(centred - 2.0 * nuclear, 0.0)
     shared = count >= _MIN_SHARED
     dist = np.where(shared, np.sqrt(resid2 * inv), np.inf)
     return dist, shared & (resid2 <= _CANCELLATION_TOL * (norm_x + norm_y))
+
+
+def _nuclear_norm(m):
+    """The nuclear norm (sum of singular values) of each trailing square
+    matrix of ``m``.
+
+    A 2 x 2 matrix [[a, b], [c, d]] takes the closed form sigma_1 + sigma_2
+    = max(||(a + d, c - b)||, ||(a - d, b + c)||) (Blinn, "Consider the
+    lowly 2x2 matrix", 1996): the first term when the determinant is
+    non-negative, the second when it is negative.  ``hypot`` stays finite
+    where the squares would overflow.  Other sizes take LAPACK's
+    batched SVD.
+    """
+    if m.shape[-1] != 2:
+        return np.linalg.svd(m, compute_uv=False).sum(axis=-1)
+    a, b, c, d = m[..., 0, 0], m[..., 0, 1], m[..., 1, 0], m[..., 1, 1]
+    return np.maximum(np.hypot(a + d, c - b), np.hypot(a - d, b + c))
 
 
 def _cutoffs(d, config, scale):

@@ -77,6 +77,15 @@ def test_from_rows_refuses_what_it_used_to_truncate():
         Configuration.from_rows(np.empty((0, 2)), [], n_global=4)
 
 
+@pytest.mark.parametrize("n_global", [None, 4])
+@pytest.mark.parametrize("indices", [None, []])
+def test_from_rows_of_no_rows_is_an_empty_domain_with_or_without_n_global(indices, n_global):
+    # without n_global the index set had size 0, and the error used to
+    # read "coords must be nonempty, got shape (2, 0)"
+    with pytest.raises(ValueError, match="^configuration domain is empty$"):
+        Configuration.from_rows(np.empty((0, 2)), indices, n_global=n_global)
+
+
 def assert_read_only(cfg):
     for stored in (cfg.present_matrix(), cfg.present_indices()):
         assert not stored.flags.writeable

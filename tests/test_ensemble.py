@@ -777,7 +777,7 @@ def stacked_closed_form(configs):
     """The reference: the closed form over stacks of all k members, in
     blocks of rows against the columns from the block's first row on, with
     the upper triangle mirrored."""
-    from robust_coords.ensemble import _CANCELLATION_TOL, _MIN_SHARED
+    from robust_coords.ensemble import _CANCELLATION_TOL, _MIN_SHARED, _nuclear_norm
 
     k = len(configs)
     x = np.stack([c.coords for c in configs])
@@ -796,7 +796,7 @@ def stacked_closed_form(configs):
         cross = np.einsum("idn,jen->ijde", x[rows], x[cols], optimize=False)
         inv = 1.0 / np.maximum(count, 1.0)
         cross -= sum_x[..., :, None] * sum_y[..., None, :] * inv[..., None, None]
-        nuclear = np.linalg.svd(cross, compute_uv=False).sum(axis=-1)
+        nuclear = _nuclear_norm(cross)
         centred = norm_x + norm_y - ((sum_x**2).sum(-1) + (sum_y**2).sum(-1)) * inv
         resid2 = np.maximum(centred - 2.0 * nuclear, 0.0)
         shared = count >= _MIN_SHARED
@@ -804,6 +804,33 @@ def stacked_closed_form(configs):
         imprecise[rows, cols] = shared & (resid2 <= _CANCELLATION_TOL * (norm_x + norm_y))
     d = np.triu(d, 1)
     return d + d.T, np.triu(imprecise, 1)
+
+
+def test_closed_form_nuclear_norm_matches_svd(rng):
+    # random 2 x 2 matrices, the same with a column negated (so with the
+    # determinant's other sign), rank 0 and 1, and scales 2^-500 and 2^500,
+    # and 2^-520 and 2^520, where squares would underflow or overflow
+    from robust_coords.ensemble import _nuclear_norm
+
+    random = rng.normal(size=(200, 2, 2))
+    rank1 = np.einsum("ni,nj->nij", rng.normal(size=(50, 2)), rng.normal(size=(50, 2)))
+    m = np.concatenate([random, random * [1.0, -1.0], np.zeros((1, 2, 2)), rank1]
+                       + [2.0**e * random for e in (-520, -500, 500, 520)])
+    assert (np.linalg.det(random) < 0).any() and (np.linalg.det(random) > 0).any()
+    got = _nuclear_norm(m)
+    want = np.linalg.svd(m, compute_uv=False).sum(axis=-1)
+    assert np.isfinite(got).all()
+    eps = np.finfo(float).eps
+    frobenius = np.hypot.reduce(m.reshape(len(m), 4), axis=1)  # no squares to overflow
+    assert (np.abs(got - want) <= 4 * eps * frobenius).all()
+    assert _nuclear_norm(np.zeros((1, 2, 2)))[0] == 0.0
+
+
+def test_nuclear_norm_takes_svd_past_two_dimensions(rng):
+    from robust_coords.ensemble import _nuclear_norm
+
+    m = rng.normal(size=(5, 4, 3, 3))
+    assert np.array_equal(_nuclear_norm(m), np.linalg.svd(m, compute_uv=False).sum(axis=-1))
 
 
 def tiled_ensemble(rng, d, k, n=2000):
